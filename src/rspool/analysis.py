@@ -5,9 +5,9 @@ decision/traffic combination."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -197,18 +197,27 @@ def resolve_prob(h: int, m: int, l: int) -> float:
         raise ValueError("counts must be non-negative")
     if h > m or h > l:
         raise ValueError("cannot resolve more users than contend or than slots exist")
+    return _resolve_prob(h, m, l)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _resolve_prob(h: int, m: int, l: int) -> float:
+    """`resolve_prob` without the argument checks, computed once per (h, m, l)."""
     ff = 1
     for i in range(h):
         ff *= m - i
     num = math.comb(l, h) * ff * no_singleton_placements(l - h, m - h)
-    return float(Fraction(num, l**m))
+    # int / int is correctly rounded: the float of the exact fraction
+    return num / l**m
 
 
+@functools.lru_cache(maxsize=256)
 def truncated_active_dist(omega: int, p_a: float) -> np.ndarray:
     """Distribution of the number of contenders in a collided slot.
 
     Entry m holds P(m active | >= 2 active) for the omega stations sharing the
-    slot; entries 0 and 1 are zero.
+    slot; entries 0 and 1 are zero. The array is cached per argument pair and
+    read-only.
     """
     if omega < 2:
         raise ValueError("omega must be at least 2 for a collision to exist")
@@ -220,12 +229,17 @@ def truncated_active_dist(omega: int, p_a: float) -> np.ndarray:
     z = pmf.sum()
     if z <= 0:
         raise ValueError("collision probability underflows to zero")
-    return pmf / z
+    dist = pmf / z
+    dist.setflags(write=False)
+    return dist
 
 
+@functools.lru_cache(maxsize=4096)
 def resolution_probs(omega: int, l1: int, l2: int, p_a: float) -> tuple[float, float]:
     """Probabilities that a collided slot is fully resolved by the first
-    contention frame (r1) and, failing that, by the second frame (r2)."""
+    contention frame (r1) and, failing that, by the second frame (r2).
+    Cached per argument tuple: they do not depend on the threshold, which a
+    sweep varies at fixed frames."""
     pa = truncated_active_dist(omega, p_a)
     r1 = 0.0
     r2 = 0.0
@@ -235,11 +249,11 @@ def resolution_probs(omega: int, l1: int, l2: int, p_a: float) -> tuple[float, f
         remaining -= w
         if w > 0.0:
             if m <= l1:
-                r1 += resolve_prob(m, m, l1) * w
+                r1 += _resolve_prob(m, m, l1) * w
             acc = 0.0
             for h in range(2, m + 1):
                 if h <= l2 and m - h <= l1:
-                    acc += resolve_prob(h, h, l2) * resolve_prob(m - h, m, l1)
+                    acc += _resolve_prob(h, h, l2) * _resolve_prob(m - h, m, l1)
             r2 += acc * w
         if remaining < _TAIL_EPS:
             break
@@ -255,11 +269,14 @@ def expected_frame_cost(omega: int, l1: int, l2: int, r1: float, r2: float) -> f
     return l1 + l2 * (1.0 - r1) + omega * (1.0 - (r1 + r2))
 
 
+@functools.lru_cache(maxsize=1024)
 def _conditional_collision_means(pool: int, p_c: float, delta_c: int,
                                  ) -> tuple[float, float, float, float]:
     """Masses and conditional means of the collided-slot count below / at-or-
     above the threshold. Returns (mass_below, mean_below, mass_above, mean_above);
-    means are NaN when the conditioning event has zero probability."""
+    means are NaN when the conditioning event has zero probability. Cached per
+    argument tuple: a frame search asks for the same figures once per
+    candidate."""
     k = np.arange(pool + 1)
     pmf = stats.binom.pmf(k, pool, p_c)
     lo = slice(0, min(max(delta_c, 0), pool + 1))

@@ -118,6 +118,9 @@ def cmd_analyze(args, exp: Experiment, out: Path) -> None:
 
 def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     seed = _require_seed(args)
+    if args.replications is not None and args.replications < 1:
+        raise CommandError(f"--replications must be at least 1, got {args.replications}",
+                           "invalid-argument")
     cell = exp.cell()
     alarms = [scenario for _, scenario in exp.alarms()]
     sim = exp.simulation()
@@ -136,8 +139,9 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     geometry = traffic.place_stations(cell.n_stations, cell.radius_m, geom_seed)
 
     horizon = sim.horizon_s
-    if args.replications > 1:
-        horizon = args.replications * cell.protocol.t_r
+    if args.replications is not None:
+        # half a period of slack: floor((N * t_r) / t_r) can round down to N - 1
+        horizon = (args.replications + 0.5) * cell.protocol.t_r
 
     trace: list | None = [] if args.trace else None
     stats = simulator.run_scenario(geometry, cell.protocol, cell.traffic,
@@ -238,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="64-bit experiment seed (required for stochastic commands)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--replications", type=int, default=1,
-                        help="simulate: run this many pool periods instead of "
-                             "the configured horizon")
+    parser.add_argument("--replications", type=int, default=None,
+                        help="simulate: run exactly this many pool periods (>= 1) "
+                             "instead of the configured horizon")
     parser.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="table output format for sweep/compare-naive")
     parser.add_argument("--trace", action="store_true",
@@ -262,7 +266,11 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         exp = load_experiment(args.config)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CommandError(f"cannot create output directory {out}: {exc.strerror}",
+                               "output-unwritable") from exc
         _COMMANDS[args.command](args, exp, out)
     except ConfigError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)

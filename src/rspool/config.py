@@ -230,6 +230,9 @@ def load_experiment(path: str) -> Experiment:
     except FileNotFoundError as exc:
         raise ConfigError(f"configuration file not found: {path}",
                           category="config-missing") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc.strerror}",
+                          category="config-unreadable") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse configuration file {path}: {exc}") from exc
     return Experiment(parser)

@@ -31,7 +31,7 @@ class SweepBase:
     p_h1: float
     alarm: AlarmScenario | None = None
 
-    def activity(self, omega_unused: int | None = None) -> ActivityProbs:
+    def activity(self) -> ActivityProbs:
         return self._activity
 
     @functools.cached_property
@@ -148,16 +148,21 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
 def optimize_frame_fractions(base: SweepBase, omega: int, delta_c_pct: float,
                              steps=FRACTION_STEPS) -> tuple[float, float]:
     """Pick the frame-length fractions minimising the analytical cost, with
-    the second frame never longer than the first."""
-    best = (float("inf"), 0.6, 0.4)
+    the second frame never longer than the first.
+
+    Fraction pairs that round to the same frames cost the same, so each
+    distinct (l1, l2) is evaluated once, under the first pair that reaches
+    it; ties keep the first minimum in grid order."""
+    candidates: dict[tuple[int, int], tuple[float, float]] = {}
     for f1 in steps:
         for f2 in steps:
-            if f2 > f1:
-                continue
-            l1, l2 = _frames_for(omega, f1, f2)
-            row = _evaluate_point(base, omega, delta_c_pct, l1, l2, 0, None)
-            if row.feasible and row.e_c_analytical < best[0]:
-                best = (row.e_c_analytical, f1, f2)
+            if f2 <= f1:
+                candidates.setdefault(_frames_for(omega, f1, f2), (f1, f2))
+    best = (float("inf"), 0.6, 0.4)
+    for (l1, l2), (f1, f2) in candidates.items():
+        row = _evaluate_point(base, omega, delta_c_pct, l1, l2, 0, None)
+        if row.feasible and row.e_c_analytical < best[0]:
+            best = (row.e_c_analytical, f1, f2)
     return best[1], best[2]
 
 

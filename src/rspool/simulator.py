@@ -80,7 +80,11 @@ class GroupAssignment:
 
     @property
     def collidable_groups(self) -> int:
-        return sum(1 for g in range(self.n_groups) if self.group_size(g) >= 2)
+        """Groups with two or more members. Every group but the last holds
+        omega stations; the last holds one exactly when n % omega == 1."""
+        if self.omega < 2:
+            return 0
+        return self.n_groups - (self.n % self.omega == 1)
 
 
 @dataclass

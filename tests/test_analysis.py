@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,6 +136,15 @@ class TestResolveProb:
             for l in range(1, 9):
                 total = sum(resolve_prob(h, m, l) for h in range(min(m, l) + 1))
                 assert abs(total - 1.0) < 1e-10
+
+    def test_equals_exact_fraction_reference(self):
+        # one exact Fraction per value, rounded once to float
+        for l in range(1, 25):
+            for m in range(25):
+                for h in range(min(m, l) + 1):
+                    num = (math.comb(l, h) * math.perm(m, h)
+                           * no_singleton_placements(l - h, m - h))
+                    assert resolve_prob(h, m, l) == float(Fraction(num, l**m))
 
     def test_placement_count_is_exact_integer(self):
         # 2 users, one shared slot out of u: u placements with no singleton
@@ -380,6 +390,18 @@ class TestExpectedCosts:
         record = report.to_dict()
         assert record["e_k_10"] is None
         assert record["e_c"] == pytest.approx(200.0)
+
+    def test_repeated_calls_return_equal_reports(self):
+        params = self.make_params()
+        activity = ActivityProbs(P_A0, 0.3)
+        first = expected_costs(params, activity, P_H1).to_dict()
+        assert expected_costs(params, activity, P_H1).to_dict() == first
+
+    def test_cached_distribution_is_read_only(self):
+        dist = truncated_active_dist(OMEGA, P_A0)
+        with pytest.raises(ValueError):
+            dist[2] = 0.0
+        assert truncated_active_dist(OMEGA, P_A0)[2] > 0.0
 
     def test_naive_cost_reference(self):
         params = self.make_params()

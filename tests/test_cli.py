@@ -58,6 +58,13 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def error_lines(capsys) -> list[str]:
+    """The error categories on stderr, which must be its only lines."""
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("error:") for line in lines), lines
+    return [":".join(line.split(":", 2)[:2]) for line in lines]
+
+
 class TestTrafficCommand:
     def test_writes_curve_and_fit(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -145,6 +152,24 @@ class TestSimulateCommand:
         stats = json.loads((out / "scenario_stats.json").read_text())
         assert stats["pools_run"] == 8
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_replications_run_exactly_n_pools(self, config_path, tmp_path, n):
+        # at t_r = 0.7 s, 3 * 0.7 / 0.7 rounds below 3
+        cfg = tmp_path / "short.ini"
+        cfg.write_text(config_path.read_text().replace("t_r_s = 2.5", "t_r_s = 0.7"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "11",
+                       "--out", str(out), "--replications", str(n)) == 0
+        stats = json.loads((out / "scenario_stats.json").read_text())
+        assert stats["pools_run"] == n
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_replications_below_one_rejected(self, config_path, tmp_path, capsys, n):
+        assert run_cli("simulate", "--config", str(config_path), "--seed", "11",
+                       "--out", str(tmp_path / "out"), "--replications", n) == 1
+        assert error_lines(capsys) == ["error:invalid-argument"]
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -186,6 +211,20 @@ class TestCompareNaiveCommand:
         assert len(rows) == 4
         summary = json.loads((out / "compare_naive_summary.json").read_text())
         assert summary["naive_over_adaptive_ratio"] >= 1.0
+
+
+class TestPathErrors:
+    def test_out_naming_a_file(self, config_path, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert run_cli("analyze", "--config", str(config_path), "--seed", "3",
+                       "--out", str(taken)) == 1
+        assert error_lines(capsys) == ["error:output-unwritable"]
+
+    def test_config_naming_a_directory(self, tmp_path, capsys):
+        assert run_cli("analyze", "--config", str(tmp_path), "--seed", "3",
+                       "--out", str(tmp_path / "o")) == 1
+        assert error_lines(capsys) == ["error:config-unreadable"]
 
 
 class TestSampleConfigs:

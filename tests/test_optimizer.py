@@ -5,7 +5,8 @@ import pytest
 from rspool import (AlarmScenario, Deadlines, InfeasibleConfigError,
                     ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
                     SweepBase, SweepGrid, compare_naive, expected_costs, sweep)
-from rspool.optimizer import optimize_frame_fractions
+from rspool.optimizer import (FRACTION_STEPS, _evaluate_point, _frames_for,
+                              _searched_frames, optimize_frame_fractions)
 from tests.conftest import N, P_H1, RS_DURATION, T_R
 
 
@@ -109,13 +110,28 @@ class TestFrameFractionSearch:
         assert f2 <= f1
 
     def test_search_not_worse_than_default_split(self, base):
-        from rspool.optimizer import _evaluate_point, _frames_for
         f1, f2 = optimize_frame_fractions(base, omega=40, delta_c_pct=50.0,
                                           steps=(0.2, 0.4, 0.6, 0.8, 1.0))
         l1, l2 = _frames_for(40, f1, f2)
         best = _evaluate_point(base, 40, 50.0, l1, l2, 0, None)
         default = _evaluate_point(base, 40, 50.0, 24, 16, 0, None)
         assert best.e_c_analytical <= default.e_c_analytical + 1e-9
+
+
+    @pytest.mark.parametrize("omega", [1, 10, 40, 200])
+    @pytest.mark.parametrize("pct", [10.0, 50.0, 90.0])
+    def test_searched_frames_match_exhaustive_evaluation(self, base, omega, pct):
+        # every fraction pair evaluated, duplicates included; first minimum wins
+        best = (math.inf, _frames_for(omega, 0.6, 0.4))
+        for f1 in FRACTION_STEPS:
+            for f2 in FRACTION_STEPS:
+                if f2 > f1:
+                    continue
+                frames = _frames_for(omega, f1, f2)
+                row = _evaluate_point(base, omega, pct, *frames, 0, None)
+                if row.feasible and row.e_c_analytical < best[0]:
+                    best = (row.e_c_analytical, frames)
+        assert _searched_frames(base, omega, pct) == best[1]
 
 
 class TestCompareNaive:

@@ -39,6 +39,13 @@ class TestGroupAssignment:
         assert GroupAssignment(n=21, omega=10).collidable_groups == 2
         assert GroupAssignment(n=8, omega=1).collidable_groups == 0
 
+    def test_collidable_matches_brute_force_count(self):
+        for n in range(1, 61):
+            for omega in range(1, n + 1):
+                sizes = np.bincount(np.arange(n) // omega)
+                assert GroupAssignment(n=n, omega=omega).collidable_groups \
+                    == int((sizes >= 2).sum()), (n, omega)
+
 
 class TestRunPool:
     def test_empty_pool(self, rng):
