@@ -11,15 +11,13 @@ from .config import CellConfig, ConfigError, load_experiment
 from .optimizer import (NaiveComparison, SweepBase, SweepGrid, SweepResult,
                         compare_naive, sweep)
 from .simulator import (AlarmProcess, Decision, GroupAssignment,
-                        InfeasibleConfigError, Mode, PoolOutcome, ScenarioStats,
-                        SlotKind, SlotOutcome, empirical_kc_distribution,
-                        kc_chi_square, run_pool, run_scenario, simulate_cell,
+                        InfeasibleConfigError, Mode, ScenarioStats,
+                        kc_chi_square, run_pool, run_scenario,
                         validate_deadline, worst_case_pool_duration)
 from .traffic import (ActivationCurve, AlarmScenario, BetaFit, CellGeometry,
                       Deadlines, ExpDecayCorrelation, RegularTrafficParams,
-                      ReportKind, SqrtCapCorrelation, StationState,
-                      UnitCorrelation, activation_curve, background_sample,
-                      beta_pdf, fit_beta, place_stations, spatial_correlation,
-                      station_streams, step_station)
+                      ReportKind, SqrtCapCorrelation, UnitCorrelation,
+                      activation_curve, beta_pdf, fit_beta, place_stations,
+                      spatial_correlation)
 
 __version__ = "0.1.0"

@@ -22,12 +22,24 @@ class CommandError(Exception):
         self.category = category
 
 
+def _open_output(path: Path):
+    """Open an output file for writing. The output directory is made with the
+    first file, so a call rejected before writing leaves none behind."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc.strerror}",
+                           "output-unwritable") from exc
+
+
 def _json_dump(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _open_output(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_dump(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -41,14 +53,9 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _geometry(cell_n: int, cell_r: float, seed) -> traffic.CellGeometry:
-    return traffic.place_stations(cell_n, cell_r, seed)
-
-
 def cmd_traffic(args, exp: Experiment, out: Path) -> None:
     seed = _require_seed(args)
-    if not exp._cp.has_section("cell"):
-        raise ConfigError("missing required section [cell]")
+    exp._require("cell")
     n = exp._int("cell", "n_stations")
     r = exp._float("cell", "radius_m")
     alarms = exp.alarms()
@@ -92,7 +99,7 @@ def _analysis_inputs(exp: Experiment, seed) -> tuple[CellConfig, analysis.Activi
             raise CommandError(
                 "alarm scenarios make the station placement matter: pass --seed",
                 "seed-required")
-        geometry = _geometry(cell.n_stations, cell.radius_m, seed)
+        geometry = traffic.place_stations(cell.n_stations, cell.radius_m, seed)
         p_a1 = analysis.activity_prob_alarm(alarms[0][1], geometry,
                                             cell.traffic, cell.protocol.t_r)
     else:
@@ -140,8 +147,7 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
 
     horizon = sim.horizon_s
     if args.replications is not None:
-        # half a period of slack: floor((N * t_r) / t_r) can round down to N - 1
-        horizon = (args.replications + 0.5) * cell.protocol.t_r
+        horizon = args.replications * cell.protocol.t_r
 
     trace: list | None = [] if args.trace else None
     stats = simulator.run_scenario(geometry, cell.protocol, cell.traffic,
@@ -159,7 +165,7 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     _csv_dump(out / "delay_histogram.csv", ["kind", "bin_start_s", "count"], rows)
 
     if trace is not None:
-        with open(out / "pool_trace.jsonl", "w", encoding="utf-8") as fh:
+        with _open_output(out / "pool_trace.jsonl") as fh:
             for entry in trace:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
@@ -167,7 +173,7 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
 def _sweep_base(exp: Experiment, seed) -> optimizer.SweepBase:
     cell = exp.cell()
     alarms = exp.alarms()
-    geometry = _geometry(cell.n_stations, cell.radius_m, seed)
+    geometry = traffic.place_stations(cell.n_stations, cell.radius_m, seed)
     return optimizer.SweepBase(
         geometry=geometry, traffic=cell.traffic, deadlines=cell.deadlines,
         t_r=cell.protocol.t_r, rs_duration=cell.protocol.rs_duration,
@@ -263,28 +269,20 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = Path(args.out)
     try:
         exp = load_experiment(args.config)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CommandError(f"cannot create output directory {out}: {exc.strerror}",
-                               "output-unwritable") from exc
-        _COMMANDS[args.command](args, exp, out)
-    except ConfigError as exc:
-        print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return 1
-    except CommandError as exc:
-        print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return 1
+        _COMMANDS[args.command](args, exp, Path(args.out))
+    except (ConfigError, CommandError) as exc:
+        category, error = exc.category, exc
     except InfeasibleConfigError as exc:
-        print(f"error:infeasible-config: {exc}", file=sys.stderr)
-        return 1
+        category, error = "infeasible-config", exc
     except ValueError as exc:
-        print(f"error:invalid-parameters: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        category, error = "invalid-parameters", exc
+    else:
+        return 0
+    # one line, even for a message that spans several (a parser error's does)
+    print(f"error:{category}: {' '.join(str(error).split())}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -24,6 +24,10 @@ class ConfigError(Exception):
 _REQUIRED = object()
 
 
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in raw.replace(",", " ").split())
+
+
 @dataclass(frozen=True)
 class CellConfig:
     """Everything fixed about the cell: population, geometry, traffic,
@@ -195,9 +199,6 @@ class Experiment:
     def sweep_options(self) -> SweepOptions:
         self._require("sweep")
 
-        def int_list(raw: str) -> tuple[int, ...]:
-            return tuple(int(x) for x in raw.replace(",", " ").split())
-
         def float_list(raw: str) -> tuple[float, ...]:
             return tuple(float(x) for x in raw.replace(",", " ").split())
 
@@ -205,7 +206,7 @@ class Experiment:
             return "search" if raw.strip().lower() == "search" else float(raw)
 
         return SweepOptions(
-            omega_values=self._get("sweep", "omega_values", int_list),
+            omega_values=self._get("sweep", "omega_values", _int_list),
             delta_c_pcts=self._get("sweep", "delta_c_pcts", float_list),
             l1_frac=self._get("sweep", "l1_frac", frac, 0.6),
             l2_frac=self._get("sweep", "l2_frac", frac, 0.4),
@@ -214,16 +215,15 @@ class Experiment:
     def compare_options(self) -> CompareOptions:
         self._require("compare")
 
-        def int_list(raw: str) -> tuple[int, ...]:
-            return tuple(int(x) for x in raw.replace(",", " ").split())
-
         return CompareOptions(
-            omega_values=self._get("compare", "omega_values", int_list),
+            omega_values=self._get("compare", "omega_values", _int_list),
             delta_c_pct=self._float("compare", "delta_c_pct", 50.0))
 
 
 def load_experiment(path: str) -> Experiment:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are read literally: a '%' is data, not interpolation syntax
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

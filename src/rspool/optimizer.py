@@ -139,7 +139,7 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
         stats = simulator.run_scenario(
             base.geometry, params, base.traffic, base.deadlines, alarms=[],
             horizon=simulate_pools * base.t_r, mode=Mode.ADAPTIVE, seed=seed,
-            alarm_process=process, collect_kc=False)
+            alarm_process=process)
         row.e_c_simulated = stats.mean_rs_per_pool
         row.e_c_simulated_stderr = stats.stderr_rs_per_pool
     return row

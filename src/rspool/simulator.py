@@ -13,7 +13,7 @@ from scipy import stats
 
 from .analysis import ProtocolParams
 from .traffic import (AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams,
-                      ReportKind, StationState, place_stations)
+                      ReportKind)
 
 
 class Mode(Enum):
@@ -26,28 +26,8 @@ class Decision(Enum):
     ALARM = "alarm"
 
 
-class SlotKind(Enum):
-    IDLE = "idle"
-    SINGLETON = "singleton"
-    COLLISION = "collision"
-
-
 class InfeasibleConfigError(ValueError):
     """The deadline cannot be met even in the worst-case pool."""
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    kind: SlotKind
-    stations: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind is SlotKind.COLLISION and len(self.stations) < 2:
-            raise ValueError("a collision involves at least two stations")
-        if self.kind is SlotKind.SINGLETON and len(self.stations) != 1:
-            raise ValueError("a singleton slot holds exactly one station")
-        if self.kind is SlotKind.IDLE and self.stations:
-            raise ValueError("an idle slot holds no stations")
 
 
 @dataclass(frozen=True)
@@ -71,13 +51,6 @@ class GroupAssignment:
     def in_group_index(self, station_id) -> np.ndarray:
         return np.asarray(station_id) % self.omega
 
-    def group_members(self, group: int) -> np.ndarray:
-        lo = group * self.omega
-        return np.arange(lo, min(lo + self.omega, self.n))
-
-    def group_size(self, group: int) -> int:
-        return len(self.group_members(group))
-
     @property
     def collidable_groups(self) -> int:
         """Groups with two or more members. Every group but the last holds
@@ -85,37 +58,6 @@ class GroupAssignment:
         if self.omega < 2:
             return 0
         return self.n_groups - (self.n % self.omega == 1)
-
-
-@dataclass
-class FrameRecord:
-    """One frame allocated in the common pool while resolving a collided slot."""
-
-    length: int
-    contenders: tuple[int, ...]
-    resolved: tuple[int, ...]
-    contention_free: bool = False
-
-
-@dataclass
-class CollisionResolution:
-    group: int
-    frames: list[FrameRecord]
-
-    @property
-    def cost(self) -> int:
-        return sum(f.length for f in self.frames)
-
-
-@dataclass
-class PoolOutcome:
-    preallocated: list[SlotOutcome]
-    k_c: int
-    decision: Decision
-    common_pool: list[CollisionResolution]
-    total_rs: int
-    pool_duration: float
-    resolved: dict[int, float]  # station id -> offset (s) of its resolving slot end
 
 
 def worst_case_pool_duration(params: ProtocolParams, assignment: GroupAssignment,
@@ -149,17 +91,12 @@ def validate_deadline(params: ProtocolParams, assignment: GroupAssignment,
 
 def _resolve_collision(members: np.ndarray, assignment: GroupAssignment,
                        params: ProtocolParams, contention_free_only: bool,
-                       rng, base_offset: int,
-                       ) -> tuple[list[FrameRecord], dict[int, int], int]:
-    """Resolve one collided group in the common pool.
+                       rng, offset: int, resolved_slot: dict[int, int]) -> int:
+    """Resolve one collided group in the common pool from slot `offset` on.
 
-    Returns the frame trace, a map station -> slot index (global, within the
-    pool) of its resolving slot, and the total slots consumed.
+    Records each member's resolving slot (its index within the pool) in
+    `resolved_slot` and returns the offset past the last frame allocated.
     """
-    frames: list[FrameRecord] = []
-    resolved_at: dict[int, int] = {}
-    offset = base_offset
-
     contenders = members
     if not contention_free_only:
         for length in (params.l1, params.l2):
@@ -167,43 +104,40 @@ def _resolve_collision(members: np.ndarray, assignment: GroupAssignment,
             occupancy = np.bincount(choices, minlength=length)
             singleton = occupancy[choices] == 1
             for st, slot in zip(contenders[singleton], choices[singleton]):
-                resolved_at[int(st)] = offset + int(slot)
-            frames.append(FrameRecord(length=length,
-                                      contenders=tuple(int(s) for s in contenders),
-                                      resolved=tuple(int(s) for s in contenders[singleton])))
+                resolved_slot[int(st)] = offset + int(slot)
             offset += length
             contenders = contenders[~singleton]
             if contenders.size == 0:
-                return frames, resolved_at, offset - base_offset
+                return offset
 
     # dedicated frame: one slot per in-group index, every survivor resolves
-    idx = assignment.in_group_index(contenders)
-    for st, slot in zip(contenders, idx):
-        resolved_at[int(st)] = offset + int(slot)
-    frames.append(FrameRecord(length=params.omega,
-                              contenders=tuple(int(s) for s in contenders),
-                              resolved=tuple(int(s) for s in contenders),
-                              contention_free=True))
-    offset += params.omega
-    return frames, resolved_at, offset - base_offset
+    for st, slot in zip(contenders, assignment.in_group_index(contenders)):
+        resolved_slot[int(st)] = offset + int(slot)
+    return offset + params.omega
 
 
-@dataclass
-class _PoolResult:
+@dataclass(frozen=True)
+class PoolResult:
     k_c: int
     decision: Decision
     total_rs: int
-    resolved_slot: dict[int, int]
-    collided_groups: np.ndarray
-    common: list[CollisionResolution] | None
+    resolved_slot: dict[int, int]  # station id -> index of its resolving slot
 
 
-def _execute_pool(active: np.ndarray, assignment: GroupAssignment,
-                  params: ProtocolParams, mode: Mode, rng,
-                  detail: bool) -> _PoolResult:
-    pool = params.pool_size
+def run_pool(active_stations, assignment: GroupAssignment,
+             params: ProtocolParams, mode: Mode, rng) -> PoolResult:
+    """Execute one pool for the stations holding a pending report.
+
+    Every active station transmits in its group's preallocated slot; collided
+    slots are expanded in the common pool according to the mode and the
+    threshold decision. Every active station ends up resolved.
+    """
+    active = np.unique(np.asarray(active_stations, dtype=int))
+    if active.size and (active[0] < 0 or active[-1] >= assignment.n):
+        raise ValueError("active station ids out of range")
+
     groups = assignment.group_of(active)  # sorted, since active ids are sorted
-    occupancy = np.bincount(groups, minlength=pool)
+    occupancy = np.bincount(groups, minlength=params.pool_size)
 
     resolved_slot: dict[int, int] = {}
     single_groups = np.flatnonzero(occupancy == 1)
@@ -215,75 +149,32 @@ def _execute_pool(active: np.ndarray, assignment: GroupAssignment,
 
     k_c = int(collided_groups.size)
     decision = Decision.ALARM if k_c >= params.delta_c else Decision.REGULAR
-    if mode is Mode.NAIVE_CONTENTION_FREE:
-        contention_free_only = True
-    else:
-        contention_free_only = decision is Decision.ALARM
+    contention_free_only = (mode is Mode.NAIVE_CONTENTION_FREE
+                            or decision is Decision.ALARM)
 
-    common: list[CollisionResolution] | None = [] if detail else None
-    offset = pool
+    offset = params.pool_size
     starts = np.searchsorted(groups, collided_groups)
     ends = np.searchsorted(groups, collided_groups + 1)
-    for g, lo, hi in zip(collided_groups, starts, ends):
-        members = active[lo:hi]
-        frames, res, used = _resolve_collision(members, assignment, params,
-                                               contention_free_only, rng, offset)
-        resolved_slot.update(res)
-        if common is not None:
-            common.append(CollisionResolution(group=int(g), frames=frames))
-        offset += used
-
-    return _PoolResult(k_c=k_c, decision=decision, total_rs=offset,
-                       resolved_slot=resolved_slot,
-                       collided_groups=collided_groups, common=common)
-
-
-def _active_ids(active_stations) -> np.ndarray:
-    stations = list(active_stations)
-    if stations and isinstance(stations[0], StationState):
-        stations = [s.station_id for s in stations if s.pending]
-    return np.unique(np.asarray(stations, dtype=int))
-
-
-def run_pool(active_stations, assignment: GroupAssignment,
-             params: ProtocolParams, mode: Mode, rng) -> PoolOutcome:
-    """Execute one pool for the stations holding a pending report.
-
-    Accepts station ids or StationState objects (those with a pending report
-    count as active). Every active station transmits in its group's
-    preallocated slot; collided slots are expanded in the common pool
-    according to the mode and the threshold decision. Every active station
-    ends up resolved.
-    """
-    active = _active_ids(active_stations)
-    if active.size and (active[0] < 0 or active[-1] >= assignment.n):
-        raise ValueError("active station ids out of range")
-
-    result = _execute_pool(active, assignment, params, mode, rng, detail=True)
-
-    pool = params.pool_size
-    groups = assignment.group_of(active)
-    occupancy = np.bincount(groups, minlength=pool)
-    collided = set(int(g) for g in result.collided_groups)
-    preallocated: list[SlotOutcome] = []
-    for g in range(pool):
-        if occupancy[g] == 0:
-            preallocated.append(SlotOutcome(SlotKind.IDLE))
-        else:
-            members = tuple(int(s) for s in active[groups == g])
-            kind = SlotKind.COLLISION if g in collided else SlotKind.SINGLETON
-            preallocated.append(SlotOutcome(kind, members))
-
-    rs = params.rs_duration
-    resolved = {st: (slot + 1) * rs for st, slot in result.resolved_slot.items()}
-    return PoolOutcome(preallocated=preallocated, k_c=result.k_c,
-                       decision=result.decision, common_pool=result.common or [],
-                       total_rs=result.total_rs,
-                       pool_duration=result.total_rs * rs, resolved=resolved)
+    for lo, hi in zip(starts, ends):
+        offset = _resolve_collision(active[lo:hi], assignment, params,
+                                    contention_free_only, rng, offset,
+                                    resolved_slot)
+    return PoolResult(k_c=k_c, decision=decision, total_rs=offset,
+                      resolved_slot=resolved_slot)
 
 
 # --------------------------------------------------------------------------
 # scenario-level driving
+
+
+def _add_counts(prev: np.ndarray | None, new: np.ndarray) -> np.ndarray:
+    """Element-wise sum of two count arrays, the shorter padded with zeros."""
+    if prev is None:
+        return new.copy()
+    merged = np.zeros(max(prev.size, new.size), dtype=int)
+    merged[:prev.size] += prev
+    merged[:new.size] += new
+    return merged
 
 
 @dataclass
@@ -296,29 +187,12 @@ class DelayHistogram:
     def add(self, kind: ReportKind, delays: np.ndarray) -> None:
         if delays.size == 0:
             return
-        idx = np.floor(delays / self.bin_width).astype(int)
-        hist = np.bincount(idx)
-        prev = self.counts.get(kind.value)
-        if prev is None:
-            self.counts[kind.value] = hist
-        else:
-            n = max(prev.size, hist.size)
-            merged = np.zeros(n, dtype=int)
-            merged[:prev.size] += prev
-            merged[:hist.size] += hist
-            self.counts[kind.value] = merged
+        hist = np.bincount(np.floor(delays / self.bin_width).astype(int))
+        self.counts[kind.value] = _add_counts(self.counts.get(kind.value), hist)
 
     def merge(self, other: "DelayHistogram") -> None:
         for kind, hist in other.counts.items():
-            prev = self.counts.get(kind)
-            if prev is None:
-                self.counts[kind] = hist.copy()
-            else:
-                n = max(prev.size, hist.size)
-                merged = np.zeros(n, dtype=int)
-                merged[:prev.size] += prev
-                merged[:hist.size] += hist
-                self.counts[kind] = merged
+            self.counts[kind] = _add_counts(self.counts.get(kind), hist)
 
 
 @dataclass
@@ -339,7 +213,8 @@ class ScenarioStats:
     unresolved_active: int = 0
     max_delay_by_kind: dict[str, float] = field(default_factory=dict)
     delay_histogram: DelayHistogram = field(default_factory=lambda: DelayHistogram(0.05))
-    kc_samples: list[int] = field(default_factory=list)
+    # pools per collided-slot count k_c, length pool_size + 1
+    kc_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     n_stations: int = 0
     t_r: float = 0.0
     t_ri: float = 0.0
@@ -399,7 +274,7 @@ class ScenarioStats:
         for k, v in other.max_delay_by_kind.items():
             self.max_delay_by_kind[k] = max(self.max_delay_by_kind.get(k, 0.0), v)
         self.delay_histogram.merge(other.delay_histogram)
-        self.kc_samples.extend(other.kc_samples)
+        self.kc_counts = _add_counts(self.kc_counts, other.kc_counts)
         if not self.n_stations:
             self.n_stations = other.n_stations
             self.t_r = other.t_r
@@ -444,7 +319,6 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
                  alarms: list[AlarmScenario], horizon: float, mode: Mode,
                  seed, delay_bin: float = 0.05,
                  alarm_process: AlarmProcess | None = None,
-                 collect_kc: bool = True,
                  trace: list | None = None) -> ScenarioStats:
     """Simulate pools every t_r over the horizon with gated arrivals.
 
@@ -454,8 +328,12 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
     never carries more than one pending poll; an admitted alarm supersedes a
     pending regular report.
     """
-    if horizon < params.t_r:
-        raise ValueError("horizon must cover at least one pool period")
+    # a ratio within float error of an integer counts as that many pools:
+    # 0.3 / 0.1 is 2.9999999999999996
+    periods = horizon / params.t_r
+    n_pools = math.floor(periods * (1 + 1e-9)) if math.isfinite(periods) else 0
+    if n_pools < 1:
+        raise ValueError("horizon must cover a finite number (>= 1) of pool periods")
     if geometry.n_stations != params.n:
         raise ValueError("geometry and protocol disagree on the station count")
     assignment = GroupAssignment(n=params.n, omega=params.omega)
@@ -464,7 +342,6 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
     rng = np.random.default_rng(seed)
     n = params.n
     t_r = params.t_r
-    n_pools = int(math.floor(horizon / t_r))
     p_active = 1.0 - math.exp(-traffic.total_rate * t_r)
     p_periodic = traffic.lambda_p / traffic.total_rate
     rate = traffic.total_rate
@@ -479,8 +356,7 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
         triggered = rng.random(n) < probs
         emits = rng.poisson(1.0, size=int(triggered.sum())) >= 1
         ids = np.flatnonzero(triggered)
-        for st, t_act in zip(ids, times[triggered]):
-            h1_windows.add(int(math.floor(t_act / t_r)))
+        h1_windows.update(int(math.floor(t_act / t_r)) for t_act in times[triggered])
         for st, t_act in zip(ids[emits], times[triggered][emits]):
             win = int(math.floor(t_act / t_r))
             alarm_reports.setdefault(win, []).append((int(st), float(t_act)))
@@ -490,6 +366,7 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
 
     stats_acc = ScenarioStats(n_stations=n, t_r=t_r, t_ri=traffic.t_ri)
     stats_acc.delay_histogram = DelayHistogram(delay_bin)
+    stats_acc.kc_counts = np.zeros(params.pool_size + 1, dtype=int)
 
     for window in range(n_pools):
         win_start = window * t_r
@@ -518,8 +395,7 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
 
         pool_start = (window + 1) * t_r
         active = np.fromiter(pending.keys(), dtype=int, count=len(pending))
-        active.sort()
-        outcome = _execute_pool(active, assignment, params, mode, rng, detail=False)
+        outcome = run_pool(active, assignment, params, mode, rng)
 
         stats_acc.pools_run += 1
         stats_acc.sum_rs += outcome.total_rs
@@ -532,8 +408,7 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
         else:
             stats_acc.pools_h0 += 1
             stats_acc.alarm_decisions_h0 += outcome.decision is Decision.ALARM
-        if collect_kc:
-            stats_acc.kc_samples.append(outcome.k_c)
+        stats_acc.kc_counts[outcome.k_c] += 1
         if trace is not None:
             trace.append({"window": window, "hypothesis": "h1" if is_h1 else "h0",
                           "k_c": outcome.k_c, "decision": outcome.decision.value,
@@ -561,40 +436,21 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
     return stats_acc
 
 
-def simulate_cell(n: int, r: float, params: ProtocolParams,
-                  traffic: RegularTrafficParams, deadlines: Deadlines,
-                  alarms: list[AlarmScenario], horizon: float, mode: Mode,
-                  seed, **kwargs) -> ScenarioStats:
-    """Place stations and run a scenario with substreams split off one seed."""
-    ss = np.random.SeedSequence(seed)
-    geom_seed, run_seed = ss.spawn(2)
-    geometry = place_stations(n, r, geom_seed)
-    return run_scenario(geometry, params, traffic, deadlines, alarms, horizon,
-                        mode, run_seed, **kwargs)
-
-
-def empirical_kc_distribution(kc_samples) -> np.ndarray:
-    """Histogram of the collided-slot counts observed across pools."""
-    samples = np.asarray(list(kc_samples), dtype=int)
-    if samples.size == 0:
-        raise ValueError("no pool samples collected")
-    return np.bincount(samples)
-
-
-def kc_chi_square(kc_samples, pool_size: int, p_c: float) -> tuple[float, float, int]:
-    """Goodness-of-fit of observed collided-slot counts against the
+def kc_chi_square(kc_counts, pool_size: int, p_c: float) -> tuple[float, float, int]:
+    """Goodness-of-fit of a collided-slot count histogram (entry k: pools that
+    saw k collided slots, as in `ScenarioStats.kc_counts`) against the
     independent-slots binomial model.
 
     Adjacent counts are pooled until every expected bin holds at least five
     samples. Returns (statistic, p_value, degrees_of_freedom).
     """
-    samples = np.asarray(list(kc_samples), dtype=int)
-    if samples.size < 2:
+    counts = np.asarray(kc_counts, dtype=float)
+    observed = np.zeros(pool_size + 1)
+    observed[:counts.size] = counts  # a histogram longer than the pool raises
+    n = observed.sum()
+    if n < 2:
         raise ValueError("need at least two pool samples")
-    n = samples.size
-    k = np.arange(pool_size + 1)
-    expected = stats.binom.pmf(k, pool_size, p_c) * n
-    observed = np.bincount(samples, minlength=pool_size + 1).astype(float)
+    expected = stats.binom.pmf(np.arange(pool_size + 1), pool_size, p_c) * n
 
     obs_bins: list[float] = []
     exp_bins: list[float] = []

@@ -1,5 +1,5 @@
-"""Report-arrival modelling: regular Poisson reporting, propagating alarm events
-and the two-state modulated arrival process that couples them."""
+"""Report-arrival modelling: station placement, regular Poisson reporting,
+propagating alarm events, their spatial correlation and activation curves."""
 
 from __future__ import annotations
 
@@ -15,15 +15,6 @@ class ReportKind(Enum):
     PERIODIC = "periodic"
     ON_DEMAND = "on_demand"
     ALARM = "alarm"
-
-
-REGULAR_STATE = 0
-ALARM_STATE = 1
-
-# Mean of the per-step Poisson arrival count while a station sits in the alarm
-# state: one report on average, after which the station falls back to regular
-# reporting.
-ALARM_STATE_RATE = 1.0
 
 
 @dataclass(frozen=True)
@@ -71,6 +62,8 @@ class RegularTrafficParams:
 
     @classmethod
     def from_reporting_interval(cls, t_ri: float, lambda_d: float = 0.0) -> "RegularTrafficParams":
+        if not t_ri > 0:
+            raise ValueError("periodic reporting interval must be positive")
         return cls(lambda_p=1.0 / t_ri, lambda_d=lambda_d, t_ri=t_ri)
 
     @property
@@ -117,8 +110,8 @@ class ExpDecayCorrelation:
             raise ValueError("decay constant must be positive")
 
     def factor(self, d):
-        d = np.asarray(d, dtype=float)
-        return np.exp(-self.a * d)
+        with np.errstate(over="ignore"):  # a * d past the float range: exp gives 0
+            return np.exp(-self.a * np.asarray(d, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -132,12 +125,12 @@ class SqrtCapCorrelation:
     d_max: float  # m
 
     def __post_init__(self):
-        if self.d_max <= 0:
-            raise ValueError("d_max must be positive")
+        if not (self.d_max > 0 and math.isfinite(self.d_max * self.d_max)):
+            raise ValueError("d_max must be positive, with a finite square")
 
     def factor(self, d):
         d = np.asarray(d, dtype=float)
-        inside = np.clip(self.d_max**2 - d**2, 0.0, None)
+        inside = self.d_max**2 - np.minimum(d, self.d_max) ** 2
         return np.where(d <= self.d_max, np.sqrt(inside) / self.d_max, 0.0)
 
 
@@ -167,15 +160,6 @@ class AlarmScenario:
 
     def trigger_probs(self, geometry: CellGeometry) -> np.ndarray:
         return self.correlation.factor(geometry.distances_to(self.epicenter))
-
-
-@dataclass
-class StationState:
-    """Reporting state of one station plus its (single) pending report."""
-
-    station_id: int
-    reporting_state: int = REGULAR_STATE
-    pending: list[tuple[ReportKind, float]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -238,79 +222,6 @@ def spatial_correlation(model: CorrelationModel, d) -> np.ndarray | float:
         raise ValueError("distance must be non-negative")
     out = model.factor(d_arr)
     return float(out) if np.isscalar(d) or d_arr.ndim == 0 else out
-
-
-def background_sample(scenario: AlarmScenario, position, t: float, dt: float) -> float:
-    """Excitation seen by a station at `position` during the step [t, t+dt).
-
-    Non-zero (equal to the spatial correlation factor) only in the single step
-    that contains the event front's arrival at the station.
-    """
-    if dt <= 0:
-        raise ValueError("step size must be positive")
-    p = np.asarray(position, dtype=float)
-    d = math.hypot(p[0] - scenario.epicenter[0], p[1] - scenario.epicenter[1])
-    t_arrival = scenario.t_a + d / scenario.v
-    if t <= t_arrival < t + dt:
-        return float(scenario.correlation.factor(d))
-    return 0.0
-
-
-def mixed_transition_matrix(theta: float) -> np.ndarray:
-    """Two-state transition matrix: regular rows stay put, alarm rows fall back."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    p_regular = np.array([[1.0, 0.0], [1.0, 0.0]])
-    p_alarm = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return (1 - theta) * p_regular + theta * p_alarm
-
-
-def stationary_distribution(theta: float) -> np.ndarray:
-    """Stationary occupancy of the mixed chain for a constant excitation theta."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    return np.array([1.0, theta]) / (1.0 + theta)
-
-
-def step_station(state: StationState, theta: float, lambda0: float, rng,
-                 now: float = 0.0, p_periodic: float = 1.0,
-                 ) -> tuple[StationState, list[tuple[ReportKind, float]]]:
-    """Advance one station by one time step of the modulated arrival process.
-
-    In the regular state the station generates Poisson(lambda0) regular
-    reports; in the alarm state it generates Poisson(1) alarm reports and
-    falls back to the regular state. At most one report is admitted per step;
-    an admitted alarm replaces a pending regular report, further excess is
-    discarded (a station never queues more than one poll per pool period).
-
-    `p_periodic` is the share of the regular rate owed to periodic reporting
-    and decides the kind of an admitted regular report.
-
-    Returns the new state and the list of admitted arrivals (kind, time).
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    if lambda0 < 0:
-        raise ValueError("lambda0 must be non-negative")
-
-    pending = list(state.pending)
-    admitted: list[tuple[ReportKind, float]] = []
-
-    if state.reporting_state == ALARM_STATE:
-        drawn = rng.poisson(ALARM_STATE_RATE)
-        if drawn >= 1 and (not pending or pending[0][0] is not ReportKind.ALARM):
-            report = (ReportKind.ALARM, now)
-            pending, admitted = [report], [report]
-        next_state = REGULAR_STATE
-    else:
-        drawn = rng.poisson(lambda0)
-        if drawn >= 1 and not pending:
-            kind = ReportKind.PERIODIC if rng.random() < p_periodic else ReportKind.ON_DEMAND
-            report = (kind, now)
-            pending, admitted = [report], [report]
-        next_state = ALARM_STATE if rng.random() < theta else REGULAR_STATE
-
-    return StationState(state.station_id, next_state, pending), admitted
 
 
 def activation_curve(geometry: CellGeometry, scenario: AlarmScenario,
@@ -390,7 +301,3 @@ def fit_beta(curve: ActivationCurve) -> BetaFit:
     resid = float(np.sum((beta_pdf(centers, alpha, beta, t_span) - density) ** 2) * w)
     return BetaFit(alpha=alpha, beta=beta, t_span=t_span, residual=resid)
 
-
-def station_streams(seed, n: int) -> list[np.random.Generator]:
-    """Independent per-station generators derived from one experiment seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]

@@ -75,7 +75,7 @@ def optimum_mixture_run(optimum_params, traffic_params, deadlines, geometry,
     return run_scenario(geometry, optimum_params, traffic_params, deadlines,
                         alarms=[], horizon=POOLS_AT_OPTIMUM * T_R,
                         mode=Mode.ADAPTIVE, seed=271828,
-                        alarm_process=process, collect_kc=False)
+                        alarm_process=process)
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +99,7 @@ def detection_runs(optimum_params, traffic_params, deadlines):
             trace = []
             stats = run_scenario(geom, optimum_params, traffic_params, deadlines,
                                  alarms=[alarm], horizon=2 * T_R,
-                                 mode=Mode.ADAPTIVE, seed=r_seed,
-                                 collect_kc=False, trace=trace)
+                                 mode=Mode.ADAPTIVE, seed=r_seed, trace=trace)
             assert trace[0]["hypothesis"] == "h1"
             kc[i] = trace[0]["k_c"]
             max_alarm_delay = max(max_alarm_delay,
@@ -338,7 +337,7 @@ class TestCriterion10IndependentSlotsAssumption:
             stats = run_scenario(geom, optimum_params, traffic_params, deadlines,
                                  alarms=[], horizon=POOLS_PER_META_REP * T_R,
                                  mode=Mode.ADAPTIVE, seed=r_seed)
-            _, pvalue, _ = kc_chi_square(stats.kc_samples,
+            _, pvalue, _ = kc_chi_square(stats.kc_counts,
                                          optimum_params.pool_size, p_c)
             passes += pvalue > 0.01
         ok = passes >= 95

@@ -1,7 +1,14 @@
+import configparser
+import contextlib
+import io
 import json
+import re
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rspool.cli import main
 
@@ -225,6 +232,83 @@ class TestPathErrors:
         assert run_cli("analyze", "--config", str(tmp_path), "--seed", "3",
                        "--out", str(tmp_path / "o")) == 1
         assert error_lines(capsys) == ["error:config-unreadable"]
+
+
+class TestRejectedCalls:
+    @pytest.mark.parametrize("argv,edit", [
+        (["simulate"], None),
+        (["simulate", "--seed", "1", "--replications", "0"], None),
+        (["simulate", "--seed", "1"], ("tau_a_s = 5", "tau_a_s = 2.52")),
+        (["analyze", "--seed", "1"], ("tau_a_s = 5", "tau_a_s = 2.52")),
+    ], ids=["missing-seed", "zero-replications", "infeasible-simulate",
+            "infeasible-analyze"])
+    def test_leaves_no_output_directory(self, tmp_path, capsys, argv, edit):
+        cfg = tmp_path / "cell.ini"
+        cfg.write_text(SMALL_CELL if edit is None else SMALL_CELL.replace(*edit),
+                       encoding="utf-8")
+        out = tmp_path / "new" / "out"
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 1
+        assert len(error_lines(capsys)) == 1
+        assert not (tmp_path / "new").exists()
+
+
+# values for the INI mutations: plain numbers, edge floats, words the schema
+# knows, interpolation syntax and short junk; no free digits, so no huge cell
+VALUES = st.sampled_from([
+    "0", "1", "-1", "2", "3", "10", "40", "200", "300", "0.5", "2.5", "5",
+    "60", "1e-3", "1e308", "-1e308", "nan", "inf", "-inf", "unit", "expdecay",
+    "sqrtcap", "adaptive", "x", "", "5%", "%(omega)s", "1,2"]) | st.text(
+    alphabet=" abcez%;#=[].-+,\t", max_size=8)
+
+
+# keys the small cell leaves at their defaults
+OPTIONAL_KEYS = [("protocol", "delta_c_slots"), ("protocol", "l1"),
+                 ("protocol", "l2"), ("deadlines", "tau_p_s"),
+                 ("alarm.quake", "epicenter_x_m"), ("alarm.quake", "decay_per_m")]
+
+
+@st.composite
+def ini_texts(draw) -> str:
+    """Free text, or the small cell with a few keys dropped or rewritten and
+    perhaps a section removed."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=300))
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(SMALL_CELL)
+    sections = {name: dict(cp[name]) for name in cp.sections()}
+    keys = [(name, key) for name in sections for key in sections[name]]
+    for _ in range(draw(st.integers(0, 3))):
+        section, key = draw(st.sampled_from(keys + OPTIONAL_KEYS))
+        if draw(st.booleans()):
+            sections[section].pop(key, None)
+        else:
+            sections[section][key] = draw(VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        del sections[draw(st.sampled_from(sorted(sections)))]
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for name, body in sections.items())
+
+
+class TestErrorContract:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=ini_texts())
+    def test_analyze_exits_0_or_1_with_one_error_line(self, tmp_path_factory, text):
+        work = tmp_path_factory.mktemp("prop")
+        cfg = work / "cell.ini"
+        cfg.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["analyze", "--config", str(cfg), "--seed", "1",
+                       "--out", str(work / "out")])
+        assert rc in (0, 1)
+        if rc == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and re.match(r"error:[a-z-]+: ", lines[0]), lines
+            # a warning would reach stderr as extra lines
+            assert not caught, [str(w.message) for w in caught]
 
 
 class TestSampleConfigs:

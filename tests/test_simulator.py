@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,10 @@ import pytest
 
 from rspool import (AlarmProcess, AlarmScenario, Decision, Deadlines,
                     GroupAssignment, InfeasibleConfigError, Mode, ProtocolParams,
-                    SlotKind, SqrtCapCorrelation, StationState,
-                    activity_prob_regular, collision_prob,
-                    empirical_kc_distribution, expected_costs, kc_chi_square,
-                    run_pool, run_scenario, validate_deadline,
-                    worst_case_pool_duration)
+                    RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
+                    activity_prob_regular, collision_prob, expected_costs,
+                    kc_chi_square, place_stations, run_pool, run_scenario,
+                    validate_deadline, worst_case_pool_duration)
 from rspool.analysis import ActivityProbs
 from tests.conftest import LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A
 
@@ -30,9 +30,8 @@ class TestGroupAssignment:
         ids = np.arange(95)
         groups = a.group_of(ids)
         assert groups.min() == 0 and groups.max() == 9
-        sizes = [a.group_size(g) for g in range(a.n_groups)]
+        sizes = np.bincount(groups).tolist()
         assert sizes == [10] * 9 + [5]
-        assert sum(sizes) == 95
         np.testing.assert_array_equal(a.in_group_index(ids), ids % 10)
 
     def test_collidable_counts_groups_with_two_plus_members(self):
@@ -55,18 +54,16 @@ class TestRunPool:
         assert outcome.k_c == 0
         assert outcome.decision is Decision.REGULAR
         assert outcome.total_rs == params.pool_size
-        assert all(s.kind is SlotKind.IDLE for s in outcome.preallocated)
-        assert outcome.resolved == {}
+        assert outcome.resolved_slot == {}
 
-    def test_one_station_per_group_all_singletons(self, rng):
+    def test_one_station_per_group_resolves_in_own_slot(self, rng):
         params = small_params()
         a = GroupAssignment(n=params.n, omega=params.omega)
         active = np.arange(0, params.n, params.omega)  # one per group
         outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
         assert outcome.k_c == 0
         assert outcome.total_rs == params.pool_size
-        assert all(s.kind is SlotKind.SINGLETON for s in outcome.preallocated)
-        assert set(outcome.resolved) == set(int(s) for s in active)
+        assert outcome.resolved_slot == {int(s): int(s) // params.omega for s in active}
 
     def test_saturated_cell_goes_contention_free(self, rng):
         params = ProtocolParams(n=N, omega=OMEGA, delta_c=100, l1=24, l2=16,
@@ -76,17 +73,20 @@ class TestRunPool:
         assert outcome.k_c == params.pool_size
         assert outcome.decision is Decision.ALARM
         assert outcome.total_rs == 200 + 200 * 40
-        assert len(outcome.resolved) == N
+        assert len(outcome.resolved_slot) == N
 
     def test_cost_accounting_identity(self, rng):
-        params = small_params()
+        # below the threshold each collided slot costs l1, l1 + l2 or
+        # l1 + l2 + omega slots, and every resolving slot lies inside the pool
+        params = small_params(delta_c=20)
         a = GroupAssignment(n=params.n, omega=params.omega)
         active = np.flatnonzero(np.random.default_rng(4).random(params.n) < 0.2)
         outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
-        frame_total = sum(res.cost for res in outcome.common_pool)
-        assert outcome.total_rs == params.pool_size + frame_total
-        assert outcome.pool_duration == pytest.approx(
-            outcome.total_rs * params.rs_duration)
+        assert outcome.decision is Decision.REGULAR and outcome.k_c > 0
+        common = outcome.total_rs - params.pool_size
+        assert outcome.k_c * params.l1 <= common
+        assert common <= outcome.k_c * (params.l1 + params.l2 + params.omega)
+        assert max(outcome.resolved_slot.values()) < outcome.total_rs
 
     def test_decision_rule_is_exact_threshold(self, rng):
         params = small_params(delta_c=3)
@@ -102,16 +102,23 @@ class TestRunPool:
         for trial in range(25):
             active = np.flatnonzero(np.random.default_rng(100 + trial).random(params.n) < 0.3)
             outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
-            assert set(outcome.resolved) == set(int(s) for s in active)
+            assert set(outcome.resolved_slot) == set(int(s) for s in active)
+            slots = list(outcome.resolved_slot.values())
+            assert len(set(slots)) == len(slots)  # no two stations share a slot
 
-    def test_station_state_inputs_accepted(self, rng):
+    def test_unsorted_duplicate_ids_count_once(self, rng):
         params = small_params()
         a = GroupAssignment(n=params.n, omega=params.omega)
-        states = [StationState(3, pending=[("periodic", 0.0)]),
-                  StationState(7),
-                  StationState(45, pending=[("alarm", 0.1)])]
-        outcome = run_pool(states, a, params, Mode.ADAPTIVE, rng)
-        assert set(outcome.resolved) == {3, 45}
+        outcome = run_pool([45, 3, 45], a, params, Mode.ADAPTIVE, rng)
+        assert outcome.k_c == 0
+        assert outcome.resolved_slot == {3: 0, 45: 4}
+
+    @pytest.mark.parametrize("ids", [[-1], [0, 200]])
+    def test_out_of_range_ids_rejected(self, rng, ids):
+        params = small_params()
+        a = GroupAssignment(n=params.n, omega=params.omega)
+        with pytest.raises(ValueError, match="out of range"):
+            run_pool(ids, a, params, Mode.ADAPTIVE, rng)
 
     def test_naive_mode_expands_every_collision_to_dedicated_frame(self, rng):
         params = small_params(delta_c=8)
@@ -120,16 +127,18 @@ class TestRunPool:
         active = np.array([0, 1, 10, 11])
         naive = run_pool(active, a, params, Mode.NAIVE_CONTENTION_FREE, rng)
         assert naive.total_rs == params.pool_size + 2 * params.omega
-        for res in naive.common_pool:
-            assert len(res.frames) == 1 and res.frames[0].contention_free
+        base = params.pool_size
+        assert naive.resolved_slot == {0: base, 1: base + 1,
+                                       10: base + params.omega,
+                                       11: base + params.omega + 1}
 
     def test_adaptive_below_threshold_uses_contention_frames(self, rng):
-        params = small_params(delta_c=8)
+        # l1 + l2 differs from omega, so the cost tells the branches apart
+        params = small_params(delta_c=8, l1=5, l2=2)
         a = GroupAssignment(n=params.n, omega=params.omega)
         outcome = run_pool(np.array([0, 1]), a, params, Mode.ADAPTIVE, rng)
-        res = outcome.common_pool[0]
-        assert res.frames[0].length == params.l1
-        assert not res.frames[0].contention_free
+        assert outcome.total_rs - params.pool_size in (5, 5 + 2, 5 + 2 + params.omega)
+        assert min(outcome.resolved_slot.values()) >= params.pool_size
 
     def test_alarm_branch_dedicates_slot_per_member_index(self, rng):
         params = small_params(delta_c=1)
@@ -140,9 +149,7 @@ class TestRunPool:
         assert outcome.total_rs == params.pool_size + params.omega
         base = params.pool_size
         for st in active:
-            slot = base + (st % params.omega)
-            assert outcome.resolved[int(st)] == pytest.approx(
-                (slot + 1) * params.rs_duration)
+            assert outcome.resolved_slot[int(st)] == base + (st % params.omega)
 
 
 class TestFeasibility:
@@ -190,7 +197,7 @@ class TestRunScenario:
         a = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines, **kwargs)
         b = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines, **kwargs)
         assert a.to_dict() == b.to_dict()
-        assert a.kc_samples == b.kc_samples
+        np.testing.assert_array_equal(a.kc_counts, b.kc_counts)
 
     def test_mean_cost_matches_closed_form(self, h0_run, ref_params):
         report = expected_costs(ref_params, ActivityProbs(P_A0, P_A0), 0.0)
@@ -217,11 +224,29 @@ class TestRunScenario:
         for kind, worst in h0_run.max_delay_by_kind.items():
             assert worst <= bound
 
+    @pytest.mark.parametrize("delta_c", [8, 12, 16])
+    def test_branch_figures_match_closed_form(self, h0_run, ref_params, delta_c):
+        # p_10 and E[K] on each side of the threshold, read off the k_c
+        # histogram, against the closed form at the same threshold
+        params = dataclasses.replace(ref_params, delta_c=delta_c)
+        report = expected_costs(params, ActivityProbs(P_A0, P_A0), 0.0)
+        counts = h0_run.kc_counts
+        k = np.arange(counts.size)
+        n = counts.sum()
+        p_10 = counts[delta_c:].sum() / n
+        assert abs(p_10 - report.p_10) < 3 * math.sqrt(report.p_10 * (1 - report.p_10) / n)
+        for side, closed_form in ((slice(0, delta_c), report.e_k_00),
+                                  (slice(delta_c, None), report.e_k_10)):
+            m = counts[side].sum()
+            mean = (k[side] * counts[side]).sum() / m
+            var = ((k[side] - mean) ** 2 * counts[side]).sum() / (m - 1)
+            assert abs(mean - closed_form) < 3 * math.sqrt(var / m), side
+
     def test_kc_distribution_consistent_with_binomial(self, h0_run, ref_params):
         pc = collision_prob(P_A0, OMEGA)
-        hist = empirical_kc_distribution(h0_run.kc_samples)
-        assert hist.sum() == h0_run.pools_run
-        _, pvalue, dof = kc_chi_square(h0_run.kc_samples, ref_params.pool_size, pc)
+        assert h0_run.kc_counts.shape == (ref_params.pool_size + 1,)
+        assert h0_run.kc_counts.sum() == h0_run.pools_run
+        _, pvalue, dof = kc_chi_square(h0_run.kc_counts, ref_params.pool_size, pc)
         assert dof >= 5
         assert pvalue > 1e-3
 
@@ -285,7 +310,36 @@ class TestRunScenario:
         a.merge(b)
         assert a.pools_run == 60
         assert a.sum_rs == total_rs
-        assert len(a.kc_samples) == 60
+        assert a.kc_counts.sum() == 60
+
+    def test_one_poll_per_station_and_alarm_supersedes_regular(self):
+        # every station holds a regular report in every window (p_active is
+        # 1 at a 10 ms reporting interval), and the window [2.5, 5) s also
+        # brings an alarm to about 63% of them
+        params = small_params()
+        geometry = place_stations(params.n, 1000.0, seed=3)
+        traffic = RegularTrafficParams.from_reporting_interval(0.01)
+        alarm = AlarmScenario((0, 0), 4000.0, t_a=3.0, correlation=UnitCorrelation())
+        stats = run_scenario(geometry, params, traffic,
+                             Deadlines(TAU_A, 60.0, 300.0), alarms=[alarm],
+                             horizon=4 * T_R, mode=Mode.ADAPTIVE, seed=8)
+        assert stats.pools_h1 == 1
+        assert stats.unresolved_active == 0
+        # one poll per station per pool, however many arrivals it drew
+        assert stats.reports_total == 4 * params.n
+        # each alarm replaced its station's periodic report in that pool
+        alarms = stats.reports_by_kind["alarm"]
+        assert 0.5 * params.n < alarms < 0.8 * params.n
+        assert stats.reports_by_kind["periodic"] == 4 * params.n - alarms
+
+    def test_horizon_counts_whole_periods_despite_rounding(self, ref_traffic):
+        params = small_params(t_r=0.1)
+        geometry = place_stations(params.n, 1000.0, seed=3)
+        assert 0.3 / 0.1 < 3
+        stats = run_scenario(geometry, params, ref_traffic,
+                             Deadlines(TAU_A, 60.0, 300.0), alarms=[],
+                             horizon=0.3, mode=Mode.ADAPTIVE, seed=1)
+        assert stats.pools_run == 3
 
     def test_rejects_short_horizon(self, ref_geometry, ref_params, ref_traffic,
                                    ref_deadlines):
@@ -303,22 +357,24 @@ class TestRunScenario:
         assert stats.mean_rs_per_pool == N
         assert stats.std_rs_per_pool == 0.0
         assert stats.mean_pool_duration == pytest.approx(1.6)
+        # single-station groups never collide: the k_c histogram is a point mass
+        assert stats.kc_counts[0] == stats.kc_counts.sum() == 20
 
 
 class TestKcGoodnessOfFit:
-    def test_histogram_requires_samples(self):
-        with pytest.raises(ValueError):
-            empirical_kc_distribution([])
+    def test_chi_square_requires_two_samples(self):
+        with pytest.raises(ValueError, match="two pool samples"):
+            kc_chi_square(np.array([0, 1]), 200, 0.06)
 
-    def test_point_mass_regime(self):
-        hist = empirical_kc_distribution([0, 0, 0, 0])
-        assert hist.tolist() == [4]
+    def test_histogram_longer_than_pool_rejected(self):
+        with pytest.raises(ValueError):
+            kc_chi_square(np.ones(5), 3, 0.5)
 
     def test_chi_square_rejects_wrong_model(self, rng):
         samples = rng.binomial(200, 0.12, size=2000)
-        _, pvalue, _ = kc_chi_square(samples, 200, 0.0602)
+        _, pvalue, _ = kc_chi_square(np.bincount(samples, minlength=201), 200, 0.0602)
         assert pvalue < 1e-6
 
     def test_chi_square_needs_spread(self):
         with pytest.raises(ValueError):
-            kc_chi_square([0] * 100, 200, 0.0)
+            kc_chi_square([100], 200, 0.0)

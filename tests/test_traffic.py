@@ -1,15 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from rspool import (ActivationCurve, AlarmScenario, ExpDecayCorrelation,
-                    SqrtCapCorrelation, StationState, UnitCorrelation,
-                    activation_curve, background_sample, beta_pdf, fit_beta,
-                    place_stations, spatial_correlation, step_station)
-from rspool.traffic import (ALARM_STATE, REGULAR_STATE, ReportKind,
-                            mixed_transition_matrix, stationary_distribution)
+                    RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
+                    activation_curve, beta_pdf, fit_beta, place_stations,
+                    spatial_correlation)
 
 
 class TestPlacement:
@@ -69,130 +68,25 @@ class TestSpatialCorrelation:
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) <= 1e-12)
 
+    def test_far_stations_get_zero_without_overflow_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spatial_correlation(ExpDecayCorrelation(a=1e300), 1e300) == 0.0
+            assert spatial_correlation(SqrtCapCorrelation(d_max=500.0), 1e300) == 0.0
+
+    @pytest.mark.parametrize("d_max", [0.0, float("nan"), float("inf"), 1e308])
+    def test_sqrt_cap_reach_needs_a_finite_square(self, d_max):
+        with pytest.raises(ValueError):
+            SqrtCapCorrelation(d_max=d_max)
+
+    @pytest.mark.parametrize("t_ri", [0.0, -1.0, float("nan")])
+    def test_reporting_interval_must_be_positive(self, t_ri):
+        with pytest.raises(ValueError, match="reporting interval"):
+            RegularTrafficParams.from_reporting_interval(t_ri)
+
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
             spatial_correlation(UnitCorrelation(), -1.0)
-
-
-class TestBackgroundProcess:
-    def test_no_event_in_step(self):
-        scenario = AlarmScenario(epicenter=(0, 0), v=4000.0, t_a=100.0)
-        assert background_sample(scenario, (300.0, 0.0), t=0.0, dt=0.005) == 0.0
-
-    def test_pulse_lands_in_containing_step(self):
-        # station 400 m out, front at 4000 m/s arrives at t = 0.1
-        scenario = AlarmScenario(epicenter=(0, 0), v=4000.0, t_a=0.0)
-        assert background_sample(scenario, (400.0, 0.0), t=0.1, dt=0.005) == 1.0
-        assert background_sample(scenario, (400.0, 0.0), t=0.105, dt=0.005) == 0.0
-
-    def test_pulse_fires_in_exactly_one_step(self):
-        scenario = AlarmScenario(epicenter=(0, 0), v=4000.0, t_a=0.0,
-                                 correlation=SqrtCapCorrelation(d_max=500.0))
-        position = (123.0, 77.0)
-        dt = 0.005
-        hits = [background_sample(scenario, position, k * dt, dt)
-                for k in range(200)]
-        nonzero = [h for h in hits if h > 0]
-        assert len(nonzero) == 1
-        d = math.hypot(*position)
-        assert nonzero[0] == pytest.approx(math.sqrt(500**2 - d**2) / 500)
-
-
-class TestReportingChain:
-    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 1.0])
-    def test_mixed_matrix_row_stochastic(self, theta):
-        p = mixed_transition_matrix(theta)
-        np.testing.assert_allclose(p.sum(axis=1), [1.0, 1.0], atol=1e-15)
-        assert np.all(p >= 0)
-
-    def test_regular_state_is_absorbing_without_excitation(self, rng):
-        state = StationState(station_id=0)
-        for _ in range(50):
-            state, _ = step_station(state, theta=0.0, lambda0=0.0, rng=rng)
-            assert state.reporting_state == REGULAR_STATE
-
-    def test_full_excitation_forces_alarm_state(self, rng):
-        state, _ = step_station(StationState(0), theta=1.0, lambda0=0.0, rng=rng)
-        assert state.reporting_state == ALARM_STATE
-
-    def test_alarm_state_reports_once_and_falls_back(self, rng):
-        emitted = 0
-        trials = 20000
-        for _ in range(trials):
-            state = StationState(0, reporting_state=ALARM_STATE)
-            state, arrivals = step_station(state, theta=0.0, lambda0=0.0, rng=rng)
-            assert state.reporting_state == REGULAR_STATE
-            assert len(arrivals) <= 1
-            if arrivals:
-                assert arrivals[0][0] is ReportKind.ALARM
-                emitted += 1
-        # Poisson(1) leaves the station silent with probability e^-1
-        expect = 1 - math.exp(-1)
-        sigma = math.sqrt(expect * (1 - expect) / trials)
-        assert abs(emitted / trials - expect) < 3 * sigma
-
-    def test_single_admitted_report_per_window(self, rng):
-        state = StationState(0, pending=[(ReportKind.PERIODIC, 0.0)])
-        state, arrivals = step_station(state, theta=0.0, lambda0=50.0, rng=rng)
-        assert arrivals == []
-        assert len(state.pending) == 1
-
-    def test_alarm_supersedes_pending_regular(self, rng):
-        state = StationState(0, reporting_state=ALARM_STATE,
-                             pending=[(ReportKind.PERIODIC, 0.0)])
-        for _ in range(100):
-            new_state, arrivals = step_station(state, theta=0.0, lambda0=0.0,
-                                               rng=rng, now=1.0)
-            if arrivals:
-                assert new_state.pending[0][0] is ReportKind.ALARM
-                break
-        else:
-            pytest.fail("alarm never emitted in 100 draws")
-
-    def test_rejects_invalid_theta(self, rng):
-        with pytest.raises(ValueError):
-            step_station(StationState(0), theta=1.5, lambda0=0.0, rng=rng)
-
-    def test_stationary_occupancy_matches_balance_solution(self, rng):
-        theta = 0.3
-        expected = stationary_distribution(theta)
-        state = StationState(0)
-        visits = np.zeros(2)
-        steps = 200000
-        for _ in range(steps):
-            visits[state.reporting_state] += 1
-            state, _ = step_station(state, theta=theta, lambda0=0.0, rng=rng)
-            state = StationState(0, state.reporting_state)  # drop pending
-        occupancy = visits / steps
-        assert np.all(np.abs(occupancy - expected) / expected < 0.01)
-
-    def test_aggregated_arrival_rate_over_interval(self, rng):
-        # mean admitted arrivals over M steps against the occupancy-weighted
-        # per-state admission probabilities, with occupancy evolved exactly
-        # from state 0
-        theta, lambda0, steps, reps = 0.1, 0.05, 20, 10000
-        p = mixed_transition_matrix(theta)
-        pi = np.array([1.0, 0.0])
-        expected = 0.0
-        lam_sum = 0.0
-        for _ in range(steps):
-            expected += pi[0] * (1 - math.exp(-lambda0)) + pi[1] * (1 - math.exp(-1.0))
-            lam_sum += lambda0 * pi[0] + 1.0 * pi[1]
-            pi = pi @ p
-        counts = []
-        for _ in range(reps):
-            state = StationState(0)
-            total = 0
-            for _ in range(steps):
-                state, arrivals = step_station(state, theta, lambda0, rng)
-                total += len(arrivals)
-                state = StationState(0, state.reporting_state)
-            counts.append(total)
-        observed = np.mean(counts)
-        sigma = np.std(counts, ddof=1) / math.sqrt(reps)
-        assert abs(observed - expected) < 3 * sigma
-        # the admitted mean sits just under the raw rate sum (one-per-step cap)
-        assert observed <= lam_sum
 
 
 class TestActivationCurves:
