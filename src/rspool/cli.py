@@ -14,6 +14,7 @@ import numpy as np
 from . import analysis, optimizer, simulator, traffic
 from .config import CellConfig, ConfigError, Experiment, load_experiment
 from .simulator import AlarmProcess, GroupAssignment, InfeasibleConfigError
+from .traffic import AlarmTimeError
 
 
 class CommandError(Exception):
@@ -276,6 +277,8 @@ def main(argv=None) -> int:
         category, error = exc.category, exc
     except InfeasibleConfigError as exc:
         category, error = "infeasible-config", exc
+    except AlarmTimeError as exc:  # the [alarm.*] section's event time or speed
+        category, error = "config-invalid", exc
     except ValueError as exc:
         category, error = "invalid-parameters", exc
     else:

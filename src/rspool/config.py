@@ -160,17 +160,17 @@ class Experiment:
             v = self._float(section, "speed_m_per_s")
             t_a = self._float(section, "event_time_s", 0.0)
             kind = self._str(section, "correlation").lower()
-            if kind == "unit":
-                corr = UnitCorrelation()
-            elif kind == "expdecay":
-                corr = ExpDecayCorrelation(a=self._float(section, "decay_per_m"))
-            elif kind == "sqrtcap":
-                corr = SqrtCapCorrelation(d_max=self._float(section, "d_max_m"))
-            else:
-                raise ConfigError(
-                    f"invalid value for {section}.correlation: {kind!r} "
-                    "(expected unit, expdecay or sqrtcap)")
-            try:
+            try:  # the models, like the scenario, reject bad values with ValueError
+                if kind == "unit":
+                    corr = UnitCorrelation()
+                elif kind == "expdecay":
+                    corr = ExpDecayCorrelation(a=self._float(section, "decay_per_m"))
+                elif kind == "sqrtcap":
+                    corr = SqrtCapCorrelation(d_max=self._float(section, "d_max_m"))
+                else:
+                    raise ConfigError(
+                        f"invalid value for {section}.correlation: {kind!r} "
+                        "(expected unit, expdecay or sqrtcap)")
                 out.append((name, AlarmScenario(epicenter=(x, y), v=v, t_a=t_a,
                                                 correlation=corr)))
             except ValueError as exc:

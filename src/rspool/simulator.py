@@ -89,31 +89,80 @@ def validate_deadline(params: ProtocolParams, assignment: GroupAssignment,
             f"{params.t_r:g} s plus the worst-case pool duration {worst:g} s")
 
 
-def _resolve_collision(members: np.ndarray, assignment: GroupAssignment,
-                       params: ProtocolParams, contention_free_only: bool,
-                       rng, offset: int, resolved_slot: dict[int, int]) -> int:
-    """Resolve one collided group in the common pool from slot `offset` on.
+@dataclass(frozen=True)
+class _Resolved:
+    """Outcome of a batch of pools: per report, per pool and in total."""
 
-    Records each member's resolving slot (its index within the pool) in
-    `resolved_slot` and returns the offset past the last frame allocated.
+    slot: np.ndarray       # per report: index of its resolving slot in its pool
+    k_c: np.ndarray        # per pool: collided preallocated slots
+    alarm: np.ndarray      # per pool: the threshold test declared the alarm regime
+    total_rs: np.ndarray   # per pool: slots used
+    groups_ended: np.ndarray   # (3,) contended groups ended after l1, l2, dedicated
+    slots_by_part: np.ndarray  # (4,) preallocated, l1, l2, dedicated slots
+
+
+def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
+                   assignment: GroupAssignment, params: ProtocolParams,
+                   mode: Mode, rng) -> _Resolved:
+    """Resolve the reports of `n_pools` independent pools together.
+
+    Report i is held by `station[i]` in pool `pool[i]`; the reports are sorted
+    by (pool, station) with no repeats, so the reports of one group in one
+    pool form a run. Every report transmits in its group's preallocated slot.
+    In each pool the collided slots are counted against the threshold; those
+    of a regular-decision pool in adaptive mode contend in the frames l1 and
+    then l2, and whoever is left (every member, for an alarm decision or in
+    naive mode) takes the dedicated frame at its in-group index.
     """
-    contenders = members
-    if not contention_free_only:
-        for length in (params.l1, params.l2):
-            choices = rng.integers(0, length, size=contenders.size)
-            occupancy = np.bincount(choices, minlength=length)
-            singleton = occupancy[choices] == 1
-            for st, slot in zip(contenders[singleton], choices[singleton]):
-                resolved_slot[int(st)] = offset + int(slot)
-            offset += length
-            contenders = contenders[~singleton]
-            if contenders.size == 0:
-                return offset
+    g, omega, l1, l2 = params.pool_size, params.omega, params.l1, params.l2
+    m = station.size
+    group = assignment.group_of(station)
+    gkey = pool * g + group
+    first = np.ones(m, dtype=bool)
+    first[1:] = gkey[1:] != gkey[:-1]
+    run_start = np.flatnonzero(first)
+    run_of = np.cumsum(first) - 1  # occupied-group run of each report
+    collided = np.diff(np.append(run_start, m)) >= 2
+    cg_pool = pool[run_start[collided]]  # collided groups, in (pool, group) order
+    n_cg = cg_pool.size
+    k_c = np.bincount(cg_pool, minlength=n_pools)
+    alarm = k_c >= params.delta_c
+    if mode is Mode.ADAPTIVE:
+        contends = ~alarm[cg_pool]
+    else:
+        contends = np.zeros(n_cg, dtype=bool)
 
-    # dedicated frame: one slot per in-group index, every survivor resolves
-    for st, slot in zip(contenders, assignment.in_group_index(contenders)):
-        resolved_slot[int(st)] = offset + int(slot)
-    return offset + params.omega
+    members = np.flatnonzero(collided[run_of])  # reports in collided groups
+    cg_of = (np.cumsum(collided) - 1)[run_of]  # their collided group
+    # slot within the group's common-pool segment; the dedicated frame by default
+    rel = assignment.in_group_index(station)
+    contenders = members[contends[cg_of[members]]]
+    escalated = []
+    for base, length in ((0, l1), (l1, l2)):
+        choice = rng.integers(0, length, size=contenders.size)
+        key = cg_of[contenders] * length + choice
+        won = np.bincount(key)[key] == 1
+        rel[contenders[won]] = base + choice[won]
+        contenders = contenders[~won]
+        escalated.append(np.bincount(cg_of[contenders], minlength=n_cg) > 0)
+    rel[contenders] += l1 + l2
+    to_l2, to_dedicated = escalated
+
+    length = np.where(contends, l1 + l2 * to_l2 + omega * to_dedicated, omega)
+    cum = np.concatenate(([0], np.cumsum(length)))
+    # common-pool slots used by the pools before each pool
+    before = cum[np.searchsorted(cg_pool, np.arange(n_pools + 1))]
+    seg_start = g + cum[:-1] - before[cg_pool]
+    slot = group.copy()  # a singleton resolves in its preallocated slot
+    slot[members] = seg_start[cg_of[members]] + rel[members]
+
+    n_contended = int(contends.sum())
+    n_l2, n_dedicated = int(to_l2.sum()), int(to_dedicated.sum())
+    return _Resolved(
+        slot=slot, k_c=k_c, alarm=alarm, total_rs=g + np.diff(before),
+        groups_ended=np.array([n_contended - n_l2, n_l2 - n_dedicated, n_dedicated]),
+        slots_by_part=np.array([g * n_pools, l1 * n_contended, l2 * n_l2,
+                                omega * (n_dedicated + n_cg - n_contended)]))
 
 
 @dataclass(frozen=True)
@@ -126,41 +175,17 @@ class PoolResult:
 
 def run_pool(active_stations, assignment: GroupAssignment,
              params: ProtocolParams, mode: Mode, rng) -> PoolResult:
-    """Execute one pool for the stations holding a pending report.
-
-    Every active station transmits in its group's preallocated slot; collided
-    slots are expanded in the common pool according to the mode and the
-    threshold decision. Every active station ends up resolved.
-    """
+    """Execute one pool for the stations holding a pending report: the
+    single-pool view of the batch resolver `run_scenario` uses."""
     active = np.unique(np.asarray(active_stations, dtype=int))
     if active.size and (active[0] < 0 or active[-1] >= assignment.n):
         raise ValueError("active station ids out of range")
-
-    groups = assignment.group_of(active)  # sorted, since active ids are sorted
-    occupancy = np.bincount(groups, minlength=params.pool_size)
-
-    resolved_slot: dict[int, int] = {}
-    single_groups = np.flatnonzero(occupancy == 1)
-    if single_groups.size:
-        pos = np.searchsorted(groups, single_groups)
-        for g, st in zip(single_groups, active[pos]):
-            resolved_slot[int(st)] = int(g)
-    collided_groups = np.flatnonzero(occupancy >= 2)
-
-    k_c = int(collided_groups.size)
-    decision = Decision.ALARM if k_c >= params.delta_c else Decision.REGULAR
-    contention_free_only = (mode is Mode.NAIVE_CONTENTION_FREE
-                            or decision is Decision.ALARM)
-
-    offset = params.pool_size
-    starts = np.searchsorted(groups, collided_groups)
-    ends = np.searchsorted(groups, collided_groups + 1)
-    for lo, hi in zip(starts, ends):
-        offset = _resolve_collision(active[lo:hi], assignment, params,
-                                    contention_free_only, rng, offset,
-                                    resolved_slot)
-    return PoolResult(k_c=k_c, decision=decision, total_rs=offset,
-                      resolved_slot=resolved_slot)
+    res = _resolve_pools(np.zeros(active.size, dtype=int), active, 1,
+                         assignment, params, mode, rng)
+    return PoolResult(k_c=int(res.k_c[0]),
+                      decision=Decision.ALARM if res.alarm[0] else Decision.REGULAR,
+                      total_rs=int(res.total_rs[0]),
+                      resolved_slot=dict(zip(active.tolist(), res.slot.tolist())))
 
 
 # --------------------------------------------------------------------------
@@ -195,6 +220,10 @@ class DelayHistogram:
             self.counts[kind] = _add_counts(self.counts.get(kind), hist)
 
 
+GROUP_ENDS = ("l1", "l2", "dedicated")
+POOL_PARTS = ("preallocated", "l1", "l2", "dedicated")
+
+
 @dataclass
 class ScenarioStats:
     """Aggregated results of a scenario run; merge-able across replications."""
@@ -215,6 +244,11 @@ class ScenarioStats:
     delay_histogram: DelayHistogram = field(default_factory=lambda: DelayHistogram(0.05))
     # pools per collided-slot count k_c, length pool_size + 1
     kc_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # collided groups of regular-decision pools (adaptive mode) by the frame
+    # that resolved their last contender, in GROUP_ENDS order
+    groups_ended: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=int))
+    # slots spent on each part of the pool, in POOL_PARTS order
+    slots_by_part: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=int))
     n_stations: int = 0
     t_r: float = 0.0
     t_ri: float = 0.0
@@ -275,6 +309,8 @@ class ScenarioStats:
             self.max_delay_by_kind[k] = max(self.max_delay_by_kind.get(k, 0.0), v)
         self.delay_histogram.merge(other.delay_histogram)
         self.kc_counts = _add_counts(self.kc_counts, other.kc_counts)
+        self.groups_ended = self.groups_ended + other.groups_ended
+        self.slots_by_part = self.slots_by_part + other.slots_by_part
         if not self.n_stations:
             self.n_stations = other.n_stations
             self.t_r = other.t_r
@@ -298,6 +334,8 @@ class ScenarioStats:
             "unresolved_active": self.unresolved_active,
             "max_delay_by_kind_s": {k: clean(v) for k, v in sorted(self.max_delay_by_kind.items())},
             "rs_per_station_per_ri": clean(self.rs_per_station_per_ri),
+            "contended_groups_by_end": dict(zip(GROUP_ENDS, self.groups_ended.tolist())),
+            "slots_by_part": dict(zip(POOL_PARTS, self.slots_by_part.tolist())),
         }
 
 
@@ -314,6 +352,80 @@ class AlarmProcess:
             raise ValueError("per-pool alarm probability must lie in [0, 1]")
 
 
+class _AlarmQueue:
+    """Alarm reports scheduled for windows not yet simulated, in scheduling
+    order, and the windows the events' fronts pass through (H1 windows).
+    Only windows inside the run [0, n_pools) are kept."""
+
+    def __init__(self, geometry: CellGeometry, t_r: float, n_pools: int):
+        self.geometry = geometry
+        self.t_r = t_r
+        self.n_pools = n_pools
+        self.window = np.empty(0, dtype=np.int64)
+        self.station = np.empty(0, dtype=np.int64)
+        self.time = np.empty(0)
+        self.h1 = np.empty(0, dtype=np.int64)
+
+    def schedule(self, scenario: AlarmScenario, rng) -> None:
+        probs = scenario.trigger_probs(self.geometry)
+        times = scenario.arrival_times(self.geometry)
+        triggered = np.flatnonzero(rng.random(times.size) < probs)
+        emits = rng.poisson(1.0, size=triggered.size) >= 1
+        with np.errstate(over="ignore"):  # past the float range is past the run
+            window = np.floor(times[triggered] / self.t_r)
+        inside = (window >= 0) & (window < self.n_pools)
+        self.h1 = np.union1d(self.h1, window[inside].astype(np.int64))
+        keep = emits & inside
+        self.window = np.append(self.window, window[keep].astype(np.int64))
+        self.station = np.append(self.station, triggered[keep])
+        self.time = np.append(self.time, times[triggered[keep]])
+
+    def pop(self, start: int, end: int) -> tuple[np.ndarray, ...]:
+        """Remove the reports and H1 windows before window `end`, and return
+        the reports (window, station, time) and H1 windows from `start` on.
+        An event drawn at the very start of a window can round into the one
+        before, which has already been simulated; those are dropped."""
+        due = self.window < end
+        now = due & (self.window >= start)
+        out = self.window[now], self.station[now], self.time[now]
+        self.window, self.station, self.time = (
+            self.window[~due], self.station[~due], self.time[~due])
+        h1 = self.h1[(self.h1 >= start) & (self.h1 < end)]
+        self.h1 = self.h1[self.h1 >= end]
+        return (*out, h1)
+
+
+def _bernoulli_cells(rng, cells: int, p: float) -> np.ndarray:
+    """Sorted indices of the successes among `cells` i.i.d. Bernoulli(p)
+    trials, drawn as geometric gaps, so the work and memory scale with the
+    number of successes rather than with `cells`."""
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    mean = cells * p
+    parts = []
+    last = -1
+    while last < cells - 1:
+        # capping a gap past the end keeps the sums from overflowing and
+        # changes no index below `cells`
+        gaps = np.minimum(rng.geometric(p, size=int(mean + 6 * math.sqrt(mean)) + 32),
+                          cells + 1)
+        pos = last + np.cumsum(gaps)
+        parts.append(pos)
+        last = int(pos[-1])
+    pos = np.concatenate(parts)
+    return pos[pos < cells]
+
+
+# pools resolved together: enough to spread the fixed cost of the array
+# operations, few enough, with at most about CHUNK_REPORTS regular reports,
+# to keep the working set at a few MB however busy the cell
+CHUNK_POOLS = 256
+CHUNK_REPORTS = 1 << 16
+# report kinds as small ints, in the order of the deadline array
+_KINDS = (ReportKind.PERIODIC, ReportKind.ON_DEMAND, ReportKind.ALARM)
+_ALARM = 2
+
+
 def run_scenario(geometry: CellGeometry, params: ProtocolParams,
                  traffic: RegularTrafficParams, deadlines: Deadlines,
                  alarms: list[AlarmScenario], horizon: float, mode: Mode,
@@ -326,7 +438,12 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
     trigger stations along the propagating front. A report generated during a
     pool period contends in the next pool. Reports are merged so a station
     never carries more than one pending poll; an admitted alarm supersedes a
-    pending regular report.
+    pending regular report, and a later-scheduled alarm an earlier one.
+
+    Pools are independent once the alarm schedule is fixed, so they are drawn
+    and resolved in chunks of CHUNK_POOLS pools, fewer in a cell busy enough
+    to expect more than CHUNK_REPORTS regular reports; alarm reports
+    scheduled for a later chunk wait in a queue.
     """
     # a ratio within float error of an integer counts as that many pools:
     # 0.3 / 0.1 is 2.9999999999999996
@@ -342,96 +459,87 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
     rng = np.random.default_rng(seed)
     n = params.n
     t_r = params.t_r
+    rs = params.rs_duration
     p_active = 1.0 - math.exp(-traffic.total_rate * t_r)
     p_periodic = traffic.lambda_p / traffic.total_rate
     rate = traffic.total_rate
+    deadline = np.array([deadlines.for_kind(kind) for kind in _KINDS])
 
-    # alarm bookkeeping: reports per window, plus windows affected per event
-    alarm_reports: dict[int, list[tuple[int, float]]] = {}
-    h1_windows: set[int] = set()
-
-    def schedule_alarm(scenario: AlarmScenario) -> None:
-        probs = scenario.trigger_probs(geometry)
-        times = scenario.arrival_times(geometry)
-        triggered = rng.random(n) < probs
-        emits = rng.poisson(1.0, size=int(triggered.sum())) >= 1
-        ids = np.flatnonzero(triggered)
-        h1_windows.update(int(math.floor(t_act / t_r)) for t_act in times[triggered])
-        for st, t_act in zip(ids[emits], times[triggered][emits]):
-            win = int(math.floor(t_act / t_r))
-            alarm_reports.setdefault(win, []).append((int(st), float(t_act)))
-
+    queue = _AlarmQueue(geometry, t_r, n_pools)
     for scenario in alarms:
-        schedule_alarm(scenario)
+        queue.schedule(scenario, rng)
 
     stats_acc = ScenarioStats(n_stations=n, t_r=t_r, t_ri=traffic.t_ri)
     stats_acc.delay_histogram = DelayHistogram(delay_bin)
     stats_acc.kc_counts = np.zeros(params.pool_size + 1, dtype=int)
 
-    for window in range(n_pools):
-        win_start = window * t_r
-        if alarm_process is not None and rng.random() < alarm_process.prob_per_pool:
+    chunk = max(1, min(CHUNK_POOLS, int(CHUNK_REPORTS / max(n * p_active, 1.0))))
+    for w0 in range(0, n_pools, chunk):
+        n_chunk = min(chunk, n_pools - w0)
+        if alarm_process is not None:
             tpl = alarm_process.template
-            event = AlarmScenario(epicenter=tpl.epicenter, v=tpl.v,
-                                  t_a=win_start + rng.random() * t_r,
-                                  correlation=tpl.correlation)
-            schedule_alarm(event)
+            hits = rng.random(n_chunk) < alarm_process.prob_per_pool
+            for w in (w0 + np.flatnonzero(hits)).tolist():
+                queue.schedule(AlarmScenario(epicenter=tpl.epicenter, v=tpl.v,
+                                             t_a=w * t_r + rng.random() * t_r,
+                                             correlation=tpl.correlation), rng)
 
-        # regular arrivals in this window: activity mask, then the admitted
-        # (earliest) arrival's time and kind for the active stations
-        active_mask = rng.random(n) < p_active
-        active_ids = np.flatnonzero(active_mask)
-        u = rng.random(active_ids.size)
+        # regular arrivals over the (pool, station) grid, key pool * n + station:
+        # the admitted (earliest) arrival's time and kind for each active cell
+        key = _bernoulli_cells(rng, n_chunk * n, p_active)
+        u = rng.random(key.size)
         # first-arrival time conditioned on >= 1 arrival in the window
-        t_first = -np.log1p(-u * p_active) / rate
-        kinds = np.where(rng.random(active_ids.size) < p_periodic,
-                         ReportKind.PERIODIC.value, ReportKind.ON_DEMAND.value)
-        gen_time = win_start + t_first
+        t_gen = (w0 + key // n) * t_r + -np.log1p(-u * p_active) / rate
+        kind = (rng.random(key.size) >= p_periodic).astype(np.int64)  # into _KINDS
 
-        pending: dict[int, tuple[str, float]] = {
-            int(st): (str(k), float(t)) for st, k, t in zip(active_ids, kinds, gen_time)}
-        for st, t_act in alarm_reports.pop(window, []):
-            pending[st] = (ReportKind.ALARM.value, t_act)  # alarm supersedes
+        a_window, a_station, a_time, h1_windows = queue.pop(w0, w0 + n_chunk)
+        if a_window.size:
+            key = np.concatenate((key, (a_window - w0) * n + a_station))
+            kind = np.concatenate((kind, np.full(a_window.size, _ALARM)))
+            t_gen = np.concatenate((t_gen, a_time))
+            # keep the last report per cell: an alarm supersedes a regular
+            # report, a later-scheduled alarm an earlier one
+            _, last = np.unique(key[::-1], return_index=True)
+            last = key.size - 1 - last
+            key, kind, t_gen = key[last], kind[last], t_gen[last]
+        pool = key // n
+        res = _resolve_pools(pool, key % n, n_chunk, assignment, params, mode, rng)
 
-        pool_start = (window + 1) * t_r
-        active = np.fromiter(pending.keys(), dtype=int, count=len(pending))
-        outcome = run_pool(active, assignment, params, mode, rng)
-
-        stats_acc.pools_run += 1
-        stats_acc.sum_rs += outcome.total_rs
-        stats_acc.sum_rs_sq += outcome.total_rs**2
-        stats_acc.sum_duration += outcome.total_rs * params.rs_duration
-        is_h1 = window in h1_windows
-        if is_h1:
-            stats_acc.pools_h1 += 1
-            stats_acc.alarm_decisions_h1 += outcome.decision is Decision.ALARM
-        else:
-            stats_acc.pools_h0 += 1
-            stats_acc.alarm_decisions_h0 += outcome.decision is Decision.ALARM
-        stats_acc.kc_counts[outcome.k_c] += 1
+        total = res.total_rs
+        stats_acc.pools_run += n_chunk
+        stats_acc.sum_rs += float(total.sum())
+        stats_acc.sum_rs_sq += float((total * total).sum())
+        stats_acc.sum_duration += float(total.sum()) * rs
+        h1 = np.zeros(n_chunk, dtype=bool)
+        h1[h1_windows - w0] = True
+        stats_acc.pools_h1 += int(h1.sum())
+        stats_acc.pools_h0 += int(n_chunk - h1.sum())
+        stats_acc.alarm_decisions_h1 += int((res.alarm & h1).sum())
+        stats_acc.alarm_decisions_h0 += int((res.alarm & ~h1).sum())
+        stats_acc.kc_counts += np.bincount(res.k_c, minlength=params.pool_size + 1)
+        stats_acc.groups_ended += res.groups_ended
+        stats_acc.slots_by_part += res.slots_by_part
         if trace is not None:
-            trace.append({"window": window, "hypothesis": "h1" if is_h1 else "h0",
-                          "k_c": outcome.k_c, "decision": outcome.decision.value,
-                          "total_rs": outcome.total_rs})
+            trace.extend(
+                {"window": w0 + i, "hypothesis": "h1" if is_h1 else "h0",
+                 "k_c": k_c, "total_rs": total_rs,
+                 "decision": (Decision.ALARM if is_alarm else Decision.REGULAR).value}
+                for i, (is_h1, k_c, is_alarm, total_rs) in enumerate(zip(
+                    h1.tolist(), res.k_c.tolist(), res.alarm.tolist(), total.tolist())))
 
-        rs = params.rs_duration
-        delays_by_kind: dict[str, list[float]] = {}
-        for st, (kind, t_gen) in pending.items():
-            slot = outcome.resolved_slot.get(st)
-            if slot is None:
-                stats_acc.unresolved_active += 1
+        delay = (w0 + pool + 1) * t_r + (res.slot + 1) * rs - t_gen
+        stats_acc.reports_total += key.size
+        stats_acc.unresolved_active += int((res.slot < 0).sum())
+        stats_acc.dropped_reports += int((delay > deadline[kind]).sum())
+        for k, report_kind in enumerate(_KINDS):
+            delays = delay[kind == k]
+            if delays.size == 0:
                 continue
-            delay = pool_start + (slot + 1) * rs - t_gen
-            delays_by_kind.setdefault(kind, []).append(delay)
-            stats_acc.reports_total += 1
-            stats_acc.reports_by_kind[kind] = stats_acc.reports_by_kind.get(kind, 0) + 1
-            if delay > deadlines.for_kind(ReportKind(kind)):
-                stats_acc.dropped_reports += 1
-        for kind, ds in delays_by_kind.items():
-            arr = np.asarray(ds)
-            stats_acc.delay_histogram.add(ReportKind(kind), arr)
-            prev = stats_acc.max_delay_by_kind.get(kind, 0.0)
-            stats_acc.max_delay_by_kind[kind] = max(prev, float(arr.max()))
+            name = report_kind.value
+            stats_acc.reports_by_kind[name] = stats_acc.reports_by_kind.get(name, 0) + delays.size
+            stats_acc.delay_histogram.add(report_kind, delays)
+            stats_acc.max_delay_by_kind[name] = max(
+                stats_acc.max_delay_by_kind.get(name, 0.0), float(delays.max()))
 
     return stats_acc
 

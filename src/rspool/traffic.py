@@ -55,7 +55,7 @@ class RegularTrafficParams:
     def __post_init__(self):
         if self.lambda_p <= 0 or self.t_ri <= 0:
             raise ValueError("periodic rate and reporting interval must be positive")
-        if self.lambda_d < 0:
+        if not self.lambda_d >= 0:
             raise ValueError("on-demand rate must be non-negative")
         if abs(self.lambda_p * self.t_ri - 1.0) > 1e-9:
             raise ValueError("lambda_p must equal 1/t_ri")
@@ -137,6 +137,10 @@ class SqrtCapCorrelation:
 CorrelationModel = UnitCorrelation | ExpDecayCorrelation | SqrtCapCorrelation
 
 
+class AlarmTimeError(ValueError):
+    """An alarm front reaches some station at a non-finite time."""
+
+
 @dataclass(frozen=True)
 class AlarmScenario:
     """A physical event at `epicenter` propagating radially with speed v from time t_a.
@@ -151,12 +155,20 @@ class AlarmScenario:
     correlation: CorrelationModel = field(default_factory=UnitCorrelation)
 
     def __post_init__(self):
-        if self.v <= 0:
-            raise ValueError("propagation speed must be positive")
+        if not 0 < self.v < math.inf:
+            raise ValueError("propagation speed must be positive and finite")
+        if not math.isfinite(self.t_a):
+            raise ValueError("event time must be finite")
 
     def arrival_times(self, geometry: CellGeometry) -> np.ndarray:
         """Instant at which the event front reaches each station."""
-        return self.t_a + geometry.distances_to(self.epicenter) / self.v
+        with np.errstate(over="ignore"):
+            times = self.t_a + geometry.distances_to(self.epicenter) / self.v
+        if not np.isfinite(times).all():
+            raise AlarmTimeError(
+                "the alarm front reaches a station at a non-finite time "
+                "(event time too large or propagation speed too small)")
+        return times
 
     def trigger_probs(self, geometry: CellGeometry) -> np.ndarray:
         return self.correlation.factor(geometry.distances_to(self.epicenter))

@@ -252,6 +252,25 @@ class TestRejectedCalls:
         assert not (tmp_path / "new").exists()
 
 
+class TestAlarmSectionErrors:
+    @pytest.mark.parametrize("edit", [
+        ("d_max_m = 500", "d_max_m = -1"),
+        ("correlation = sqrtcap", "correlation = expdecay\ndecay_per_m = 0"),
+        ("event_time_s = 10", "event_time_s = inf"),
+        # finite, but 500 m / 1e-310 m/s overflows: the front never arrives
+        ("speed_m_per_s = 4000", "speed_m_per_s = 1e-310"),
+    ], ids=["sqrtcap-reach", "expdecay-constant", "infinite-event-time",
+            "front-time-overflows"])
+    @pytest.mark.parametrize("command", [["simulate", "--replications", "2"],
+                                         ["traffic"]], ids=["simulate", "traffic"])
+    def test_exits_config_invalid(self, tmp_path, capsys, edit, command):
+        cfg = tmp_path / "cell.ini"
+        cfg.write_text(SMALL_CELL.replace(*edit), encoding="utf-8")
+        assert run_cli(*command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        assert error_lines(capsys) == ["error:config-invalid"]
+
+
 # values for the INI mutations: plain numbers, edge floats, words the schema
 # knows, interpolation syntax and short junk; no free digits, so no huge cell
 VALUES = st.sampled_from([
@@ -293,22 +312,25 @@ class TestErrorContract:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(text=ini_texts())
-    def test_analyze_exits_0_or_1_with_one_error_line(self, tmp_path_factory, text):
+    def test_exits_0_or_1_with_one_error_line(self, tmp_path_factory, text):
         work = tmp_path_factory.mktemp("prop")
         cfg = work / "cell.ini"
         cfg.write_text(text, encoding="utf-8")
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            rc = main(["analyze", "--config", str(cfg), "--seed", "1",
-                       "--out", str(work / "out")])
-        assert rc in (0, 1)
-        if rc == 1:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and re.match(r"error:[a-z-]+: ", lines[0]), lines
-            # a warning would reach stderr as extra lines
-            assert not caught, [str(w.message) for w in caught]
+        # analyze reads the closed forms; simulate also reads arrival times
+        for command in (["analyze"], ["simulate", "--replications", "2"]):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = main([*command, "--config", str(cfg), "--seed", "1",
+                           "--out", str(work / command[0])])
+            assert rc in (0, 1), command
+            if rc == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and re.match(r"error:[a-z-]+: ", lines[0]), \
+                    (command, lines)
+                # a warning would reach stderr as extra lines
+                assert not caught, (command, [str(w.message) for w in caught])
 
 
 class TestSampleConfigs:

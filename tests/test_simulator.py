@@ -1,17 +1,20 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rspool import (AlarmProcess, AlarmScenario, Decision, Deadlines,
-                    GroupAssignment, InfeasibleConfigError, Mode, ProtocolParams,
-                    RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
-                    activity_prob_regular, collision_prob, expected_costs,
-                    kc_chi_square, place_stations, run_pool, run_scenario,
-                    validate_deadline, worst_case_pool_duration)
+from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Decision,
+                    Deadlines, GroupAssignment, InfeasibleConfigError, Mode,
+                    ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
+                    UnitCorrelation, activity_prob_regular, collision_prob,
+                    expected_costs, kc_chi_square, place_stations, run_pool,
+                    run_scenario, validate_deadline, worst_case_pool_duration)
 from rspool.analysis import ActivityProbs
-from tests.conftest import LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A
+from rspool.simulator import CHUNK_POOLS
+from rspool.traffic import AlarmTimeError
+from tests.conftest import L1, L2, LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A
 
 P_A0 = activity_prob_regular(1 / 300, LAMBDA_D, T_R)
 
@@ -96,13 +99,18 @@ class TestRunPool:
             outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
             assert (outcome.decision is Decision.ALARM) == (outcome.k_c >= 3)
 
-    def test_all_active_stations_resolved(self, rng):
-        params = small_params(delta_c=8)
+    # at delta_c = 8 every pool here declares the alarm regime; at 20 none
+    # does, and the collided groups go through the contention frames
+    @pytest.mark.parametrize("delta_c", [8, 20])
+    def test_all_active_stations_resolved(self, rng, delta_c):
+        params = small_params(delta_c=delta_c)
         a = GroupAssignment(n=params.n, omega=params.omega)
         for trial in range(25):
             active = np.flatnonzero(np.random.default_rng(100 + trial).random(params.n) < 0.3)
             outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
+            assert (outcome.decision is Decision.ALARM) == (delta_c == 8)
             assert set(outcome.resolved_slot) == set(int(s) for s in active)
+            assert max(outcome.resolved_slot.values()) < outcome.total_rs
             slots = list(outcome.resolved_slot.values())
             assert len(set(slots)) == len(slots)  # no two stations share a slot
 
@@ -242,6 +250,30 @@ class TestRunScenario:
             var = ((k[side] - mean) ** 2 * counts[side]).sum() / (m - 1)
             assert abs(mean - closed_form) < 3 * math.sqrt(var / m), side
 
+    def test_contention_frames_match_closed_form(self, h0_run, ref_params):
+        # every collided group of a regular-decision pool ends after l1, after
+        # l2 or in the dedicated frame; the shares are r1, r2 and 1 - r1 - r2,
+        # and the mean slots per group is E[S]
+        report = expected_costs(ref_params, ActivityProbs(P_A0, P_A0), 0.0)
+        ends = h0_run.groups_ended
+        groups = ends.sum()
+        assert groups == (h0_run.kc_counts * np.arange(h0_run.kc_counts.size)).sum()
+        for share, closed_form in ((ends[0] / groups, report.r1),
+                                   (ends[1] / groups, report.r2)):
+            se = math.sqrt(closed_form * (1 - closed_form) / groups)
+            assert abs(share - closed_form) < 3 * se
+        l1, l2, omega = ref_params.l1, ref_params.l2, ref_params.omega
+        cost = np.array([l1, l1 + l2, l1 + l2 + omega])
+        mean = (cost * ends).sum() / groups
+        var = ((cost - mean) ** 2 * ends).sum() / (groups - 1)
+        assert abs(mean - report.e_s) < 3 * math.sqrt(var / groups)
+        # the slots by part add up to the pool costs
+        preallocated, in_l1, in_l2, dedicated = h0_run.slots_by_part
+        assert preallocated == h0_run.pools_run * ref_params.pool_size
+        assert (in_l1, in_l2, dedicated) == (l1 * groups, l2 * (ends[1] + ends[2]),
+                                             omega * ends[2])
+        assert h0_run.slots_by_part.sum() == h0_run.sum_rs
+
     def test_kc_distribution_consistent_with_binomial(self, h0_run, ref_params):
         pc = collision_prob(P_A0, OMEGA)
         assert h0_run.kc_counts.shape == (ref_params.pool_size + 1,)
@@ -331,6 +363,92 @@ class TestRunScenario:
         alarms = stats.reports_by_kind["alarm"]
         assert 0.5 * params.n < alarms < 0.8 * params.n
         assert stats.reports_by_kind["periodic"] == 4 * params.n - alarms
+
+    def test_alarm_in_next_chunk_is_served(self, ref_traffic):
+        # the triggers are drawn before the first pool, so the same seed gives
+        # the same alarm reports wherever the event falls; one landing in the
+        # first window of the second chunk must be served all the same
+        params = small_params()
+        geometry = place_stations(params.n, 1000.0, seed=3)
+        served = []
+        for window in (0, CHUNK_POOLS):
+            alarm = AlarmScenario((0, 0), 4000.0, t_a=(window + 0.1) * T_R,
+                                  correlation=UnitCorrelation())
+            trace = []
+            stats = run_scenario(geometry, params, ref_traffic,
+                                 Deadlines(TAU_A, 60.0, 300.0), alarms=[alarm],
+                                 horizon=(CHUNK_POOLS + 2) * T_R,
+                                 mode=Mode.ADAPTIVE, seed=17, trace=trace)
+            assert stats.pools_h1 == 1
+            assert trace[window]["hypothesis"] == "h1"
+            assert trace[window]["decision"] == "alarm"
+            assert stats.unresolved_active == stats.dropped_reports == 0
+            served.append(stats.reports_by_kind["alarm"])
+        assert served[0] == served[1] > 0.5 * params.n
+
+    def test_alarm_process_event_in_last_pool_of_chunk_is_served(self):
+        # every pool draws an event whose front reaches all stations exactly
+        # one period later, so each event's reports belong to the next pool;
+        # the event of a chunk's last pool is served in the next chunk
+        params = small_params()
+        geometry = CellGeometry(radius_m=1000.0, positions=np.zeros((params.n, 2)))
+        process = AlarmProcess(prob_per_pool=1.0,
+                               template=AlarmScenario((1000.0, 0.0), 1000.0 / T_R, 0.0))
+        trace = []
+        stats = run_scenario(geometry, params,
+                             RegularTrafficParams.from_reporting_interval(1e9),
+                             Deadlines(TAU_A, 60.0, 300.0), alarms=[],
+                             horizon=(CHUNK_POOLS + 1) * T_R, mode=Mode.ADAPTIVE,
+                             seed=23, alarm_process=process, trace=trace)
+        assert [t["hypothesis"] for t in trace] == ["h0"] + ["h1"] * CHUNK_POOLS
+        assert trace[CHUNK_POOLS]["decision"] == "alarm"
+        assert stats.unresolved_active == stats.dropped_reports == 0
+        # 1 - 1/e of the stations emit per event, one pool per event
+        per_pool = stats.reports_by_kind["alarm"] / CHUNK_POOLS
+        assert abs(per_pool / params.n - (1 - math.exp(-1))) < 0.02
+
+    def test_memory_does_not_grow_with_horizon(self, ref_geometry, ref_params,
+                                               ref_traffic, ref_deadlines):
+        peaks = []
+        for pools in (CHUNK_POOLS, 10 * CHUNK_POOLS):
+            tracemalloc.start()
+            try:
+                run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
+                             alarms=[], horizon=pools * T_R, mode=Mode.ADAPTIVE,
+                             seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_memory_bounded_when_every_station_reports(self, ref_geometry):
+        # 8000 reports per pool: a CHUNK_POOLS chunk would hold 2M of them
+        # (about 250 MB); chunks shrink to keep the working set small
+        params = ProtocolParams(n=N, omega=OMEGA, delta_c=200, l1=L1, l2=L2,
+                                t_r=T_R, rs_duration=RS_DURATION)
+        tracemalloc.start()
+        try:
+            stats = run_scenario(ref_geometry, params,
+                                 RegularTrafficParams.from_reporting_interval(0.01),
+                                 Deadlines(50.0, 60.0, 300.0), alarms=[],
+                                 horizon=40 * T_R, mode=Mode.ADAPTIVE, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.reports_total == 40 * N
+        assert peak < 32e6, peak
+
+    def test_rejects_alarm_front_beyond_float_range(self, ref_traffic):
+        # a finite but tiny speed: 500 m / 1e-310 m/s is past the float range
+        params = small_params()
+        geometry = place_stations(params.n, 1000.0, seed=3)
+        slow = AlarmScenario((500.0, 0.0), 1e-310, 0.0)
+        for kwargs in (dict(alarms=[slow]),
+                       dict(alarms=[], alarm_process=AlarmProcess(1.0, slow))):
+            with pytest.raises(AlarmTimeError):
+                run_scenario(geometry, params, ref_traffic,
+                             Deadlines(TAU_A, 60.0, 300.0), horizon=2 * T_R,
+                             mode=Mode.ADAPTIVE, seed=1, **kwargs)
 
     def test_horizon_counts_whole_periods_despite_rounding(self, ref_traffic):
         params = small_params(t_r=0.1)

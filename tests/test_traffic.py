@@ -9,6 +9,7 @@ from rspool import (ActivationCurve, AlarmScenario, ExpDecayCorrelation,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
                     activation_curve, beta_pdf, fit_beta, place_stations,
                     spatial_correlation)
+from rspool.traffic import AlarmTimeError
 
 
 class TestPlacement:
@@ -84,9 +85,36 @@ class TestSpatialCorrelation:
         with pytest.raises(ValueError, match="reporting interval"):
             RegularTrafficParams.from_reporting_interval(t_ri)
 
+    @pytest.mark.parametrize("lambda_d", [-1.0, float("nan")])
+    def test_on_demand_rate_must_be_non_negative(self, lambda_d):
+        with pytest.raises(ValueError, match="on-demand rate"):
+            RegularTrafficParams.from_reporting_interval(300.0, lambda_d)
+
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
             spatial_correlation(UnitCorrelation(), -1.0)
+
+
+class TestAlarmScenario:
+    @pytest.mark.parametrize("v,t_a", [(0.0, 0.0), (float("nan"), 0.0),
+                                       (float("inf"), 0.0), (4000.0, float("inf")),
+                                       (4000.0, float("-inf")), (4000.0, float("nan"))])
+    def test_rejects_non_finite_speed_or_event_time(self, v, t_a):
+        with pytest.raises(ValueError):
+            AlarmScenario((0, 0), v, t_a)
+
+    @pytest.mark.parametrize("v,t_a", [(1e-310, 0.0), (1e-304, 1.7e308)])
+    def test_front_beyond_float_range_rejected_without_warnings(self, v, t_a):
+        # both values are finite, the arrival instants are not: d / v
+        # overflows, or t_a + d / v does
+        geom = place_stations(10, 1000.0, seed=1)
+        scenario = AlarmScenario((1000.0, 0.0), v, t_a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlarmTimeError, match="non-finite"):
+                scenario.arrival_times(geom)
+            with pytest.raises(AlarmTimeError):
+                activation_curve(geom, scenario, 0.005, seed=1)
 
 
 class TestActivationCurves:
