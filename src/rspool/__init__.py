@@ -4,9 +4,10 @@ design-space search."""
 
 from .analysis import (ActivityProbs, AnalysisReport, ProtocolParams,
                        activity_prob_alarm, activity_prob_regular,
-                       collision_prob, detection_probs, expected_collision_counts,
-                       expected_costs, expected_frame_cost, naive_expected_cost,
-                       resolution_probs, resolve_prob, truncated_active_dist)
+                       activity_probs, collision_prob, delta_c_from_pct,
+                       expected_costs, expected_frame_cost, frames_for,
+                       naive_expected_cost, resolution_probs, resolve_prob,
+                       truncated_active_dist)
 from .config import CellConfig, ConfigError, load_experiment
 from .optimizer import (NaiveComparison, SweepBase, SweepGrid, SweepResult,
                         compare_naive, sweep)
@@ -17,7 +18,6 @@ from .simulator import (AlarmProcess, Decision, GroupAssignment,
 from .traffic import (ActivationCurve, AlarmScenario, BetaFit, CellGeometry,
                       Deadlines, ExpDecayCorrelation, RegularTrafficParams,
                       ReportKind, SqrtCapCorrelation, UnitCorrelation,
-                      activation_curve, beta_pdf, fit_beta, place_stations,
-                      spatial_correlation)
+                      activation_curve, beta_pdf, fit_beta, place_stations)
 
 __version__ = "0.1.0"

@@ -61,21 +61,6 @@ class ProtocolParams:
     def delta_c_pct(self) -> float:
         return 100.0 * self.delta_c / self.pool_size
 
-    @classmethod
-    def with_defaults(cls, n: int, omega: int, delta_c_pct: float, t_r: float,
-                      rs_duration: float, l1: int | None = None,
-                      l2: int | None = None) -> "ProtocolParams":
-        """Build params with the threshold given as a percentage of pool slots
-        and frame lengths defaulting to 60% / 40% of the group size."""
-        pool = math.ceil(n / omega)
-        delta_c = delta_c_from_pct(delta_c_pct, pool)
-        if l1 is None:
-            l1 = default_l1(omega)
-        if l2 is None:
-            l2 = default_l2(omega)
-        return cls(n=n, omega=omega, delta_c=delta_c, l1=l1, l2=l2,
-                   t_r=t_r, rs_duration=rs_duration)
-
 
 def delta_c_from_pct(pct: float, pool_size: int) -> int:
     if not 0 < pct <= 100:
@@ -83,12 +68,15 @@ def delta_c_from_pct(pct: float, pool_size: int) -> int:
     return math.ceil(pct / 100.0 * pool_size)
 
 
-def default_l1(omega: int) -> int:
-    return max(1, round(0.6 * omega))
-
-
-def default_l2(omega: int) -> int:
-    return max(1, round(0.4 * omega))
+def frames_for(omega: int, l1_frac: float, l2_frac: float) -> tuple[int, int]:
+    """Frame lengths at the given fractions of the group size, clamped to
+    1 <= l2 <= l1 < omega (1, 1 for single-station groups)."""
+    l1 = max(1, round(l1_frac * omega))
+    l2 = max(1, round(l2_frac * omega))
+    if omega > 1:
+        l1 = min(l1, omega - 1)
+        l2 = min(l2, l1)
+    return l1, l2
 
 
 @dataclass(frozen=True)
@@ -162,6 +150,16 @@ def activity_prob_alarm(scenario: AlarmScenario, geometry: CellGeometry,
         psi = np.where((hit >= lo) & (hit < hi), psi, 0.0)
     lam = traffic.total_rate * t_r + psi
     return float(np.mean(1.0 - np.exp(-lam)))
+
+
+def activity_probs(traffic: RegularTrafficParams, t_r: float,
+                   alarm: AlarmScenario | None = None,
+                   geometry: CellGeometry | None = None) -> ActivityProbs:
+    """Regular activity p_a0 and the alarm-regime activity p_a1 of `alarm`
+    over `geometry`; without an alarm scenario p_a1 is p_a0."""
+    p_a0 = activity_prob_regular(traffic.lambda_p, traffic.lambda_d, t_r)
+    p_a1 = p_a0 if alarm is None else activity_prob_alarm(alarm, geometry, traffic, t_r)
+    return ActivityProbs(p_a0=p_a0, p_a1=p_a1)
 
 
 def collision_prob(p_a: float, omega: int) -> float:
@@ -260,13 +258,20 @@ def resolution_probs(omega: int, l1: int, l2: int, p_a: float) -> tuple[float, f
     return r1, r2
 
 
+def frame_chain_cost(omega: int, l1: int, l2: int, reach_l2, reach_dedicated):
+    """Slots one collided slot spends contending through the frames l1, then
+    l2, then the dedicated omega-slot frame: the first frame always, the
+    others weighted by whether (or how likely) the slot reaches them. Reach
+    1, 1 is the full escalation; per-group flag arrays give array costs."""
+    return l1 + l2 * reach_l2 + omega * reach_dedicated
+
+
 def expected_frame_cost(omega: int, l1: int, l2: int, r1: float, r2: float) -> float:
-    """Expected slots spent resolving one collided slot: the first frame is
-    always allocated, the second only if the first fails, the dedicated
-    omega-slot frame only if both fail."""
+    """Expected slots spent resolving one collided slot: the second frame is
+    reached only if the first fails, the dedicated frame only if both fail."""
     if not (0 <= r1 <= 1 and 0 <= r2 <= 1 and r1 + r2 <= 1 + 1e-12):
         raise ValueError("resolution probabilities must be in [0,1] with r1+r2 <= 1")
-    return l1 + l2 * (1.0 - r1) + omega * (1.0 - (r1 + r2))
+    return frame_chain_cost(omega, l1, l2, 1.0 - r1, 1.0 - (r1 + r2))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -286,29 +291,6 @@ def _conditional_collision_means(pool: int, p_c: float, delta_c: int,
     mean_lo = float((k[lo] * pmf[lo]).sum() / mass_lo) if mass_lo > 0 else float("nan")
     mean_hi = float((k[hi] * pmf[hi]).sum() / mass_hi) if mass_hi > 0 else float("nan")
     return mass_lo, mean_lo, mass_hi, mean_hi
-
-
-def expected_collision_counts(n: int, omega: int, delta_c: int, p_c_h0: float,
-                              p_c_h1: float) -> tuple[float, float, float, float]:
-    """Expected collided-slot counts conditioned on each decision/traffic pair.
-
-    Returns (e_k_00, e_k_10, e_k_01, e_k_11); a NaN marks a conditioning event
-    of probability zero (that branch can never be taken).
-    """
-    pool = math.ceil(n / omega)
-    _, ek00, _, ek10 = _conditional_collision_means(pool, p_c_h0, delta_c)
-    _, ek01, _, ek11 = _conditional_collision_means(pool, p_c_h1, delta_c)
-    return ek00, ek10, ek01, ek11
-
-
-def detection_probs(n: int, omega: int, delta_c: int, p_c_h0: float,
-                    p_c_h1: float) -> tuple[float, float, float, float]:
-    """Decision probabilities (p_00, p_10, p_01, p_11) of the threshold test
-    that declares the alarm regime when delta_c or more slots collide."""
-    pool = math.ceil(n / omega)
-    p00, _, _, _ = _conditional_collision_means(pool, p_c_h0, delta_c)
-    p01, _, _, _ = _conditional_collision_means(pool, p_c_h1, delta_c)
-    return p00, 1.0 - p00, p01, 1.0 - p01
 
 
 def expected_costs(params: ProtocolParams, activity: ActivityProbs,
@@ -346,7 +328,7 @@ def expected_costs(params: ProtocolParams, activity: ActivityProbs,
 
     e_c_00 = cost(ek00, e_s)
     e_c_10 = cost(ek10, params.omega)
-    e_c_01 = cost(ek01, params.l1 + params.l2 + params.omega)
+    e_c_01 = cost(ek01, frame_chain_cost(params.omega, params.l1, params.l2, 1, 1))
     e_c_11 = cost(ek11, params.omega)
 
     # zero-probability decision branches carry no weight even though their

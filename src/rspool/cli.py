@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, optimizer, simulator, traffic
-from .config import CellConfig, ConfigError, Experiment, load_experiment
+from .config import ConfigError, Experiment, load_experiment
 from .simulator import AlarmProcess, GroupAssignment, InfeasibleConfigError
 from .traffic import AlarmTimeError
 
@@ -88,28 +88,19 @@ def cmd_traffic(args, exp: Experiment, out: Path) -> None:
         _json_dump(out / f"fit_{name}.json", record)
 
 
-def _analysis_inputs(exp: Experiment, seed) -> tuple[CellConfig, analysis.ActivityProbs, float]:
+def cmd_analyze(args, exp: Experiment, out: Path) -> None:
     cell = exp.cell()
     alarms = exp.alarms()
     p_h1 = exp.p_h1()
-    p_a0 = analysis.activity_prob_regular(cell.traffic.lambda_p,
-                                          cell.traffic.lambda_d,
-                                          cell.protocol.t_r)
+    alarm = geometry = None
     if alarms:
-        if seed is None:
+        if args.seed is None:
             raise CommandError(
                 "alarm scenarios make the station placement matter: pass --seed",
                 "seed-required")
-        geometry = traffic.place_stations(cell.n_stations, cell.radius_m, seed)
-        p_a1 = analysis.activity_prob_alarm(alarms[0][1], geometry,
-                                            cell.traffic, cell.protocol.t_r)
-    else:
-        p_a1 = p_a0
-    return cell, analysis.ActivityProbs(p_a0=p_a0, p_a1=p_a1), p_h1
-
-
-def cmd_analyze(args, exp: Experiment, out: Path) -> None:
-    cell, activity, p_h1 = _analysis_inputs(exp, args.seed)
+        alarm = alarms[0][1]
+        geometry = traffic.place_stations(cell.n_stations, cell.radius_m, args.seed)
+    activity = analysis.activity_probs(cell.traffic, cell.protocol.t_r, alarm, geometry)
     assignment = GroupAssignment(n=cell.n_stations, omega=cell.protocol.omega)
     simulator.validate_deadline(cell.protocol, assignment, cell.deadlines)
     report = analysis.expected_costs(cell.protocol, activity, p_h1)

@@ -7,7 +7,7 @@ import configparser
 import math
 from dataclasses import dataclass
 
-from .analysis import ProtocolParams, default_l1, default_l2, delta_c_from_pct
+from .analysis import ProtocolParams, delta_c_from_pct, frames_for
 from .simulator import Mode
 from .traffic import (AlarmScenario, Deadlines, ExpDecayCorrelation,
                       RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation)
@@ -130,12 +130,13 @@ class Experiment:
         l1 = self._int("protocol", "l1", None)
         l2 = self._int("protocol", "l2", None)
         try:
-            protocol = ProtocolParams(
-                n=n, omega=omega, delta_c=delta_c,
-                l1=l1 if l1 is not None else default_l1(omega),
-                l2=l2 if l2 is not None else default_l2(omega),
-                t_r=t_r, rs_duration=rs)
-        except ValueError as exc:
+            if l1 is None or l2 is None:  # the 60/40 split of the group size
+                d1, d2 = frames_for(omega, 0.6, 0.4)
+                l1 = d1 if l1 is None else l1
+                l2 = d2 if l2 is None else l2
+            protocol = ProtocolParams(n=n, omega=omega, delta_c=delta_c, l1=l1,
+                                      l2=l2, t_r=t_r, rs_duration=rs)
+        except (ValueError, OverflowError) as exc:  # an omega past the float range
             raise ConfigError(f"invalid [protocol] section: {exc}") from exc
 
         tau_a = self._float("deadlines", "tau_a_s")
@@ -189,12 +190,18 @@ class Experiment:
             mode = Mode.ADAPTIVE if mode_raw == "adaptive" else Mode(mode_raw)
         except ValueError as exc:
             raise ConfigError(f"invalid value for simulation.mode: {mode_raw!r}") from exc
-        return SimulationOptions(
+        opts = SimulationOptions(
             horizon_s=self._float("simulation", "horizon_s", 300.0),
             mode=mode,
             delay_bin_s=self._float("simulation", "delay_bin_s", 0.05),
             alarm_prob_per_pool=self._float("simulation", "alarm_prob_per_pool", 0.0),
             bin_width_s=self._float("simulation", "bin_width_s", 0.005))
+        for key in ("horizon_s", "delay_bin_s", "bin_width_s"):
+            if not 0 < getattr(opts, key) < math.inf:
+                raise ConfigError(f"simulation.{key} must be positive and finite")
+        if not 0 <= opts.alarm_prob_per_pool <= 1:
+            raise ConfigError("simulation.alarm_prob_per_pool must lie in [0, 1]")
+        return opts
 
     def sweep_options(self) -> SweepOptions:
         self._require("sweep")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, simulator
-from .analysis import ActivityProbs, ProtocolParams
+from .analysis import ActivityProbs, ProtocolParams, frames_for
 from .simulator import AlarmProcess, GroupAssignment, InfeasibleConfigError, Mode
 from .traffic import AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams
 
@@ -38,14 +38,8 @@ class SweepBase:
     def _activity(self) -> ActivityProbs:
         """The activity depends only on the fixed fields, so a search computes
         it once rather than once per candidate."""
-        p_a0 = analysis.activity_prob_regular(self.traffic.lambda_p,
-                                              self.traffic.lambda_d, self.t_r)
-        if self.alarm is None:
-            p_a1 = p_a0
-        else:
-            p_a1 = analysis.activity_prob_alarm(self.alarm, self.geometry,
-                                                self.traffic, self.t_r)
-        return ActivityProbs(p_a0=p_a0, p_a1=p_a1)
+        return analysis.activity_probs(self.traffic, self.t_r, self.alarm,
+                                       self.geometry)
 
 
 @dataclass(frozen=True)
@@ -88,21 +82,6 @@ class SweepResult:
     rows: list[SweepRow]
     argmin: SweepRow
     simulated: bool = False
-
-    def argmin_region(self, rel_tol: float = 0.05) -> list[SweepRow]:
-        """Feasible rows whose cost is within rel_tol of the minimum."""
-        best = self.argmin.selected_cost(self.simulated)
-        return [r for r in self.rows
-                if r.feasible and r.selected_cost(self.simulated) <= best * (1 + rel_tol)]
-
-
-def _frames_for(omega: int, l1_frac: float, l2_frac: float) -> tuple[int, int]:
-    l1 = max(1, round(l1_frac * omega))
-    l2 = max(1, round(l2_frac * omega))
-    if omega > 1:
-        l1 = min(l1, omega - 1)
-        l2 = min(l2, l1)
-    return l1, l2
 
 
 def _params(base: SweepBase, omega: int, delta_c_pct: float,
@@ -157,7 +136,7 @@ def optimize_frame_fractions(base: SweepBase, omega: int, delta_c_pct: float,
     for f1 in steps:
         for f2 in steps:
             if f2 <= f1:
-                candidates.setdefault(_frames_for(omega, f1, f2), (f1, f2))
+                candidates.setdefault(frames_for(omega, f1, f2), (f1, f2))
     best = (float("inf"), 0.6, 0.4)
     for (l1, l2), (f1, f2) in candidates.items():
         row = _evaluate_point(base, omega, delta_c_pct, l1, l2, 0, None)
@@ -167,7 +146,7 @@ def optimize_frame_fractions(base: SweepBase, omega: int, delta_c_pct: float,
 
 
 def _searched_frames(base: SweepBase, omega: int, delta_c_pct: float) -> tuple[int, int]:
-    return _frames_for(omega, *optimize_frame_fractions(base, omega, delta_c_pct))
+    return frames_for(omega, *optimize_frame_fractions(base, omega, delta_c_pct))
 
 
 def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
@@ -190,8 +169,7 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
             if grid.l1_frac == "search":
                 l1, l2 = _searched_frames(base, omega, pct)
             else:
-                l1, l2 = _frames_for(omega, float(grid.l1_frac),
-                                     float(grid.l2_frac))
+                l1, l2 = frames_for(omega, float(grid.l1_frac), float(grid.l2_frac))
             point_seed = next(seeds) if seeds is not None else None
             rows.append(_evaluate_point(base, omega, pct, l1, l2,
                                         grid.simulate_pools, point_seed))

@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 from scipy import stats
 
-from .analysis import ProtocolParams
+from .analysis import ProtocolParams, frame_chain_cost
 from .traffic import (AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams,
                       ReportKind)
 
@@ -73,7 +73,8 @@ def worst_case_pool_duration(params: ProtocolParams, assignment: GroupAssignment
     if mode is Mode.NAIVE_CONTENTION_FREE:
         worst = pool + collidable * params.omega
     else:
-        below = pool + min(params.delta_c - 1, collidable) * (params.l1 + params.l2 + params.omega)
+        below = pool + min(params.delta_c - 1, collidable) * frame_chain_cost(
+            params.omega, params.l1, params.l2, 1, 1)
         above = pool + collidable * params.omega
         worst = max(below, above)
     return worst * params.rs_duration
@@ -148,7 +149,7 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
     rel[contenders] += l1 + l2
     to_l2, to_dedicated = escalated
 
-    length = np.where(contends, l1 + l2 * to_l2 + omega * to_dedicated, omega)
+    length = np.where(contends, frame_chain_cost(omega, l1, l2, to_l2, to_dedicated), omega)
     cum = np.concatenate(([0], np.cumsum(length)))
     # common-pool slots used by the pools before each pool
     before = cum[np.searchsorted(cg_pool, np.arange(n_pools + 1))]
@@ -215,10 +216,6 @@ class DelayHistogram:
         hist = np.bincount(np.floor(delays / self.bin_width).astype(int))
         self.counts[kind.value] = _add_counts(self.counts.get(kind.value), hist)
 
-    def merge(self, other: "DelayHistogram") -> None:
-        for kind, hist in other.counts.items():
-            self.counts[kind] = _add_counts(self.counts.get(kind), hist)
-
 
 GROUP_ENDS = ("l1", "l2", "dedicated")
 POOL_PARTS = ("preallocated", "l1", "l2", "dedicated")
@@ -226,7 +223,7 @@ POOL_PARTS = ("preallocated", "l1", "l2", "dedicated")
 
 @dataclass
 class ScenarioStats:
-    """Aggregated results of a scenario run; merge-able across replications."""
+    """Aggregated results of a scenario run."""
 
     pools_run: int = 0
     sum_rs: float = 0.0
@@ -287,34 +284,6 @@ class ScenarioStats:
             return float("nan")
         pools_per_ri = self.t_ri / self.t_r
         return self.mean_rs_per_pool * pools_per_ri / self.n_stations
-
-    def merge(self, other: "ScenarioStats") -> None:
-        if other.n_stations and self.n_stations and (
-                other.n_stations != self.n_stations or other.t_r != self.t_r):
-            raise ValueError("can only merge stats from identical configurations")
-        self.pools_run += other.pools_run
-        self.sum_rs += other.sum_rs
-        self.sum_rs_sq += other.sum_rs_sq
-        self.sum_duration += other.sum_duration
-        self.pools_h0 += other.pools_h0
-        self.pools_h1 += other.pools_h1
-        self.alarm_decisions_h0 += other.alarm_decisions_h0
-        self.alarm_decisions_h1 += other.alarm_decisions_h1
-        self.reports_total += other.reports_total
-        for k, v in other.reports_by_kind.items():
-            self.reports_by_kind[k] = self.reports_by_kind.get(k, 0) + v
-        self.dropped_reports += other.dropped_reports
-        self.unresolved_active += other.unresolved_active
-        for k, v in other.max_delay_by_kind.items():
-            self.max_delay_by_kind[k] = max(self.max_delay_by_kind.get(k, 0.0), v)
-        self.delay_histogram.merge(other.delay_histogram)
-        self.kc_counts = _add_counts(self.kc_counts, other.kc_counts)
-        self.groups_ended = self.groups_ended + other.groups_ended
-        self.slots_by_part = self.slots_by_part + other.slots_by_part
-        if not self.n_stations:
-            self.n_stations = other.n_stations
-            self.t_r = other.t_r
-            self.t_ri = other.t_ri
 
     def to_dict(self) -> dict:
         def clean(x):

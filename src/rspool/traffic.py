@@ -227,15 +227,6 @@ def place_stations(n: int, r: float, seed) -> CellGeometry:
     return CellGeometry(radius_m=r, positions=np.column_stack((d * np.cos(phi), d * np.sin(phi))))
 
 
-def spatial_correlation(model: CorrelationModel, d) -> np.ndarray | float:
-    """Probability that a station at distance d from the epicenter is triggered."""
-    d_arr = np.asarray(d, dtype=float)
-    if np.any(d_arr < 0):
-        raise ValueError("distance must be non-negative")
-    out = model.factor(d_arr)
-    return float(out) if np.isscalar(d) or d_arr.ndim == 0 else out
-
-
 def activation_curve(geometry: CellGeometry, scenario: AlarmScenario,
                      bin_width: float, seed) -> ActivationCurve:
     """Histogram of alarm activations over time for one event realisation.

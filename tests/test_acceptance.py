@@ -13,7 +13,7 @@ from rspool import (ActivityProbs, AlarmProcess, AlarmScenario, Deadlines,
                     ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
                     SweepBase, UnitCorrelation, activation_curve,
                     activity_prob_alarm, activity_prob_regular, collision_prob,
-                    compare_naive, detection_probs, expected_costs, fit_beta,
+                    compare_naive, expected_costs, fit_beta,
                     kc_chi_square, place_stations, resolve_prob, run_scenario)
 from rspool.simulator import Mode
 from rspool.traffic import ActivationCurve
@@ -199,17 +199,17 @@ class TestCriterion06DetectionCurves:
     def test_analytical_detection(self, geometry, traffic_params, d_max, max_pct):
         alarm = AlarmScenario((0.0, 0.0), v=4000.0, t_a=0.0,
                               correlation=SqrtCapCorrelation(d_max=d_max))
-        p_a1 = activity_prob_alarm(alarm, geometry, traffic_params, T_R)
-        p_c_h1 = collision_prob(p_a1, OMEGA)
-        p_c_h0 = collision_prob(
+        activity = ActivityProbs(
             activity_prob_regular(traffic_params.lambda_p,
-                                  traffic_params.lambda_d, T_R), OMEGA)
+                                  traffic_params.lambda_d, T_R),
+            activity_prob_alarm(alarm, geometry, traffic_params, T_R))
         pool = math.ceil(N / OMEGA)
         worst = 1.0
         for pct in np.arange(5.0, max_pct + 1e-9, 5.0):
             delta_c = math.ceil(pct / 100 * pool)
-            _, _, _, p11 = detection_probs(N, OMEGA, delta_c, p_c_h0, p_c_h1)
-            worst = min(worst, p11)
+            params = ProtocolParams(n=N, omega=OMEGA, delta_c=delta_c, l1=L1,
+                                    l2=L2, t_r=T_R, rs_duration=RS_DURATION)
+            worst = min(worst, expected_costs(params, activity, P_H1).p_11)
         ok = worst >= 0.99
         report_line(6, f"analytical P(H1|H1), d_max={d_max:.0f} m, "
                        f"thresholds up to {max_pct:.0f}%", ok,

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
                     SqrtCapCorrelation, UnitCorrelation, activity_prob_alarm,
-                    activity_prob_regular, collision_prob, detection_probs,
-                    expected_collision_counts, expected_costs,
-                    expected_frame_cost, naive_expected_cost, resolution_probs,
-                    resolve_prob, truncated_active_dist)
+                    activity_prob_regular, collision_prob, delta_c_from_pct,
+                    expected_costs, expected_frame_cost, frames_for,
+                    naive_expected_cost, resolution_probs, resolve_prob,
+                    truncated_active_dist)
 from rspool.analysis import no_singleton_placements
 from tests.conftest import DC_PCT, L1, L2, N, OMEGA, P_H1, RS_DURATION, T_R
 
@@ -270,16 +270,27 @@ def pmf_oracle(pool: int, p: float) -> np.ndarray:
     return np.exp(logc + k * math.log(p) + (pool - k) * math.log1p(-p))
 
 
+def branch_report(p_a0: float, p_a1: float, delta_c: int, n: int = N,
+                  omega: int = OMEGA, l1: int = L1, l2: int = L2):
+    """Expected-cost report whose collided-slot figures the branch tests read."""
+    params = ProtocolParams(n=n, omega=omega, delta_c=delta_c, l1=l1, l2=l2,
+                            t_r=T_R, rs_duration=RS_DURATION)
+    return expected_costs(params, ActivityProbs(p_a0, p_a1), P_H1)
+
+
 class TestCollisionCounts:
     def test_no_collisions(self):
-        ek00, _, _, _ = expected_collision_counts(N, OMEGA, 100, 0.0, 0.0)
-        assert ek00 == 0.0
+        assert branch_report(0.0, 0.0, 100).e_k_00 == 0.0
 
     def test_vacuous_conditioning_gives_unconditional_mean(self):
+        # at the largest threshold only a fully collided pool (mass ~1e-244)
+        # lies at or above it
         pool = math.ceil(N / OMEGA)
-        ek00, ek10, _, _ = expected_collision_counts(N, OMEGA, pool + 1, 0.0602, 0.0602)
-        assert ek00 == pytest.approx(pool * 0.0602, rel=1e-9)
-        assert math.isnan(ek10)
+        report = branch_report(P_A0, P_A0, pool)
+        assert report.e_k_00 == pytest.approx(pool * report.p_c_h0, rel=1e-9)
+        assert report.e_k_10 == pool
+        # a silent cell never reaches it: that mean is undefined
+        assert math.isnan(branch_report(0.0, 0.0, pool).e_k_10)
 
     def test_against_direct_pmf_summation(self):
         pc = collision_prob(P_A0, OMEGA)
@@ -288,50 +299,45 @@ class TestCollisionCounts:
         pmf = pmf_oracle(pool, pc)
         k = np.arange(pool + 1)
         lo = (k[:delta_c] * pmf[:delta_c]).sum() / pmf[:delta_c].sum()
-        ek00, ek10, ek01, ek11 = expected_collision_counts(N, OMEGA, delta_c, pc, pc)
-        assert ek00 == pytest.approx(lo, rel=1e-9)
-        assert ek01 == pytest.approx(lo, rel=1e-9)
+        report = branch_report(P_A0, P_A0, delta_c)
+        assert report.e_k_00 == pytest.approx(lo, rel=1e-9)
+        assert report.e_k_01 == pytest.approx(lo, rel=1e-9)
         # the at-or-above branch at this threshold is unreachable regular
         # traffic: its mass underflows and the mean is undefined
         hi_mass = pmf[delta_c:].sum()
         if hi_mass > 0:
             hi = (k[delta_c:] * pmf[delta_c:]).sum() / hi_mass
-            assert ek10 == pytest.approx(hi, rel=1e-6)
+            assert report.e_k_10 == pytest.approx(hi, rel=1e-6)
 
     def test_moderate_threshold_matches_oracle(self):
-        n, omega, delta_c, pc = 500, 10, 15, 0.3
+        n, omega, delta_c = 500, 10, 15
+        report = branch_report(0.1, 0.1, delta_c, n=n, omega=omega, l1=6, l2=4)
         pool = math.ceil(n / omega)
-        pmf = pmf_oracle(pool, pc)
+        pmf = pmf_oracle(pool, report.p_c_h0)
         k = np.arange(pool + 1)
         lo = (k[:delta_c] * pmf[:delta_c]).sum() / pmf[:delta_c].sum()
         hi = (k[delta_c:] * pmf[delta_c:]).sum() / pmf[delta_c:].sum()
-        ek00, ek10, _, _ = expected_collision_counts(n, omega, delta_c, pc, pc)
-        assert ek00 == pytest.approx(lo, rel=1e-9)
-        assert ek10 == pytest.approx(hi, rel=1e-9)
+        assert report.e_k_00 == pytest.approx(lo, rel=1e-9)
+        assert report.e_k_10 == pytest.approx(hi, rel=1e-9)
 
 
 class TestDetectionProbs:
-    def test_zero_threshold_always_declares_alarm(self):
-        _, p10, _, p11 = detection_probs(N, OMEGA, 0, 0.0602, 0.9)
-        assert p10 == 1.0 and p11 == 1.0
-
     def test_certain_collisions_always_detected(self):
-        _, _, _, p11 = detection_probs(N, OMEGA, 100, 0.0602, 1.0)
-        assert p11 == 1.0
+        assert branch_report(P_A0, 1.0, 100).p_11 == 1.0
 
     def test_rows_sum_to_one(self):
-        p00, p10, p01, p11 = detection_probs(N, OMEGA, 100, 0.0602, 0.9698)
-        assert p00 + p10 == pytest.approx(1.0, abs=1e-12)
-        assert p01 + p11 == pytest.approx(1.0, abs=1e-12)
+        report = branch_report(P_A0, 0.12, 100)
+        assert report.p_00 + report.p_10 == pytest.approx(1.0, abs=1e-12)
+        assert report.p_01 + report.p_11 == pytest.approx(1.0, abs=1e-12)
 
     def test_non_increasing_in_threshold(self):
         pool = math.ceil(N / OMEGA)
         prev10, prev11 = 1.0, 1.0
-        for delta_c in range(0, pool + 1, 10):
-            _, p10, _, p11 = detection_probs(N, OMEGA, delta_c, 0.0602, 0.9698)
-            assert p10 <= prev10 + 1e-12
-            assert p11 <= prev11 + 1e-12
-            prev10, prev11 = p10, p11
+        for delta_c in range(1, pool + 1, 10):
+            report = branch_report(P_A0, 0.12, delta_c)
+            assert report.p_10 <= prev10 + 1e-12
+            assert report.p_11 <= prev11 + 1e-12
+            prev10, prev11 = report.p_10, report.p_11
 
 
 class TestExpectedCosts:
@@ -416,10 +422,9 @@ class TestProtocolParams:
                                 t_r=T_R, rs_duration=RS_DURATION)
         assert params.pool_size == 201
 
-    def test_with_defaults_frames_and_threshold(self):
-        params = ProtocolParams.with_defaults(N, OMEGA, DC_PCT, T_R, RS_DURATION)
-        assert (params.l1, params.l2) == (24, 16)
-        assert params.delta_c == 100
+    def test_default_frames_and_threshold(self):
+        assert frames_for(OMEGA, 0.6, 0.4) == (24, 16)
+        assert delta_c_from_pct(DC_PCT, math.ceil(N / OMEGA)) == 100
 
     @pytest.mark.parametrize("kwargs", [
         dict(omega=0), dict(omega=9000), dict(delta_c=0), dict(delta_c=300),

@@ -129,6 +129,15 @@ class TestAnalyzeCommand:
                        "--out", str(tmp_path / "o")) == 1
         assert "protocol.omega" in capsys.readouterr().err
 
+    def test_omega_past_float_range(self, tmp_path, capsys):
+        # the default frames are fractions of omega, taken in floating point
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(SMALL_CELL.replace("omega = 10", "omega = 1" + "0" * 400),
+                       encoding="utf-8")
+        assert run_cli("analyze", "--config", str(cfg), "--seed", "3",
+                       "--out", str(tmp_path / "o")) == 1
+        assert error_lines(capsys) == ["error:config-invalid"]
+
 
 class TestSimulateCommand:
     def test_writes_stats_and_histogram(self, config_path, tmp_path):
@@ -271,6 +280,29 @@ class TestAlarmSectionErrors:
         assert error_lines(capsys) == ["error:config-invalid"]
 
 
+class TestSimulationSectionErrors:
+    @pytest.mark.parametrize("key,value", [
+        ("horizon_s", "0"), ("horizon_s", "-5"), ("horizon_s", "inf"),
+        ("delay_bin_s", "0"), ("delay_bin_s", "nan"), ("delay_bin_s", "-0.05"),
+        ("bin_width_s", "nan"), ("bin_width_s", "0"), ("bin_width_s", "-inf"),
+        ("alarm_prob_per_pool", "2"), ("alarm_prob_per_pool", "-0.1"),
+        ("alarm_prob_per_pool", "nan"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "traffic"])
+    def test_exits_config_invalid(self, tmp_path, capsys, key, value, command):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(SMALL_CELL)
+        cp["simulation"][key] = value
+        cfg = tmp_path / "cell.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:config-invalid: ")
+        assert f"simulation.{key}" in lines[0]
+
+
 # values for the INI mutations: plain numbers, edge floats, words the schema
 # knows, interpolation syntax and short junk; no free digits, so no huge cell
 VALUES = st.sampled_from([
@@ -283,7 +315,8 @@ VALUES = st.sampled_from([
 # keys the small cell leaves at their defaults
 OPTIONAL_KEYS = [("protocol", "delta_c_slots"), ("protocol", "l1"),
                  ("protocol", "l2"), ("deadlines", "tau_p_s"),
-                 ("alarm.quake", "epicenter_x_m"), ("alarm.quake", "decay_per_m")]
+                 ("alarm.quake", "epicenter_x_m"), ("alarm.quake", "decay_per_m"),
+                 ("simulation", "delay_bin_s"), ("simulation", "alarm_prob_per_pool")]
 
 
 @st.composite

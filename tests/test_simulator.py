@@ -331,18 +331,26 @@ class TestRunScenario:
         assert len(trace) == stats.pools_run == 20
         assert all(t["total_rs"] >= ref_params.pool_size for t in trace)
 
-    def test_merge_combines_replications(self, ref_geometry, ref_params,
-                                         ref_traffic, ref_deadlines):
-        kwargs = dict(alarms=[], horizon=30 * T_R, mode=Mode.ADAPTIVE)
-        a = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                         seed=10, **kwargs)
-        b = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                         seed=11, **kwargs)
-        total_rs = a.sum_rs + b.sum_rs
-        a.merge(b)
-        assert a.pools_run == 60
-        assert a.sum_rs == total_rs
-        assert a.kc_counts.sum() == 60
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_traced_pools_within_worst_case(self, mode):
+        # about 14 of 20 slots collide in a regular pool, either side of the
+        # threshold of 15, so both decisions occur, the regular ones with up
+        # to 14 frame chains; alarm events collide every slot
+        params = small_params(delta_c=15)
+        geometry = place_stations(params.n, 1000.0, seed=4)
+        process = AlarmProcess(prob_per_pool=0.2, template=AlarmScenario(
+            (0, 0), 4000.0, 0.0, UnitCorrelation()))
+        trace = []
+        run_scenario(geometry, params, RegularTrafficParams.from_reporting_interval(10.0),
+                     Deadlines(TAU_A, 60.0, 300.0), alarms=[], horizon=300 * T_R,
+                     mode=mode, seed=6, alarm_process=process, trace=trace)
+        assert {t["decision"] for t in trace} == {"regular", "alarm"}
+        assert {t["hypothesis"] for t in trace} == {"h0", "h1"}
+        assignment = GroupAssignment(n=params.n, omega=params.omega)
+        # the bound is a whole number of slots times the slot length
+        bound = round(worst_case_pool_duration(params, assignment, mode)
+                      / params.rs_duration)
+        assert max(t["total_rs"] for t in trace) <= bound
 
     def test_one_poll_per_station_and_alarm_supersedes_regular(self):
         # every station holds a regular report in every window (p_active is

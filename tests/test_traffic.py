@@ -7,8 +7,7 @@ from scipy import integrate
 
 from rspool import (ActivationCurve, AlarmScenario, ExpDecayCorrelation,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
-                    activation_curve, beta_pdf, fit_beta, place_stations,
-                    spatial_correlation)
+                    activation_curve, beta_pdf, fit_beta, place_stations)
 from rspool.traffic import AlarmTimeError
 
 
@@ -43,18 +42,18 @@ class TestPlacement:
 
 class TestSpatialCorrelation:
     def test_unit_model_is_constant(self):
-        assert spatial_correlation(UnitCorrelation(), 500.0) == 1.0
+        assert UnitCorrelation().factor(500.0) == 1.0
 
     def test_exp_decay_values(self):
         model = ExpDecayCorrelation(a=0.005)
-        assert spatial_correlation(model, 0.0) == pytest.approx(1.0)
-        assert spatial_correlation(model, 1000.0) == pytest.approx(math.exp(-5), rel=1e-12)
+        assert model.factor(0.0) == pytest.approx(1.0)
+        assert model.factor(1000.0) == pytest.approx(math.exp(-5), rel=1e-12)
 
     def test_sqrt_cap_boundaries(self):
         model = SqrtCapCorrelation(d_max=500.0)
-        assert spatial_correlation(model, 500.0) == 0.0
-        assert spatial_correlation(model, 0.0) == pytest.approx(1.0)
-        assert spatial_correlation(model, 600.0) == 0.0
+        assert model.factor(500.0) == 0.0
+        assert model.factor(0.0) == pytest.approx(1.0)
+        assert model.factor(600.0) == 0.0
 
     @pytest.mark.parametrize("model", [
         UnitCorrelation(),
@@ -65,15 +64,15 @@ class TestSpatialCorrelation:
     ])
     def test_bounded_and_non_increasing(self, model):
         d = np.linspace(0.0, 2000.0, 4001)
-        vals = spatial_correlation(model, d)
+        vals = model.factor(d)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_far_stations_get_zero_without_overflow_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert spatial_correlation(ExpDecayCorrelation(a=1e300), 1e300) == 0.0
-            assert spatial_correlation(SqrtCapCorrelation(d_max=500.0), 1e300) == 0.0
+            assert ExpDecayCorrelation(a=1e300).factor(1e300) == 0.0
+            assert SqrtCapCorrelation(d_max=500.0).factor(1e300) == 0.0
 
     @pytest.mark.parametrize("d_max", [0.0, float("nan"), float("inf"), 1e308])
     def test_sqrt_cap_reach_needs_a_finite_square(self, d_max):
@@ -89,10 +88,6 @@ class TestSpatialCorrelation:
     def test_on_demand_rate_must_be_non_negative(self, lambda_d):
         with pytest.raises(ValueError, match="on-demand rate"):
             RegularTrafficParams.from_reporting_interval(300.0, lambda_d)
-
-    def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            spatial_correlation(UnitCorrelation(), -1.0)
 
 
 class TestAlarmScenario:
