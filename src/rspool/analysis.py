@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .traffic import AlarmScenario, CellGeometry, RegularTrafficParams
 
@@ -209,6 +208,24 @@ def _resolve_prob(h: int, m: int, l: int) -> float:
     return num / l**m
 
 
+def _binom_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) probabilities of 0..n successes.
+
+    Each term is exp(log C(n, k) + k log p + (n - k) log(1 - p)) with the
+    binomial coefficient from log-gamma, so a term whose direct product p**k
+    underflows still comes out finite. p = 0 and p = 1 are exact point
+    masses; p outside [0, 1] gives NaN throughout.
+    """
+    k = np.arange(n + 1)
+    if p == 0.0 or p == 1.0:
+        return (k == (0 if p == 0.0 else n)).astype(float)
+    if not 0.0 < p < 1.0:
+        return np.full(n + 1, np.nan)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    return np.exp(log_fact[n] - log_fact - log_fact[::-1]
+                  + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
 @functools.lru_cache(maxsize=256)
 def truncated_active_dist(omega: int, p_a: float) -> np.ndarray:
     """Distribution of the number of contenders in a collided slot.
@@ -221,8 +238,7 @@ def truncated_active_dist(omega: int, p_a: float) -> np.ndarray:
         raise ValueError("omega must be at least 2 for a collision to exist")
     if not 0 < p_a < 1:
         raise ValueError("activity probability must lie strictly in (0, 1)")
-    m = np.arange(omega + 1)
-    pmf = stats.binom.pmf(m, omega, p_a)
+    pmf = _binom_pmf(omega, p_a)
     pmf[:2] = 0.0
     z = pmf.sum()
     if z <= 0:
@@ -283,7 +299,7 @@ def _conditional_collision_means(pool: int, p_c: float, delta_c: int,
     argument tuple: a frame search asks for the same figures once per
     candidate."""
     k = np.arange(pool + 1)
-    pmf = stats.binom.pmf(k, pool, p_c)
+    pmf = _binom_pmf(pool, p_c)
     lo = slice(0, min(max(delta_c, 0), pool + 1))
     hi = slice(min(max(delta_c, 0), pool + 1), pool + 1)
     mass_lo = float(pmf[lo].sum())

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
-from .analysis import ProtocolParams, frame_chain_cost
+from .analysis import ProtocolParams, _binom_pmf, frame_chain_cost
 from .traffic import (AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams,
                       ReportKind)
 
@@ -521,13 +520,15 @@ def kc_chi_square(kc_counts, pool_size: int, p_c: float) -> tuple[float, float, 
     Adjacent counts are pooled until every expected bin holds at least five
     samples. Returns (statistic, p_value, degrees_of_freedom).
     """
+    from scipy import stats  # imported here: no command path needs scipy.stats
+
     counts = np.asarray(kc_counts, dtype=float)
     observed = np.zeros(pool_size + 1)
     observed[:counts.size] = counts  # a histogram longer than the pool raises
     n = observed.sum()
     if n < 2:
         raise ValueError("need at least two pool samples")
-    expected = stats.binom.pmf(np.arange(pool_size + 1), pool_size, p_c) * n
+    expected = _binom_pmf(pool_size, p_c) * n
 
     obs_bins: list[float] = []
     exp_bins: list[float] = []

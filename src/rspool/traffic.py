@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import optimize, special
 
 
 class ReportKind(Enum):
@@ -251,6 +250,8 @@ def activation_curve(geometry: CellGeometry, scenario: AlarmScenario,
 
 def beta_pdf(t, alpha: float, beta: float, t_span: float):
     """Density of the bounded-support activation-time model on [0, t_span]."""
+    from scipy import special  # imported here: only `rspool traffic` needs scipy
+
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = (t >= 0) & (t <= t_span)
@@ -279,6 +280,8 @@ def fit_beta(curve: ActivationCurve) -> BetaFit:
     non-empty bin); shape parameters are fitted to the normalised histogram,
     starting from a method-of-moments guess.
     """
+    from scipy import optimize  # imported here: only `rspool traffic` needs scipy
+
     counts = curve.counts.astype(float)
     nz = np.nonzero(counts)[0]
     if nz.size < 2:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
                     SqrtCapCorrelation, UnitCorrelation, activity_prob_alarm,
@@ -13,7 +14,7 @@ from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
                     expected_costs, expected_frame_cost, frames_for,
                     naive_expected_cost, resolution_probs, resolve_prob,
                     truncated_active_dist)
-from rspool.analysis import no_singleton_placements
+from rspool.analysis import _binom_pmf, no_singleton_placements
 from tests.conftest import DC_PCT, L1, L2, N, OMEGA, P_H1, RS_DURATION, T_R
 
 P_A0 = 1 - math.exp(-0.01)  # reference regular activity per pool
@@ -258,16 +259,49 @@ class TestFrameCost:
         assert abs(cost.mean() - expected) / expected < 0.02
 
 
+PMF_NS = list(range(61)) + [100, 150, 200, 400, 1000]
+PMF_PS = [1e-4, 0.003, 0.0602, 0.25, 0.5, 0.77, 0.999]
+
+
+class TestBinomPmf:
+    """The package's own binomial pmf against scipy's, which serves as the
+    oracle: scipy stays a dependency, but the analysis path does not load it."""
+
+    @pytest.mark.parametrize("p", PMF_PS)
+    def test_matches_scipy(self, p):
+        for n in PMF_NS:
+            ref = stats.binom.pmf(np.arange(n + 1), n, p)
+            got = _binom_pmf(n, p)
+            shown = ref > 1e-290
+            np.testing.assert_allclose(got[shown], ref[shown], rtol=1e-11, atol=0,
+                                       err_msg=f"n={n}")
+            assert abs(got.sum() - 1.0) <= 1e-12, n
+
+    def test_finite_where_direct_product_underflows(self):
+        n, p = 150, 1e-4
+        k = np.arange(n + 1)
+        ref = stats.binom.pmf(k, n, p)
+        direct = np.array([math.comb(n, i) for i in k], dtype=float) * p**k * (1 - p) ** (n - k)
+        lost = (direct == 0.0) & (ref > 1e-290)
+        assert lost.any()
+        np.testing.assert_allclose(_binom_pmf(n, p)[lost], ref[lost], rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 200])
+    def test_certain_outcomes_are_point_masses(self, n):
+        # no log(0): the RuntimeWarning filter turns any warning into a failure
+        assert _binom_pmf(n, 0.0).tolist() == [1.0] + [0.0] * n
+        assert _binom_pmf(n, 1.0).tolist() == [0.0] * n + [1.0]
+
+    @pytest.mark.parametrize("p", [-1e-17, 1.5, float("nan")])
+    def test_outside_unit_interval_is_nan_like_scipy(self, p):
+        assert np.isnan(_binom_pmf(5, p)).all()
+        assert np.isnan(stats.binom.pmf(np.arange(6), 5, p)).all()
+
+
 def pmf_oracle(pool: int, p: float) -> np.ndarray:
-    """Independent binomial pmf via log-gamma, for conditional-mean checks."""
-    k = np.arange(pool + 1)
-    if p == 0.0:
-        out = np.zeros(pool + 1)
-        out[0] = 1.0
-        return out
-    logc = (math.lgamma(pool + 1) - np.array([math.lgamma(x + 1) for x in k])
-            - np.array([math.lgamma(pool - x + 1) for x in k]))
-    return np.exp(logc + k * math.log(p) + (pool - k) * math.log1p(-p))
+    """scipy's binomial pmf, independent of the package's, for conditional-mean
+    checks."""
+    return stats.binom.pmf(np.arange(pool + 1), pool, p)
 
 
 def branch_report(p_a0: float, p_a1: float, delta_c: int, n: int = N,

@@ -2,7 +2,10 @@ import configparser
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rspool.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_CELL = """
 [cell]
@@ -379,3 +384,33 @@ class TestSampleConfigs:
         for name in ("all_affected", "exp_decay", "sqrt_cap"):
             assert (tmp_path / f"activation_{name}.csv").exists()
             assert (tmp_path / f"fit_{name}.json").exists()
+
+
+# Runs four commands in one fresh interpreter and prints the scipy
+# submodules that are loaded afterwards.
+IMPORT_PROBE = """
+import sys
+from rspool.cli import main
+config, out = sys.argv[1:]
+for argv in (["analyze"], ["simulate", "--replications", "10"], ["sweep"],
+             ["compare-naive"]):
+    assert main([*argv, "--config", config, "--seed", "1", "--out", out]) == 0, argv
+print(sorted(m for m in ("scipy.stats", "scipy.optimize", "scipy.special")
+             if m in sys.modules))
+"""
+
+
+class TestImportPath:
+    def test_only_traffic_loads_scipy(self, tmp_path):
+        """scipy's submodules take about a second to import, so only the
+        Beta fit behind `rspool traffic` may load them; a module-level scipy
+        import anywhere in the package fails this."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE,
+             str(ROOT / "configs" / "reference_cell.ini"), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
