@@ -56,6 +56,19 @@ class ProtocolParams:
     def pool_size(self) -> int:
         return math.ceil(self.n / self.omega)
 
+    def group_slots(self, station_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Preallocated slot and in-group index of each station id: stations
+        are grouped by contiguous id, so station s holds slot s // omega."""
+        return np.divmod(np.asarray(station_ids), self.omega)
+
+    @property
+    def collidable_groups(self) -> int:
+        """Groups with two or more members. Every group but the last holds
+        omega stations; the last holds one exactly when n % omega == 1."""
+        if self.omega < 2:
+            return 0
+        return self.pool_size - (self.n % self.omega == 1)
+
     @property
     def delta_c_pct(self) -> float:
         return 100.0 * self.delta_c / self.pool_size
@@ -161,14 +174,35 @@ def activity_probs(traffic: RegularTrafficParams, t_r: float,
     return ActivityProbs(p_a0=p_a0, p_a1=p_a1)
 
 
+def _log1p_minus_x(x: float) -> float:
+    """log(1 + x) - x for x > -1, accurate where the difference cancels:
+    below |x| = 0.1 from its series, whose 16 terms reach double precision."""
+    if abs(x) >= 0.1:
+        return math.log1p(x) - x
+    term, total = x, 0.0
+    for k in range(2, 18):
+        term *= -x
+        total += term / k
+    return total
+
+
 def collision_prob(p_a: float, omega: int) -> float:
-    """Probability that two or more of the omega stations sharing a slot transmit."""
+    """Probability that two or more of the omega stations sharing a slot transmit.
+
+    That is 1 - (1 - p)^(omega-1) (1 + (omega-1) p). Its logarithm is
+    log1p(m p) - m p + m (log1p(-p) + p) with m = omega - 1: two terms of the
+    same sign, so nothing cancels even where the probability is far below
+    the rounding error of 1."""
     if not 0 <= p_a <= 1:
         raise ValueError("activity probability must lie in [0, 1]")
     if omega < 1:
         raise ValueError("omega must be at least 1")
-    q = 1.0 - p_a
-    return 1.0 - q**omega - omega * p_a * q ** (omega - 1)
+    if omega == 1 or p_a == 0.0:
+        return 0.0
+    if p_a == 1.0:
+        return 1.0
+    m = omega - 1
+    return -math.expm1(_log1p_minus_x(m * p_a) + m * _log1p_minus_x(-p_a))
 
 
 def no_singleton_placements(u: int, v: int) -> int:

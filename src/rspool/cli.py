@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, optimizer, simulator, traffic
 from .config import ConfigError, Experiment, load_experiment
-from .simulator import AlarmProcess, GroupAssignment, InfeasibleConfigError
+from .simulator import AlarmProcess, InfeasibleConfigError
 from .traffic import AlarmTimeError
 
 
@@ -56,9 +56,7 @@ def _require_seed(args) -> int:
 
 def cmd_traffic(args, exp: Experiment, out: Path) -> None:
     seed = _require_seed(args)
-    exp._require("cell")
-    n = exp._int("cell", "n_stations")
-    r = exp._float("cell", "radius_m")
+    n, r = exp.population()
     alarms = exp.alarms()
     if not alarms:
         raise CommandError("no scenarios: define at least one [alarm.*] section",
@@ -101,8 +99,7 @@ def cmd_analyze(args, exp: Experiment, out: Path) -> None:
         alarm = alarms[0][1]
         geometry = traffic.place_stations(cell.n_stations, cell.radius_m, args.seed)
     activity = analysis.activity_probs(cell.traffic, cell.protocol.t_r, alarm, geometry)
-    assignment = GroupAssignment(n=cell.n_stations, omega=cell.protocol.omega)
-    simulator.validate_deadline(cell.protocol, assignment, cell.deadlines)
+    simulator.validate_deadline(cell.protocol, cell.deadlines)
     report = analysis.expected_costs(cell.protocol, activity, p_h1)
     record = report.to_dict()
     record["params"] = {
@@ -174,11 +171,7 @@ def _sweep_base(exp: Experiment, seed) -> optimizer.SweepBase:
 
 def cmd_sweep(args, exp: Experiment, out: Path) -> None:
     seed = _require_seed(args)
-    opts = exp.sweep_options()
-    grid = optimizer.SweepGrid(omega_values=opts.omega_values,
-                               delta_c_pcts=opts.delta_c_pcts,
-                               l1_frac=opts.l1_frac, l2_frac=opts.l2_frac,
-                               simulate_pools=opts.simulate_pools)
+    grid = exp.sweep_options()
     ss = np.random.SeedSequence(seed)
     base_seed, sweep_seed = ss.spawn(2)
     base = _sweep_base(exp, base_seed)

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import ProtocolParams, delta_c_from_pct, frames_for
+from .optimizer import SweepGrid
 from .simulator import Mode
 from .traffic import (AlarmScenario, Deadlines, ExpDecayCorrelation,
                       RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation)
@@ -50,18 +51,15 @@ class SimulationOptions:
 
 
 @dataclass(frozen=True)
-class SweepOptions:
-    omega_values: tuple[int, ...]
-    delta_c_pcts: tuple[float, ...]
-    l1_frac: float | str
-    l2_frac: float | str
-    simulate_pools: int
-
-
-@dataclass(frozen=True)
 class CompareOptions:
     omega_values: tuple[int, ...]
     delta_c_pct: float
+
+    def __post_init__(self):
+        if not self.omega_values or min(self.omega_values) < 1:
+            raise ValueError("omega_values must list group sizes of at least 1")
+        if not 0 < self.delta_c_pct <= 100:
+            raise ValueError("delta_c_pct must lie in (0, 100]")
 
 
 class Experiment:
@@ -99,19 +97,25 @@ class Experiment:
 
     # -- typed sections ----------------------------------------------------
 
-    def cell(self) -> CellConfig:
+    def population(self) -> tuple[int, float]:
+        """The [cell] section's station count and radius (metres)."""
         self._require("cell")
-        self._require("traffic")
-        self._require("protocol")
         n = self._int("cell", "n_stations")
         r = self._float("cell", "radius_m")
-        if n < 1 or r <= 0:
-            raise ConfigError("cell.n_stations and cell.radius_m must be positive")
+        if not (n >= 1 and 0 < r < math.inf):
+            raise ConfigError("cell.n_stations and cell.radius_m must be positive "
+                              "(the radius finite)")
+        return n, r
+
+    def cell(self) -> CellConfig:
+        n, r = self.population()
+        self._require("traffic")
+        self._require("protocol")
 
         t_ri = self._float("traffic", "t_ri_s")
         lambda_d = self._float("traffic", "lambda_d_per_s", 0.0)
         try:
-            traffic = RegularTrafficParams.from_reporting_interval(t_ri, lambda_d)
+            traffic = RegularTrafficParams(t_ri, lambda_d)
         except ValueError as exc:
             raise ConfigError(f"invalid [traffic] section: {exc}") from exc
 
@@ -203,7 +207,7 @@ class Experiment:
             raise ConfigError("simulation.alarm_prob_per_pool must lie in [0, 1]")
         return opts
 
-    def sweep_options(self) -> SweepOptions:
+    def sweep_options(self) -> SweepGrid:
         self._require("sweep")
 
         def float_list(raw: str) -> tuple[float, ...]:
@@ -212,19 +216,24 @@ class Experiment:
         def frac(raw: str):
             return "search" if raw.strip().lower() == "search" else float(raw)
 
-        return SweepOptions(
-            omega_values=self._get("sweep", "omega_values", _int_list),
-            delta_c_pcts=self._get("sweep", "delta_c_pcts", float_list),
-            l1_frac=self._get("sweep", "l1_frac", frac, 0.6),
-            l2_frac=self._get("sweep", "l2_frac", frac, 0.4),
-            simulate_pools=self._int("sweep", "simulate_pools", 0))
+        try:  # the grid rejects bad axes with ValueError, naming the key
+            return SweepGrid(
+                omega_values=self._get("sweep", "omega_values", _int_list),
+                delta_c_pcts=self._get("sweep", "delta_c_pcts", float_list),
+                l1_frac=self._get("sweep", "l1_frac", frac, 0.6),
+                l2_frac=self._get("sweep", "l2_frac", frac, 0.4),
+                simulate_pools=self._int("sweep", "simulate_pools", 0))
+        except ValueError as exc:
+            raise ConfigError(f"invalid [sweep] section: {exc}") from exc
 
     def compare_options(self) -> CompareOptions:
         self._require("compare")
-
-        return CompareOptions(
-            omega_values=self._get("compare", "omega_values", _int_list),
-            delta_c_pct=self._float("compare", "delta_c_pct", 50.0))
+        try:
+            return CompareOptions(
+                omega_values=self._get("compare", "omega_values", _int_list),
+                delta_c_pct=self._float("compare", "delta_c_pct", 50.0))
+        except ValueError as exc:
+            raise ConfigError(f"invalid [compare] section: {exc}") from exc
 
 
 def load_experiment(path: str) -> Experiment:

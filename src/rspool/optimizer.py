@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analysis, simulator
 from .analysis import ActivityProbs, ProtocolParams, frames_for
-from .simulator import AlarmProcess, GroupAssignment, InfeasibleConfigError, Mode
+from .simulator import AlarmProcess, InfeasibleConfigError, Mode
 from .traffic import AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams
 
 DEFAULT_OMEGAS = (1, 10, 20, 30, 40, 50, 60, 80, 100, 150, 200)
@@ -51,13 +51,17 @@ class SweepGrid:
     simulate_pools: int = 0  # pools per grid point; 0 = analytical only
 
     def __post_init__(self):
-        if not self.omega_values or not self.delta_c_pcts:
-            raise ValueError("grid axes must be non-empty")
-        if self.simulate_pools < 0:
-            raise ValueError("simulated pool count cannot be negative")
+        if not self.omega_values or min(self.omega_values) < 1:
+            raise ValueError("omega_values must list group sizes of at least 1")
+        if not self.delta_c_pcts or not all(0 < p <= 100 for p in self.delta_c_pcts):
+            raise ValueError("delta_c_pcts must list percentages in (0, 100]")
         search = self.l1_frac == "search" or self.l2_frac == "search"
         if search and (self.l1_frac != "search" or self.l2_frac != "search"):
-            raise ValueError("frame fractions must be searched together")
+            raise ValueError("l1_frac and l2_frac must be searched together")
+        if not search and not (0 < self.l1_frac <= 1 and 0 < self.l2_frac <= 1):
+            raise ValueError("l1_frac and l2_frac must lie in (0, 1], or both be search")
+        if self.simulate_pools < 0:
+            raise ValueError("simulate_pools cannot be negative")
 
 
 @dataclass
@@ -99,8 +103,7 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
                     seed) -> SweepRow:
     try:
         params = _params(base, omega, delta_c_pct, l1, l2)
-        assignment = GroupAssignment(n=params.n, omega=omega)
-        simulator.validate_deadline(params, assignment, base.deadlines, Mode.ADAPTIVE)
+        simulator.validate_deadline(params, base.deadlines, Mode.ADAPTIVE)
     except (ValueError, InfeasibleConfigError):
         return SweepRow(omega=omega, delta_c_pct=delta_c_pct, l1=l1, l2=l2,
                         feasible=False)
@@ -124,29 +127,23 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
     return row
 
 
-def optimize_frame_fractions(base: SweepBase, omega: int, delta_c_pct: float,
-                             steps=FRACTION_STEPS) -> tuple[float, float]:
-    """Pick the frame-length fractions minimising the analytical cost, with
-    the second frame never longer than the first.
+def _searched_frames(base: SweepBase, omega: int, delta_c_pct: float) -> tuple[int, int]:
+    """Frame lengths minimising the analytical cost over the pairs that the
+    fractions FRACTION_STEPS reach, with the second frame never longer than
+    the first.
 
     Fraction pairs that round to the same frames cost the same, so each
-    distinct (l1, l2) is evaluated once, under the first pair that reaches
-    it; ties keep the first minimum in grid order."""
-    candidates: dict[tuple[int, int], tuple[float, float]] = {}
-    for f1 in steps:
-        for f2 in steps:
-            if f2 <= f1:
-                candidates.setdefault(frames_for(omega, f1, f2), (f1, f2))
-    best = (float("inf"), 0.6, 0.4)
-    for (l1, l2), (f1, f2) in candidates.items():
+    distinct (l1, l2) is evaluated once, in the order the grid first reaches
+    it; ties keep the first minimum, and with no feasible pair the 60/40
+    split is returned."""
+    pairs = dict.fromkeys(frames_for(omega, f1, f2) for f1 in FRACTION_STEPS
+                          for f2 in FRACTION_STEPS if f2 <= f1)
+    best, frames = math.inf, frames_for(omega, 0.6, 0.4)
+    for l1, l2 in pairs:
         row = _evaluate_point(base, omega, delta_c_pct, l1, l2, 0, None)
-        if row.feasible and row.e_c_analytical < best[0]:
-            best = (row.e_c_analytical, f1, f2)
-    return best[1], best[2]
-
-
-def _searched_frames(base: SweepBase, omega: int, delta_c_pct: float) -> tuple[int, int]:
-    return frames_for(omega, *optimize_frame_fractions(base, omega, delta_c_pct))
+        if row.feasible and row.e_c_analytical < best:
+            best, frames = row.e_c_analytical, (l1, l2)
+    return frames
 
 
 def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
@@ -169,7 +166,7 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
             if grid.l1_frac == "search":
                 l1, l2 = _searched_frames(base, omega, pct)
             else:
-                l1, l2 = frames_for(omega, float(grid.l1_frac), float(grid.l2_frac))
+                l1, l2 = frames_for(omega, grid.l1_frac, grid.l2_frac)
             point_seed = next(seeds) if seeds is not None else None
             rows.append(_evaluate_point(base, omega, pct, l1, l2,
                                         grid.simulate_pools, point_seed))

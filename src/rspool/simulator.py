@@ -10,7 +10,8 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import ProtocolParams, _binom_pmf, frame_chain_cost
+from .analysis import (ProtocolParams, _binom_pmf, activity_prob_regular,
+                       frame_chain_cost)
 from .traffic import (AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams,
                       ReportKind)
 
@@ -29,37 +30,7 @@ class InfeasibleConfigError(ValueError):
     """The deadline cannot be met even in the worst-case pool."""
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Contiguous identifier-based grouping of stations onto preallocated slots."""
-
-    n: int
-    omega: int
-
-    def __post_init__(self):
-        if self.n < 1 or not 1 <= self.omega <= self.n:
-            raise ValueError("need 1 <= omega <= n")
-
-    @property
-    def n_groups(self) -> int:
-        return math.ceil(self.n / self.omega)
-
-    def group_of(self, station_id) -> np.ndarray:
-        return np.asarray(station_id) // self.omega
-
-    def in_group_index(self, station_id) -> np.ndarray:
-        return np.asarray(station_id) % self.omega
-
-    @property
-    def collidable_groups(self) -> int:
-        """Groups with two or more members. Every group but the last holds
-        omega stations; the last holds one exactly when n % omega == 1."""
-        if self.omega < 2:
-            return 0
-        return self.n_groups - (self.n % self.omega == 1)
-
-
-def worst_case_pool_duration(params: ProtocolParams, assignment: GroupAssignment,
+def worst_case_pool_duration(params: ProtocolParams,
                              mode: Mode = Mode.ADAPTIVE) -> float:
     """Upper bound on the pool duration, accounting for the threshold branch.
 
@@ -68,7 +39,7 @@ def worst_case_pool_duration(params: ProtocolParams, assignment: GroupAssignment
     slot expands into the dedicated frame directly.
     """
     pool = params.pool_size
-    collidable = assignment.collidable_groups
+    collidable = params.collidable_groups
     if mode is Mode.NAIVE_CONTENTION_FREE:
         worst = pool + collidable * params.omega
     else:
@@ -79,10 +50,10 @@ def worst_case_pool_duration(params: ProtocolParams, assignment: GroupAssignment
     return worst * params.rs_duration
 
 
-def validate_deadline(params: ProtocolParams, assignment: GroupAssignment,
-                      deadlines: Deadlines, mode: Mode = Mode.ADAPTIVE) -> None:
+def validate_deadline(params: ProtocolParams, deadlines: Deadlines,
+                      mode: Mode = Mode.ADAPTIVE) -> None:
     """Reject configurations whose worst-case pool breaks the alarm deadline."""
-    worst = worst_case_pool_duration(params, assignment, mode)
+    worst = worst_case_pool_duration(params, mode)
     if not deadlines.tau_a > params.t_r + worst:
         raise InfeasibleConfigError(
             f"alarm deadline {deadlines.tau_a:g} s cannot cover the pool period "
@@ -102,8 +73,7 @@ class _Resolved:
 
 
 def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
-                   assignment: GroupAssignment, params: ProtocolParams,
-                   mode: Mode, rng) -> _Resolved:
+                   params: ProtocolParams, mode: Mode, rng) -> _Resolved:
     """Resolve the reports of `n_pools` independent pools together.
 
     Report i is held by `station[i]` in pool `pool[i]`; the reports are sorted
@@ -116,7 +86,9 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
     """
     g, omega, l1, l2 = params.pool_size, params.omega, params.l1, params.l2
     m = station.size
-    group = assignment.group_of(station)
+    # each report's preallocated slot, and its slot within the group's
+    # common-pool segment: the dedicated frame at its in-group index by default
+    group, rel = params.group_slots(station)
     gkey = pool * g + group
     first = np.ones(m, dtype=bool)
     first[1:] = gkey[1:] != gkey[:-1]
@@ -134,8 +106,6 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
 
     members = np.flatnonzero(collided[run_of])  # reports in collided groups
     cg_of = (np.cumsum(collided) - 1)[run_of]  # their collided group
-    # slot within the group's common-pool segment; the dedicated frame by default
-    rel = assignment.in_group_index(station)
     contenders = members[contends[cg_of[members]]]
     escalated = []
     for base, length in ((0, l1), (l1, l2)):
@@ -173,15 +143,15 @@ class PoolResult:
     resolved_slot: dict[int, int]  # station id -> index of its resolving slot
 
 
-def run_pool(active_stations, assignment: GroupAssignment,
-             params: ProtocolParams, mode: Mode, rng) -> PoolResult:
+def run_pool(active_stations, params: ProtocolParams, mode: Mode,
+             rng) -> PoolResult:
     """Execute one pool for the stations holding a pending report: the
     single-pool view of the batch resolver `run_scenario` uses."""
     active = np.unique(np.asarray(active_stations, dtype=int))
-    if active.size and (active[0] < 0 or active[-1] >= assignment.n):
+    if active.size and (active[0] < 0 or active[-1] >= params.n):
         raise ValueError("active station ids out of range")
-    res = _resolve_pools(np.zeros(active.size, dtype=int), active, 1,
-                         assignment, params, mode, rng)
+    res = _resolve_pools(np.zeros(active.size, dtype=int), active, 1, params,
+                         mode, rng)
     return PoolResult(k_c=int(res.k_c[0]),
                       decision=Decision.ALARM if res.alarm[0] else Decision.REGULAR,
                       total_rs=int(res.total_rs[0]),
@@ -421,14 +391,13 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
         raise ValueError("horizon must cover a finite number (>= 1) of pool periods")
     if geometry.n_stations != params.n:
         raise ValueError("geometry and protocol disagree on the station count")
-    assignment = GroupAssignment(n=params.n, omega=params.omega)
-    validate_deadline(params, assignment, deadlines, mode)
+    validate_deadline(params, deadlines, mode)
 
     rng = np.random.default_rng(seed)
     n = params.n
     t_r = params.t_r
     rs = params.rs_duration
-    p_active = 1.0 - math.exp(-traffic.total_rate * t_r)
+    p_active = activity_prob_regular(traffic.lambda_p, traffic.lambda_d, t_r)
     p_periodic = traffic.lambda_p / traffic.total_rate
     rate = traffic.total_rate
     deadline = np.array([deadlines.for_kind(kind) for kind in _KINDS])
@@ -471,7 +440,7 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
             last = key.size - 1 - last
             key, kind, t_gen = key[last], kind[last], t_gen[last]
         pool = key // n
-        res = _resolve_pools(pool, key % n, n_chunk, assignment, params, mode, rng)
+        res = _resolve_pools(pool, key % n, n_chunk, params, mode, rng)
 
         total = res.total_rs
         stats_acc.pools_run += n_chunk

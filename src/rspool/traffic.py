@@ -47,23 +47,21 @@ class CellGeometry:
 class RegularTrafficParams:
     """Per-station regular reporting: periodic (rate 1/t_ri) plus on-demand."""
 
-    lambda_p: float  # reports/s
-    lambda_d: float  # reports/s
-    t_ri: float      # s, periodic reporting interval
+    t_ri: float            # s, periodic reporting interval
+    lambda_d: float = 0.0  # reports/s
 
     def __post_init__(self):
-        if self.lambda_p <= 0 or self.t_ri <= 0:
-            raise ValueError("periodic rate and reporting interval must be positive")
+        # a finite interval whose reciprocal overflows (1e-320) has no rate
+        if not (0 < self.t_ri < math.inf and 1.0 / self.t_ri < math.inf):
+            raise ValueError("periodic reporting interval must be positive and "
+                             "finite, with a finite rate")
         if not self.lambda_d >= 0:
             raise ValueError("on-demand rate must be non-negative")
-        if abs(self.lambda_p * self.t_ri - 1.0) > 1e-9:
-            raise ValueError("lambda_p must equal 1/t_ri")
 
-    @classmethod
-    def from_reporting_interval(cls, t_ri: float, lambda_d: float = 0.0) -> "RegularTrafficParams":
-        if not t_ri > 0:
-            raise ValueError("periodic reporting interval must be positive")
-        return cls(lambda_p=1.0 / t_ri, lambda_d=lambda_d, t_ri=t_ri)
+    @property
+    def lambda_p(self) -> float:
+        """Periodic report rate, reports/s."""
+        return 1.0 / self.t_ri
 
     @property
     def total_rate(self) -> float:

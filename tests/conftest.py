@@ -26,7 +26,7 @@ P_H1 = 5e-3
 
 @pytest.fixture(scope="session")
 def ref_traffic() -> RegularTrafficParams:
-    return RegularTrafficParams.from_reporting_interval(T_RI, LAMBDA_D)
+    return RegularTrafficParams(T_RI, LAMBDA_D)
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,7 @@ def optimum_params() -> ProtocolParams:
 
 @pytest.fixture(scope="module")
 def traffic_params() -> RegularTrafficParams:
-    return RegularTrafficParams.from_reporting_interval(T_RI, LAMBDA_D)
+    return RegularTrafficParams(T_RI, LAMBDA_D)
 
 
 @pytest.fixture(scope="module")

@@ -89,6 +89,22 @@ class TestCollisionProb:
     def test_certain_activity_pair_always_collides(self):
         assert collision_prob(1.0, 2) == pytest.approx(1.0)
 
+    def test_exact_at_small_and_large_activity(self):
+        # P(>= 2) = 1 - q^omega - omega p q^(omega-1) in exact rationals of
+        # the float p; below p ~ 1e-8 the direct float form loses every digit
+        ps = [10.0 ** (-12 + 12 * i / 48) for i in range(48)] + [0.5, 0.9, 0.99]
+        for omega in [*range(2, 41), 50, 100, 200]:
+            for p in ps:
+                f = Fraction(p)
+                exact = 1 - (1 - f) ** omega - omega * f * (1 - f) ** (omega - 1)
+                got = collision_prob(p, omega)
+                assert got >= 0.0, (omega, p)
+                assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact, (omega, p)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 1.0])
+    def test_single_station_exactly_zero(self, p):
+        assert collision_prob(p, 1) == 0.0
+
     def test_against_monte_carlo_slot_draws(self):
         rng = np.random.default_rng(77)
         draws = rng.random((1_000_000, 8)) < 0.1
@@ -385,6 +401,14 @@ class TestExpectedCosts:
         report = expected_costs(params, ActivityProbs(P_A0, 0.9), P_H1)
         assert report.e_c == pytest.approx(N)
         assert report.e_c * RS_DURATION == pytest.approx(1.6)
+
+    def test_finite_at_tiny_regular_activity(self):
+        # p_c near 8e-22: every figure of the regular branch is finite
+        report = expected_costs(self.make_params(), ActivityProbs(1e-12, 0.1), P_H1)
+        for name in ("p_c_h0", "p_00", "p_10", "e_k_00", "e_c_00", "r1", "r2",
+                     "e_s", "e_c"):
+            assert math.isfinite(getattr(report, name)), name
+        assert report.p_c_h0 > 0.0 and report.p_00 == 1.0
 
     def test_silent_cell_costs_preallocated_pool_only(self):
         params = self.make_params()

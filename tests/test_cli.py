@@ -285,6 +285,23 @@ class TestAlarmSectionErrors:
         assert error_lines(capsys) == ["error:config-invalid"]
 
 
+def write_cell_with(tmp_path, section, key, value) -> Path:
+    """The small cell with one key of one section set to `value`."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(SMALL_CELL)
+    cp[section][key] = value
+    cfg = tmp_path / "cell.ini"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return cfg
+
+
+def config_invalid_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:config-invalid: "), lines
+    return lines[0]
+
+
 class TestSimulationSectionErrors:
     @pytest.mark.parametrize("key,value", [
         ("horizon_s", "0"), ("horizon_s", "-5"), ("horizon_s", "inf"),
@@ -295,17 +312,45 @@ class TestSimulationSectionErrors:
     ])
     @pytest.mark.parametrize("command", ["simulate", "traffic"])
     def test_exits_config_invalid(self, tmp_path, capsys, key, value, command):
-        cp = configparser.ConfigParser(interpolation=None)
-        cp.read_string(SMALL_CELL)
-        cp["simulation"][key] = value
-        cfg = tmp_path / "cell.ini"
-        with open(cfg, "w", encoding="utf-8") as fh:
-            cp.write(fh)
+        cfg = write_cell_with(tmp_path, "simulation", key, value)
         assert run_cli(command, "--config", str(cfg), "--seed", "1",
                        "--out", str(tmp_path / "o")) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:config-invalid: ")
-        assert f"simulation.{key}" in lines[0]
+        assert f"simulation.{key}" in config_invalid_line(capsys)
+
+
+class TestGridSectionErrors:
+    @pytest.mark.parametrize("section,key,value", [
+        ("sweep", "omega_values", "0 -3"), ("sweep", "omega_values", "10 0"),
+        ("sweep", "omega_values", ""), ("sweep", "delta_c_pcts", "150"),
+        ("sweep", "delta_c_pcts", "0 50"), ("sweep", "delta_c_pcts", "nan"),
+        ("sweep", "delta_c_pcts", ""), ("sweep", "l1_frac", "7"),
+        ("sweep", "l2_frac", "0"), ("sweep", "l1_frac", "nan"),
+        ("sweep", "l2_frac", "-0.4"), ("sweep", "l1_frac", "search"),
+        ("sweep", "simulate_pools", "-1"),
+        ("compare", "omega_values", "0 -3"), ("compare", "omega_values", ""),
+        ("compare", "delta_c_pct", "150"), ("compare", "delta_c_pct", "0"),
+        ("compare", "delta_c_pct", "nan"),
+    ])
+    def test_exits_config_invalid(self, tmp_path, capsys, section, key, value):
+        cfg = write_cell_with(tmp_path, section, key, value)
+        command = "sweep" if section == "sweep" else "compare-naive"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        line = config_invalid_line(capsys)
+        assert f"[{section}]" in line and key in line
+        assert not (tmp_path / "o").exists()
+
+
+class TestCellSectionErrors:
+    @pytest.mark.parametrize("key,value", [
+        ("n_stations", "0"), ("n_stations", "-3"), ("radius_m", "-5"),
+        ("radius_m", "0"), ("radius_m", "nan"), ("radius_m", "inf")])
+    @pytest.mark.parametrize("command", ["traffic", "analyze", "simulate"])
+    def test_exits_config_invalid(self, tmp_path, capsys, key, value, command):
+        cfg = write_cell_with(tmp_path, "cell", key, value)
+        assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        assert f"cell.{key}" in config_invalid_line(capsys)
 
 
 # values for the INI mutations: plain numbers, edge floats, words the schema
@@ -354,8 +399,10 @@ class TestErrorContract:
         work = tmp_path_factory.mktemp("prop")
         cfg = work / "cell.ini"
         cfg.write_text(text, encoding="utf-8")
-        # analyze reads the closed forms; simulate also reads arrival times
-        for command in (["analyze"], ["simulate", "--replications", "2"]):
+        # analyze reads the closed forms; simulate also reads arrival times;
+        # sweep and compare-naive read the [sweep] and [compare] grids
+        for command in (["analyze"], ["simulate", "--replications", "2"],
+                        ["sweep"], ["compare-naive"]):
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stderr(err):

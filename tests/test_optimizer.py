@@ -6,8 +6,7 @@ from rspool import (AlarmScenario, Deadlines, InfeasibleConfigError,
                     ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
                     SweepBase, SweepGrid, compare_naive, expected_costs,
                     frames_for, sweep)
-from rspool.optimizer import (FRACTION_STEPS, _evaluate_point, _searched_frames,
-                              optimize_frame_fractions)
+from rspool.optimizer import FRACTION_STEPS, _evaluate_point, _searched_frames
 from tests.conftest import N, P_H1, RS_DURATION, T_R
 
 
@@ -107,19 +106,15 @@ class TestSweep:
 
 
 class TestFrameFractionSearch:
-    def test_search_returns_ordered_fractions(self, base):
-        f1, f2 = optimize_frame_fractions(base, omega=20, delta_c_pct=50.0,
-                                          steps=(0.2, 0.4, 0.6, 0.8))
-        assert f2 <= f1
+    def test_search_returns_ordered_frames(self, base):
+        l1, l2 = _searched_frames(base, omega=20, delta_c_pct=50.0)
+        assert 1 <= l2 <= l1 < 20
 
     def test_search_not_worse_than_default_split(self, base):
-        f1, f2 = optimize_frame_fractions(base, omega=40, delta_c_pct=50.0,
-                                          steps=(0.2, 0.4, 0.6, 0.8, 1.0))
-        l1, l2 = frames_for(40, f1, f2)
+        l1, l2 = _searched_frames(base, omega=40, delta_c_pct=50.0)
         best = _evaluate_point(base, 40, 50.0, l1, l2, 0, None)
         default = _evaluate_point(base, 40, 50.0, 24, 16, 0, None)
         assert best.e_c_analytical <= default.e_c_analytical + 1e-9
-
 
     @pytest.mark.parametrize("omega", [1, 10, 40, 200])
     @pytest.mark.parametrize("pct", [10.0, 50.0, 90.0])
@@ -145,7 +140,7 @@ class TestCompareNaive:
         assert row.e_c_naive == pytest.approx(N)
 
     def test_vanishing_traffic_ratio_tends_to_one(self, ref_geometry, ref_deadlines):
-        quiet = RegularTrafficParams.from_reporting_interval(3.0e7, 0.0)
+        quiet = RegularTrafficParams(3.0e7, 0.0)
         base = SweepBase(geometry=ref_geometry, traffic=quiet,
                          deadlines=ref_deadlines, t_r=T_R,
                          rs_duration=RS_DURATION, p_h1=0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Decision,
-                    Deadlines, GroupAssignment, InfeasibleConfigError, Mode,
+                    Deadlines, InfeasibleConfigError, Mode,
                     ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
                     UnitCorrelation, activity_prob_regular, collision_prob,
                     expected_costs, kc_chi_square, place_stations, run_pool,
@@ -26,34 +26,40 @@ def small_params(**overrides):
     return ProtocolParams(**defaults)
 
 
-class TestGroupAssignment:
-    def test_contiguous_partition(self):
-        a = GroupAssignment(n=95, omega=10)
-        assert a.n_groups == 10
-        ids = np.arange(95)
-        groups = a.group_of(ids)
-        assert groups.min() == 0 and groups.max() == 9
-        sizes = np.bincount(groups).tolist()
-        assert sizes == [10] * 9 + [5]
-        np.testing.assert_array_equal(a.in_group_index(ids), ids % 10)
+def grouping(n, omega):
+    """Parameters that fix only the grouping: n stations in groups of omega."""
+    return ProtocolParams(n=n, omega=omega, delta_c=1, l1=1, l2=1, t_r=T_R,
+                          rs_duration=RS_DURATION)
+
+
+class TestGrouping:
+    def test_contiguous_partition(self, rng):
+        # a lone station resolves in its preallocated slot s // omega, also
+        # in the short last group of five
+        params = grouping(95, 10)
+        assert params.pool_size == 10
+        for s in range(95):
+            assert run_pool([s], params, Mode.ADAPTIVE, rng).resolved_slot == {s: s // 10}
+        # a collided group's members take the dedicated slots at s % omega
+        outcome = run_pool(np.arange(90, 95), params, Mode.ADAPTIVE, rng)
+        assert outcome.resolved_slot == {s: 10 + s % 10 for s in range(90, 95)}
 
     def test_collidable_counts_groups_with_two_plus_members(self):
-        assert GroupAssignment(n=21, omega=10).collidable_groups == 2
-        assert GroupAssignment(n=8, omega=1).collidable_groups == 0
+        assert grouping(21, 10).collidable_groups == 2
+        assert grouping(8, 1).collidable_groups == 0
 
     def test_collidable_matches_brute_force_count(self):
         for n in range(1, 61):
             for omega in range(1, n + 1):
                 sizes = np.bincount(np.arange(n) // omega)
-                assert GroupAssignment(n=n, omega=omega).collidable_groups \
+                assert grouping(n, omega).collidable_groups \
                     == int((sizes >= 2).sum()), (n, omega)
 
 
 class TestRunPool:
     def test_empty_pool(self, rng):
         params = small_params()
-        a = GroupAssignment(n=params.n, omega=params.omega)
-        outcome = run_pool([], a, params, Mode.ADAPTIVE, rng)
+        outcome = run_pool([], params, Mode.ADAPTIVE, rng)
         assert outcome.k_c == 0
         assert outcome.decision is Decision.REGULAR
         assert outcome.total_rs == params.pool_size
@@ -61,9 +67,8 @@ class TestRunPool:
 
     def test_one_station_per_group_resolves_in_own_slot(self, rng):
         params = small_params()
-        a = GroupAssignment(n=params.n, omega=params.omega)
         active = np.arange(0, params.n, params.omega)  # one per group
-        outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
+        outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
         assert outcome.k_c == 0
         assert outcome.total_rs == params.pool_size
         assert outcome.resolved_slot == {int(s): int(s) // params.omega for s in active}
@@ -71,8 +76,7 @@ class TestRunPool:
     def test_saturated_cell_goes_contention_free(self, rng):
         params = ProtocolParams(n=N, omega=OMEGA, delta_c=100, l1=24, l2=16,
                                 t_r=T_R, rs_duration=RS_DURATION)
-        a = GroupAssignment(n=N, omega=OMEGA)
-        outcome = run_pool(np.arange(N), a, params, Mode.ADAPTIVE, rng)
+        outcome = run_pool(np.arange(N), params, Mode.ADAPTIVE, rng)
         assert outcome.k_c == params.pool_size
         assert outcome.decision is Decision.ALARM
         assert outcome.total_rs == 200 + 200 * 40
@@ -82,9 +86,8 @@ class TestRunPool:
         # below the threshold each collided slot costs l1, l1 + l2 or
         # l1 + l2 + omega slots, and every resolving slot lies inside the pool
         params = small_params(delta_c=20)
-        a = GroupAssignment(n=params.n, omega=params.omega)
         active = np.flatnonzero(np.random.default_rng(4).random(params.n) < 0.2)
-        outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
+        outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
         assert outcome.decision is Decision.REGULAR and outcome.k_c > 0
         common = outcome.total_rs - params.pool_size
         assert outcome.k_c * params.l1 <= common
@@ -93,10 +96,9 @@ class TestRunPool:
 
     def test_decision_rule_is_exact_threshold(self, rng):
         params = small_params(delta_c=3)
-        a = GroupAssignment(n=params.n, omega=params.omega)
         for trial in range(40):
             active = np.flatnonzero(np.random.default_rng(trial).random(params.n) < 0.25)
-            outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
+            outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
             assert (outcome.decision is Decision.ALARM) == (outcome.k_c >= 3)
 
     # at delta_c = 8 every pool here declares the alarm regime; at 20 none
@@ -104,10 +106,9 @@ class TestRunPool:
     @pytest.mark.parametrize("delta_c", [8, 20])
     def test_all_active_stations_resolved(self, rng, delta_c):
         params = small_params(delta_c=delta_c)
-        a = GroupAssignment(n=params.n, omega=params.omega)
         for trial in range(25):
             active = np.flatnonzero(np.random.default_rng(100 + trial).random(params.n) < 0.3)
-            outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
+            outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
             assert (outcome.decision is Decision.ALARM) == (delta_c == 8)
             assert set(outcome.resolved_slot) == set(int(s) for s in active)
             assert max(outcome.resolved_slot.values()) < outcome.total_rs
@@ -116,24 +117,21 @@ class TestRunPool:
 
     def test_unsorted_duplicate_ids_count_once(self, rng):
         params = small_params()
-        a = GroupAssignment(n=params.n, omega=params.omega)
-        outcome = run_pool([45, 3, 45], a, params, Mode.ADAPTIVE, rng)
+        outcome = run_pool([45, 3, 45], params, Mode.ADAPTIVE, rng)
         assert outcome.k_c == 0
         assert outcome.resolved_slot == {3: 0, 45: 4}
 
     @pytest.mark.parametrize("ids", [[-1], [0, 200]])
     def test_out_of_range_ids_rejected(self, rng, ids):
         params = small_params()
-        a = GroupAssignment(n=params.n, omega=params.omega)
         with pytest.raises(ValueError, match="out of range"):
-            run_pool(ids, a, params, Mode.ADAPTIVE, rng)
+            run_pool(ids, params, Mode.ADAPTIVE, rng)
 
     def test_naive_mode_expands_every_collision_to_dedicated_frame(self, rng):
         params = small_params(delta_c=8)
-        a = GroupAssignment(n=params.n, omega=params.omega)
         # two colliding groups, below the adaptive threshold
         active = np.array([0, 1, 10, 11])
-        naive = run_pool(active, a, params, Mode.NAIVE_CONTENTION_FREE, rng)
+        naive = run_pool(active, params, Mode.NAIVE_CONTENTION_FREE, rng)
         assert naive.total_rs == params.pool_size + 2 * params.omega
         base = params.pool_size
         assert naive.resolved_slot == {0: base, 1: base + 1,
@@ -143,16 +141,14 @@ class TestRunPool:
     def test_adaptive_below_threshold_uses_contention_frames(self, rng):
         # l1 + l2 differs from omega, so the cost tells the branches apart
         params = small_params(delta_c=8, l1=5, l2=2)
-        a = GroupAssignment(n=params.n, omega=params.omega)
-        outcome = run_pool(np.array([0, 1]), a, params, Mode.ADAPTIVE, rng)
+        outcome = run_pool(np.array([0, 1]), params, Mode.ADAPTIVE, rng)
         assert outcome.total_rs - params.pool_size in (5, 5 + 2, 5 + 2 + params.omega)
         assert min(outcome.resolved_slot.values()) >= params.pool_size
 
     def test_alarm_branch_dedicates_slot_per_member_index(self, rng):
         params = small_params(delta_c=1)
-        a = GroupAssignment(n=params.n, omega=params.omega)
         active = np.array([20, 21, 22])
-        outcome = run_pool(active, a, params, Mode.ADAPTIVE, rng)
+        outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
         assert outcome.decision is Decision.ALARM
         assert outcome.total_rs == params.pool_size + params.omega
         base = params.pool_size
@@ -164,30 +160,26 @@ class TestFeasibility:
     def test_reference_configuration_is_feasible(self):
         params = ProtocolParams(n=N, omega=OMEGA, delta_c=100, l1=24, l2=16,
                                 t_r=T_R, rs_duration=RS_DURATION)
-        a = GroupAssignment(n=N, omega=OMEGA)
-        worst = worst_case_pool_duration(params, a)
+        worst = worst_case_pool_duration(params)
         # 200 dedicated expansions dominate 99 full escalations
         assert worst == pytest.approx((200 + 200 * 40) * RS_DURATION)
-        validate_deadline(params, a, Deadlines(TAU_A, 60.0, 300.0))
+        validate_deadline(params, Deadlines(TAU_A, 60.0, 300.0))
 
     def test_single_station_groups_cannot_collide(self):
         params = ProtocolParams(n=N, omega=1, delta_c=100, l1=1, l2=1,
                                 t_r=T_R, rs_duration=RS_DURATION)
-        a = GroupAssignment(n=N, omega=1)
-        assert worst_case_pool_duration(params, a) == pytest.approx(N * RS_DURATION)
-        validate_deadline(params, a, Deadlines(TAU_A, 60.0, 300.0))
+        assert worst_case_pool_duration(params) == pytest.approx(N * RS_DURATION)
+        validate_deadline(params, Deadlines(TAU_A, 60.0, 300.0))
 
     def test_tight_deadline_rejected(self):
         params = ProtocolParams(n=N, omega=OMEGA, delta_c=100, l1=24, l2=16,
                                 t_r=T_R, rs_duration=RS_DURATION)
-        a = GroupAssignment(n=N, omega=OMEGA)
         with pytest.raises(InfeasibleConfigError, match="worst-case"):
-            validate_deadline(params, a, Deadlines(4.0, 60.0, 300.0))
+            validate_deadline(params, Deadlines(4.0, 60.0, 300.0))
 
     def test_naive_worst_case(self):
         params = small_params()
-        a = GroupAssignment(n=params.n, omega=params.omega)
-        worst = worst_case_pool_duration(params, a, Mode.NAIVE_CONTENTION_FREE)
+        worst = worst_case_pool_duration(params, Mode.NAIVE_CONTENTION_FREE)
         assert worst == pytest.approx((20 + 20 * 10) * RS_DURATION)
 
 
@@ -227,8 +219,7 @@ class TestRunScenario:
         assert h0_run.unresolved_active == 0
 
     def test_gated_delay_bound(self, h0_run, ref_params, ref_deadlines):
-        a = GroupAssignment(n=N, omega=OMEGA)
-        bound = T_R + worst_case_pool_duration(ref_params, a)
+        bound = T_R + worst_case_pool_duration(ref_params)
         for kind, worst in h0_run.max_delay_by_kind.items():
             assert worst <= bound
 
@@ -341,14 +332,13 @@ class TestRunScenario:
         process = AlarmProcess(prob_per_pool=0.2, template=AlarmScenario(
             (0, 0), 4000.0, 0.0, UnitCorrelation()))
         trace = []
-        run_scenario(geometry, params, RegularTrafficParams.from_reporting_interval(10.0),
+        run_scenario(geometry, params, RegularTrafficParams(10.0),
                      Deadlines(TAU_A, 60.0, 300.0), alarms=[], horizon=300 * T_R,
                      mode=mode, seed=6, alarm_process=process, trace=trace)
         assert {t["decision"] for t in trace} == {"regular", "alarm"}
         assert {t["hypothesis"] for t in trace} == {"h0", "h1"}
-        assignment = GroupAssignment(n=params.n, omega=params.omega)
         # the bound is a whole number of slots times the slot length
-        bound = round(worst_case_pool_duration(params, assignment, mode)
+        bound = round(worst_case_pool_duration(params, mode)
                       / params.rs_duration)
         assert max(t["total_rs"] for t in trace) <= bound
 
@@ -358,7 +348,7 @@ class TestRunScenario:
         # brings an alarm to about 63% of them
         params = small_params()
         geometry = place_stations(params.n, 1000.0, seed=3)
-        traffic = RegularTrafficParams.from_reporting_interval(0.01)
+        traffic = RegularTrafficParams(0.01)
         alarm = AlarmScenario((0, 0), 4000.0, t_a=3.0, correlation=UnitCorrelation())
         stats = run_scenario(geometry, params, traffic,
                              Deadlines(TAU_A, 60.0, 300.0), alarms=[alarm],
@@ -404,7 +394,7 @@ class TestRunScenario:
                                template=AlarmScenario((1000.0, 0.0), 1000.0 / T_R, 0.0))
         trace = []
         stats = run_scenario(geometry, params,
-                             RegularTrafficParams.from_reporting_interval(1e9),
+                             RegularTrafficParams(1e9),
                              Deadlines(TAU_A, 60.0, 300.0), alarms=[],
                              horizon=(CHUNK_POOLS + 1) * T_R, mode=Mode.ADAPTIVE,
                              seed=23, alarm_process=process, trace=trace)
@@ -437,7 +427,7 @@ class TestRunScenario:
         tracemalloc.start()
         try:
             stats = run_scenario(ref_geometry, params,
-                                 RegularTrafficParams.from_reporting_interval(0.01),
+                                 RegularTrafficParams(0.01),
                                  Deadlines(50.0, 60.0, 300.0), alarms=[],
                                  horizon=40 * T_R, mode=Mode.ADAPTIVE, seed=6)
             peak = tracemalloc.get_traced_memory()[1]

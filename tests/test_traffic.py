@@ -79,15 +79,16 @@ class TestSpatialCorrelation:
         with pytest.raises(ValueError):
             SqrtCapCorrelation(d_max=d_max)
 
-    @pytest.mark.parametrize("t_ri", [0.0, -1.0, float("nan")])
+    # an infinite interval has rate 0; 1e-320's reciprocal overflows to inf
+    @pytest.mark.parametrize("t_ri", [0.0, -1.0, float("nan"), float("inf"), 1e-320])
     def test_reporting_interval_must_be_positive(self, t_ri):
         with pytest.raises(ValueError, match="reporting interval"):
-            RegularTrafficParams.from_reporting_interval(t_ri)
+            RegularTrafficParams(t_ri)
 
     @pytest.mark.parametrize("lambda_d", [-1.0, float("nan")])
     def test_on_demand_rate_must_be_non_negative(self, lambda_d):
         with pytest.raises(ValueError, match="on-demand rate"):
-            RegularTrafficParams.from_reporting_interval(300.0, lambda_d)
+            RegularTrafficParams(300.0, lambda_d)
 
 
 class TestAlarmScenario:
