@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -316,10 +317,13 @@ def frame_chain_cost(omega: int, l1: int, l2: int, reach_l2, reach_dedicated):
     return l1 + l2 * reach_l2 + omega * reach_dedicated
 
 
-def expected_frame_cost(omega: int, l1: int, l2: int, r1: float, r2: float) -> float:
+def expected_frame_cost(omega: int, l1, l2, r1, r2):
     """Expected slots spent resolving one collided slot: the second frame is
-    reached only if the first fails, the dedicated frame only if both fail."""
-    if not (0 <= r1 <= 1 and 0 <= r2 <= 1 and r1 + r2 <= 1 + 1e-12):
+    reached only if the first fails, the dedicated frame only if both fail.
+    Takes one frame pair or equal-length arrays of pairs, as
+    `frame_chain_cost` does."""
+    if not np.all((0 <= r1) & (r1 <= 1) & (0 <= r2) & (r2 <= 1)
+                  & (r1 + r2 <= 1 + 1e-12)):
         raise ValueError("resolution probabilities must be in [0,1] with r1+r2 <= 1")
     return frame_chain_cost(omega, l1, l2, 1.0 - r1, 1.0 - (r1 + r2))
 
@@ -330,8 +334,7 @@ def _conditional_collision_means(pool: int, p_c: float, delta_c: int,
     """Masses and conditional means of the collided-slot count below / at-or-
     above the threshold. Returns (mass_below, mean_below, mass_above, mean_above);
     means are NaN when the conditioning event has zero probability. Cached per
-    argument tuple: a frame search asks for the same figures once per
-    candidate."""
+    argument tuple: a sweep asks for the same figures at every frame pair."""
     k = np.arange(pool + 1)
     pmf = _binom_pmf(pool, p_c)
     lo = slice(0, min(max(delta_c, 0), pool + 1))
@@ -343,58 +346,122 @@ def _conditional_collision_means(pool: int, p_c: float, delta_c: int,
     return mass_lo, mean_lo, mass_hi, mean_hi
 
 
-def expected_costs(params: ProtocolParams, activity: ActivityProbs,
-                   p_h1: float) -> AnalysisReport:
-    """Assemble the full expected-cost report for one configuration.
+def _branch_cost(pool: int, e_k: float, per_collision):
+    """Pool cost of a branch whose collided slots (E[K] = e_k) each cost
+    `per_collision` slots; undefined (NaN) where the branch has no mass."""
+    if math.isnan(e_k):
+        return float("nan")
+    if e_k == 0.0:
+        return float(pool)
+    return pool + e_k * per_collision
 
-    Cost identities per pool (slots), with K the conditional collided-slot
-    count: contention-based resolution costs K*E[S] on top of the preallocated
-    pool; a declared alarm expands every collided slot into a dedicated
-    omega-slot frame; a missed alarm escalates through both contention frames
-    before the dedicated frame.
-    """
-    if not 0 <= p_h1 <= 1:
-        raise ValueError("alarm prior must lie in [0, 1]")
+
+def _weighted(p: float, c):
+    """A branch's share of the mix: zero-probability decision branches carry
+    no weight even though their conditional cost is undefined."""
+    return 0.0 if p == 0.0 else p * c
+
+
+@dataclass(frozen=True)
+class ThresholdBranches:
+    """The frame-independent part of the expected cost at one (omega,
+    delta_c): the per-slot collision probabilities, the masses and
+    conditional collided-slot means of the four (hypothesis, decision)
+    branches, and the costs of the two alarm-decision branches, which expand
+    every collided slot into a dedicated frame."""
+
+    pool: int
+    omega: int
+    p_a0: float
+    p_c_h0: float
+    p_c_h1: float
+    p_00: float
+    p_10: float
+    p_01: float
+    p_11: float
+    e_k_00: float
+    e_k_10: float
+    e_k_01: float
+    e_k_11: float
+    e_c_10: float
+    e_c_11: float
+
+    @property
+    def contends(self) -> bool:
+        """Whether a regular-regime collided slot has a defined contender
+        distribution, so that r1, r2 and E[S] exist."""
+        return self.omega >= 2 and 0 < self.p_a0 < 1 and self.p_c_h0 > 0.0
+
+
+def threshold_branches(params: ProtocolParams,
+                       activity: ActivityProbs) -> ThresholdBranches:
+    """Everything in the expected cost that the frames l1, l2 do not change."""
     pool = params.pool_size
     p_c_h0 = collision_prob(activity.p_a0, params.omega)
     p_c_h1 = collision_prob(activity.p_a1, params.omega)
-
-    mass00, ek00, mass10, ek10 = _conditional_collision_means(pool, p_c_h0, params.delta_c)
-    mass01, ek01, mass11, ek11 = _conditional_collision_means(pool, p_c_h1, params.delta_c)
-    p00, p10, p01, p11 = mass00, mass10, mass01, mass11
-
-    if params.omega >= 2 and 0 < activity.p_a0 < 1 and p_c_h0 > 0.0:
-        r1, r2 = resolution_probs(params.omega, params.l1, params.l2, activity.p_a0)
-        e_s = expected_frame_cost(params.omega, params.l1, params.l2, r1, r2)
-    else:
-        r1 = r2 = e_s = float("nan")
-
-    def cost(e_k: float, per_collision: float) -> float:
-        if math.isnan(e_k):
-            return float("nan")
-        if e_k == 0.0:
-            return float(pool)
-        return pool + e_k * per_collision
-
-    e_c_00 = cost(ek00, e_s)
-    e_c_10 = cost(ek10, params.omega)
-    e_c_01 = cost(ek01, frame_chain_cost(params.omega, params.l1, params.l2, 1, 1))
-    e_c_11 = cost(ek11, params.omega)
-
-    # zero-probability decision branches carry no weight even though their
-    # conditional cost is undefined
-    def term(p: float, c: float) -> float:
-        return 0.0 if p == 0.0 else p * c
-
-    e_c = (1.0 - p_h1) * (term(p00, e_c_00) + term(p10, e_c_10)) \
-        + p_h1 * (term(p01, e_c_01) + term(p11, e_c_11))
-
-    return AnalysisReport(
-        p_c_h0=p_c_h0, p_c_h1=p_c_h1,
-        p_00=p00, p_10=p10, p_01=p01, p_11=p11,
+    p00, ek00, p10, ek10 = _conditional_collision_means(pool, p_c_h0, params.delta_c)
+    p01, ek01, p11, ek11 = _conditional_collision_means(pool, p_c_h1, params.delta_c)
+    return ThresholdBranches(
+        pool=pool, omega=params.omega, p_a0=activity.p_a0,
+        p_c_h0=p_c_h0, p_c_h1=p_c_h1, p_00=p00, p_10=p10, p_01=p01, p_11=p11,
         e_k_00=ek00, e_k_10=ek10, e_k_01=ek01, e_k_11=ek11,
-        e_c_00=e_c_00, e_c_10=e_c_10, e_c_01=e_c_01, e_c_11=e_c_11,
-        e_c=e_c, p_h1=p_h1, r1=r1, r2=r2, e_s=e_s)
+        e_c_10=_branch_cost(pool, ek10, params.omega),
+        e_c_11=_branch_cost(pool, ek11, params.omega))
+
+
+class FrameCosts(NamedTuple):
+    r1: float
+    r2: float
+    e_s: float
+    e_c_00: float
+    e_c_01: float
+    e_c: float
+
+
+def frame_costs(branches: ThresholdBranches, l1, l2, p_h1: float) -> FrameCosts:
+    """The frame-dependent part of the expected cost on top of `branches`.
+
+    `l1`, `l2` are one frame pair, or equal-length integer arrays of pairs,
+    which give an array for each figure that depends on the frames. Cost
+    identities per pool (slots), with K the conditional collided-slot count:
+    contention-based resolution costs K*E[S] on top of the preallocated
+    pool; a missed alarm escalates through both contention frames before the
+    dedicated frame.
+    """
+    if not 0 <= p_h1 <= 1:
+        raise ValueError("alarm prior must lie in [0, 1]")
+    b, omega = branches, branches.omega
+    if not b.contends:
+        r1 = r2 = e_s = float("nan")
+    else:
+        if np.ndim(l1):
+            r = np.array([resolution_probs(omega, a, c, b.p_a0)
+                          for a, c in zip(l1.tolist(), l2.tolist())]).reshape(-1, 2)
+            r1, r2 = r[:, 0], r[:, 1]
+        else:
+            r1, r2 = resolution_probs(omega, l1, l2, b.p_a0)
+        e_s = expected_frame_cost(omega, l1, l2, r1, r2)
+    e_c_00 = _branch_cost(b.pool, b.e_k_00, e_s)
+    e_c_01 = _branch_cost(b.pool, b.e_k_01, frame_chain_cost(omega, l1, l2, 1, 1))
+    e_c = (1.0 - p_h1) * (_weighted(b.p_00, e_c_00) + _weighted(b.p_10, b.e_c_10)) \
+        + p_h1 * (_weighted(b.p_01, e_c_01) + _weighted(b.p_11, b.e_c_11))
+    return FrameCosts(r1=r1, r2=r2, e_s=e_s, e_c_00=e_c_00, e_c_01=e_c_01, e_c=e_c)
+
+
+def expected_costs(params: ProtocolParams, activity: ActivityProbs,
+                   p_h1: float) -> AnalysisReport:
+    """Assemble the full expected-cost report for one configuration: the
+    threshold branches, then the costs at the configuration's frames (a
+    declared alarm expands every collided slot into a dedicated omega-slot
+    frame)."""
+    b = threshold_branches(params, activity)
+    f = frame_costs(b, params.l1, params.l2, p_h1)
+    return AnalysisReport(
+        p_c_h0=b.p_c_h0, p_c_h1=b.p_c_h1,
+        p_00=b.p_00, p_10=b.p_10, p_01=b.p_01, p_11=b.p_11,
+        e_k_00=b.e_k_00, e_k_10=b.e_k_10, e_k_01=b.e_k_01, e_k_11=b.e_k_11,
+        e_c_00=f.e_c_00, e_c_10=b.e_c_10, e_c_01=f.e_c_01, e_c_11=b.e_c_11,
+        e_c=f.e_c, p_h1=p_h1, r1=f.r1, r2=f.r2, e_s=f.e_s)
 
 
 def naive_expected_cost(params: ProtocolParams, activity: ActivityProbs,

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import ProtocolParams, delta_c_from_pct, frames_for
-from .optimizer import SweepGrid
+from .optimizer import SweepGrid, _check_omega_values
 from .simulator import Mode
 from .traffic import (AlarmScenario, Deadlines, ExpDecayCorrelation,
                       RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation)
@@ -56,8 +56,7 @@ class CompareOptions:
     delta_c_pct: float
 
     def __post_init__(self):
-        if not self.omega_values or min(self.omega_values) < 1:
-            raise ValueError("omega_values must list group sizes of at least 1")
+        _check_omega_values(self.omega_values)
         if not 0 < self.delta_c_pct <= 100:
             raise ValueError("delta_c_pct must lie in (0, 100]")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,15 @@ class SweepBase:
                                        self.geometry)
 
 
+def _check_omega_values(omega_values) -> None:
+    """Group sizes of at least 1 that a float can hold: the frame fractions
+    multiply them."""
+    if not omega_values or min(omega_values) < 1:
+        raise ValueError("omega_values must list group sizes of at least 1")
+    if max(omega_values) > sys.float_info.max:
+        raise ValueError("omega_values must lie within the float range")
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     omega_values: tuple[int, ...] = DEFAULT_OMEGAS
@@ -51,8 +61,7 @@ class SweepGrid:
     simulate_pools: int = 0  # pools per grid point; 0 = analytical only
 
     def __post_init__(self):
-        if not self.omega_values or min(self.omega_values) < 1:
-            raise ValueError("omega_values must list group sizes of at least 1")
+        _check_omega_values(self.omega_values)
         if not self.delta_c_pcts or not all(0 < p <= 100 for p in self.delta_c_pcts):
             raise ValueError("delta_c_pcts must list percentages in (0, 100]")
         search = self.l1_frac == "search" or self.l2_frac == "search"
@@ -127,23 +136,48 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
     return row
 
 
-def _searched_frames(base: SweepBase, omega: int, delta_c_pct: float) -> tuple[int, int]:
-    """Frame lengths minimising the analytical cost over the pairs that the
-    fractions FRACTION_STEPS reach, with the second frame never longer than
-    the first.
-
-    Fraction pairs that round to the same frames cost the same, so each
-    distinct (l1, l2) is evaluated once, in the order the grid first reaches
-    it; ties keep the first minimum, and with no feasible pair the 60/40
-    split is returned."""
+@functools.lru_cache(maxsize=256)
+def _frame_pairs(omega: int) -> np.ndarray:
+    """The distinct (l1, l2) that the fractions FRACTION_STEPS reach at
+    group size omega, with the second fraction never above the first, as
+    the rows of a read-only (2, k) array in the order the grid first
+    reaches them: fraction pairs that round to the same frames cost the
+    same. Cached per omega."""
     pairs = dict.fromkeys(frames_for(omega, f1, f2) for f1 in FRACTION_STEPS
                           for f2 in FRACTION_STEPS if f2 <= f1)
-    best, frames = math.inf, frames_for(omega, 0.6, 0.4)
-    for l1, l2 in pairs:
-        row = _evaluate_point(base, omega, delta_c_pct, l1, l2, 0, None)
-        if row.feasible and row.e_c_analytical < best:
-            best, frames = row.e_c_analytical, (l1, l2)
-    return frames
+    table = np.array(list(pairs)).T.copy()
+    table.setflags(write=False)
+    return table
+
+
+def _searched_frames(base: SweepBase, omega: int, delta_c_pct: float) -> tuple[int, int]:
+    """Frame lengths minimising the analytical cost over the pairs
+    `_frame_pairs` lists.
+
+    One array pass scores every pair: the deadline rule gives the feasible
+    pairs, and the frame-dependent part of the cost is evaluated over them
+    on top of the point's threshold branches. Ties keep the first pair in
+    grid order; with no feasible pair of defined cost the 60/40 split is
+    returned."""
+    fallback = frames_for(omega, 0.6, 0.4)
+    try:  # the point's parameters; the candidate frames come as arrays
+        params = _params(base, omega, delta_c_pct, *fallback)
+    except ValueError:
+        return fallback
+    l1, l2 = _frame_pairs(omega)
+    worst = simulator.worst_case_pool_duration(params, Mode.ADAPTIVE, (l1, l2))
+    feasible = simulator.meets_deadline(params, base.deadlines, worst)
+    if not feasible.any():
+        return fallback
+    l1, l2 = l1[feasible], l2[feasible]
+    branches = analysis.threshold_branches(params, base.activity())
+    # one cost per pair, a NaN cost read as infinite: neither ever wins
+    e_c = np.fmin(analysis.frame_costs(branches, l1, l2, base.p_h1).e_c,
+                  np.full(l1.shape, math.inf))
+    best = int(np.argmin(e_c))
+    if e_c[best] == math.inf:
+        return fallback
+    return int(l1[best]), int(l2[best])
 
 
 def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:

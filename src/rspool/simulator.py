@@ -31,30 +31,39 @@ class InfeasibleConfigError(ValueError):
 
 
 def worst_case_pool_duration(params: ProtocolParams,
-                             mode: Mode = Mode.ADAPTIVE) -> float:
+                             mode: Mode = Mode.ADAPTIVE, frames=None):
     """Upper bound on the pool duration, accounting for the threshold branch.
 
     Below the threshold at most delta_c - 1 slots escalate through both
     contention frames plus the dedicated frame; at or above it every collided
-    slot expands into the dedicated frame directly.
+    slot expands into the dedicated frame directly. `frames` = (l1, l2)
+    replaces the params' own frames; integer arrays of candidate pairs give
+    an array of durations.
     """
+    l1, l2 = (params.l1, params.l2) if frames is None else frames
     pool = params.pool_size
     collidable = params.collidable_groups
     if mode is Mode.NAIVE_CONTENTION_FREE:
         worst = pool + collidable * params.omega
     else:
         below = pool + min(params.delta_c - 1, collidable) * frame_chain_cost(
-            params.omega, params.l1, params.l2, 1, 1)
+            params.omega, l1, l2, 1, 1)
         above = pool + collidable * params.omega
-        worst = max(below, above)
+        worst = np.maximum(below, above)
     return worst * params.rs_duration
+
+
+def meets_deadline(params: ProtocolParams, deadlines: Deadlines, worst):
+    """Whether the pool period plus a worst-case pool duration (one, or an
+    array of them) fits inside the alarm deadline."""
+    return deadlines.tau_a > params.t_r + worst
 
 
 def validate_deadline(params: ProtocolParams, deadlines: Deadlines,
                       mode: Mode = Mode.ADAPTIVE) -> None:
     """Reject configurations whose worst-case pool breaks the alarm deadline."""
     worst = worst_case_pool_duration(params, mode)
-    if not deadlines.tau_a > params.t_r + worst:
+    if not meets_deadline(params, deadlines, worst):
         raise InfeasibleConfigError(
             f"alarm deadline {deadlines.tau_a:g} s cannot cover the pool period "
             f"{params.t_r:g} s plus the worst-case pool duration {worst:g} s")

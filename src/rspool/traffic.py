@@ -29,8 +29,13 @@ class CellGeometry:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError("positions must be a non-empty (n, 2) array")
-        d = np.hypot(pos[:, 0], pos[:, 1])
-        if np.any(d > self.radius_m * (1 + 1e-12)):
+        # |p| > r (1 + 1e-12), compared squared in units of r: no square
+        # root, and no radius too large or small to square; a station far
+        # enough out to overflow the square is outside all the same
+        u = pos / self.radius_m
+        with np.errstate(over="ignore"):
+            outside = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] > (1 + 1e-12) ** 2
+        if np.any(outside):
             raise ValueError("all stations must lie inside the cell radius")
         object.__setattr__(self, "positions", pos)
 

@@ -14,7 +14,8 @@ from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
                     expected_costs, expected_frame_cost, frames_for,
                     naive_expected_cost, resolution_probs, resolve_prob,
                     truncated_active_dist)
-from rspool.analysis import _binom_pmf, no_singleton_placements
+from rspool.analysis import (_binom_pmf, frame_costs, no_singleton_placements,
+                             threshold_branches)
 from tests.conftest import DC_PCT, L1, L2, N, OMEGA, P_H1, RS_DURATION, T_R
 
 P_A0 = 1 - math.exp(-0.01)  # reference regular activity per pool
@@ -429,6 +430,24 @@ class TestExpectedCosts:
         # regression anchors for the full cost assembly
         assert report.e_c_00 == pytest.approx(500.8, abs=0.5)
         assert report.e_c == pytest.approx(538.1, abs=1.0)
+
+    @pytest.mark.parametrize("omega,p_a0,step", [
+        (2, P_A0, 1), (10, P_A0, 1), (40, P_A0, 3), (40, 0.0, 3), (200, 0.05, 23)])
+    def test_array_frames_give_the_scalar_report_bits(self, omega, p_a0, step):
+        # pairs 1 <= l2 <= l1 < omega (every step-th of each) at once,
+        # against one report each
+        activity = ActivityProbs(p_a0, 0.2)
+        l1, l2 = (np.array(v) for v in zip(*((a, b) for a in range(1, omega, step)
+                                            for b in range(1, a + 1, step))))
+        params = self.make_params(omega=omega, delta_c=3, l1=1, l2=1)
+        costs = frame_costs(threshold_branches(params, activity), l1, l2, P_H1)
+        for i, (a, b) in enumerate(zip(l1.tolist(), l2.tolist())):
+            report = expected_costs(self.make_params(omega=omega, delta_c=3, l1=a, l2=b),
+                                    activity, P_H1)
+            for name, value in costs._asdict().items():
+                got = np.broadcast_to(value, l1.shape)[i]
+                assert got == getattr(report, name) or \
+                    (math.isnan(got) and math.isnan(getattr(report, name))), name
 
     def test_decision_rows_sum_to_one(self):
         report = expected_costs(self.make_params(), ActivityProbs(P_A0, 0.5), P_H1)

@@ -330,6 +330,10 @@ class TestGridSectionErrors:
         ("compare", "omega_values", "0 -3"), ("compare", "omega_values", ""),
         ("compare", "delta_c_pct", "150"), ("compare", "delta_c_pct", "0"),
         ("compare", "delta_c_pct", "nan"),
+        # past the float range: the frame fractions multiply omega
+        ("sweep", "omega_values", "1" + "0" * 400),
+        ("sweep", "omega_values", "40 1" + "0" * 400),
+        ("compare", "omega_values", "1" + "0" * 400),
     ])
     def test_exits_config_invalid(self, tmp_path, capsys, section, key, value):
         cfg = write_cell_with(tmp_path, section, key, value)

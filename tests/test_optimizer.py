@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from rspool import analysis
 from rspool import (AlarmScenario, Deadlines, InfeasibleConfigError,
                     ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
                     SweepBase, SweepGrid, compare_naive, expected_costs,
                     frames_for, sweep)
-from rspool.optimizer import FRACTION_STEPS, _evaluate_point, _searched_frames
+from rspool.optimizer import (DEFAULT_DELTA_C_PCTS, DEFAULT_OMEGAS, FRACTION_STEPS,
+                              _evaluate_point, _searched_frames)
 from tests.conftest import N, P_H1, RS_DURATION, T_R
 
 
@@ -130,6 +132,76 @@ class TestFrameFractionSearch:
                 if row.feasible and row.e_c_analytical < best[0]:
                     best = (row.e_c_analytical, frames)
         assert _searched_frames(base, omega, pct) == best[1]
+
+    # the 11 x 5 reference grid, and the [compare] group sizes off it
+    @pytest.mark.parametrize("omega,pct", [
+        *((omega, pct) for omega in DEFAULT_OMEGAS for pct in DEFAULT_DELTA_C_PCTS),
+        (15, 50.0), (25, 50.0)])
+    def test_searched_frames_match_exhaustive_evaluation_on_reference_grid(
+            self, base, omega, pct):
+        self.test_searched_frames_match_exhaustive_evaluation(base, omega, pct)
+
+    def test_no_deadline_feasible_pair_keeps_default_split(
+            self, ref_geometry, ref_traffic):
+        # 2.51 s leaves 10 ms after the 2.5 s period, less than the 40 ms
+        # preallocated pool of omega = 40 alone
+        tight = Deadlines(tau_a=2.51, tau_d=60.0, tau_p=300.0)
+        base = SweepBase(geometry=ref_geometry, traffic=ref_traffic,
+                         deadlines=tight, t_r=T_R, rs_duration=RS_DURATION,
+                         p_h1=P_H1)
+        for l1, l2 in dict.fromkeys(frames_for(40, f1, f2) for f1 in FRACTION_STEPS
+                                    for f2 in FRACTION_STEPS if f2 <= f1):
+            assert not _evaluate_point(base, 40, 50.0, l1, l2, 0, None).feasible
+        assert _searched_frames(base, 40, 50.0) == (24, 16)
+
+    def test_undefined_costs_keep_default_split(self, base, monkeypatch):
+        # a regular-regime branch with mass but no defined mean leaves every
+        # pair's cost NaN
+        nan = float("nan")
+        monkeypatch.setattr(analysis, "_conditional_collision_means",
+                            lambda pool, p_c, delta_c: (1.0, nan, 0.0, nan))
+        assert math.isnan(_evaluate_point(base, 40, 50.0, 4, 4, 0, None).e_c_analytical)
+        assert _searched_frames(base, 40, 50.0) == (24, 16)
+
+    def test_equal_costs_keep_first_pair_in_grid_order(self, ref_geometry,
+                                                        ref_deadlines):
+        # activity rounds to zero: no slot ever collides, and every pair
+        # costs the bare pool
+        silent = RegularTrafficParams(1e18, 0.0)
+        base = SweepBase(geometry=ref_geometry, traffic=silent,
+                         deadlines=ref_deadlines, t_r=T_R,
+                         rs_duration=RS_DURATION, p_h1=0.0)
+        assert base.activity().p_a0 == 0.0
+        for frames in [(4, 4), (24, 16), (39, 39)]:
+            row = _evaluate_point(base, 40, 50.0, *frames, 0, None)
+            assert row.feasible and row.e_c_analytical == N / 40
+        assert _searched_frames(base, 40, 50.0) == frames_for(40, 0.1, 0.1) == (4, 4)
+
+    def test_single_station_groups(self, base):
+        assert _searched_frames(base, 1, 50.0) == (1, 1)
+        searched = sweep(SweepGrid(omega_values=(1,), delta_c_pcts=(50.0,),
+                                   l1_frac="search", l2_frac="search"), base)
+        assert searched.rows[0].e_c_analytical == pytest.approx(N)
+
+
+class TestSearchCost:
+    def test_searched_sweep_costs_each_row_once(self, base, monkeypatch):
+        # the search scores its candidates in one array pass per point; only
+        # the row of each point goes through expected_costs
+        calls = []
+        full_report = analysis.expected_costs
+
+        def counted(*args):
+            calls.append(args[0])
+            return full_report(*args)
+
+        monkeypatch.setattr(analysis, "expected_costs", counted)
+        grid = SweepGrid(l1_frac="search", l2_frac="search")
+        rows = sweep(grid, base).rows
+        assert all(r.feasible for r in rows)
+        assert len(calls) == len(rows) == len(DEFAULT_OMEGAS) * len(DEFAULT_DELTA_C_PCTS)
+        assert [(p.omega, p.l1, p.l2) for p in calls] == \
+            [(r.omega, r.l1, r.l2) for r in rows]
 
 
 class TestCompareNaive:

@@ -12,7 +12,7 @@ from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Decision,
                     expected_costs, kc_chi_square, place_stations, run_pool,
                     run_scenario, validate_deadline, worst_case_pool_duration)
 from rspool.analysis import ActivityProbs
-from rspool.simulator import CHUNK_POOLS
+from rspool.simulator import CHUNK_POOLS, meets_deadline
 from rspool.traffic import AlarmTimeError
 from tests.conftest import L1, L2, LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A
 
@@ -176,6 +176,23 @@ class TestFeasibility:
                                 t_r=T_R, rs_duration=RS_DURATION)
         with pytest.raises(InfeasibleConfigError, match="worst-case"):
             validate_deadline(params, Deadlines(4.0, 60.0, 300.0))
+
+    def test_frame_arrays_give_each_pair_its_worst_case(self):
+        params = ProtocolParams(n=N, omega=OMEGA, delta_c=150, l1=24, l2=16,
+                                t_r=T_R, rs_duration=RS_DURATION)
+        l1 = np.array([1, 24, 39, 39])
+        l2 = np.array([1, 16, 1, 39])
+        worst = worst_case_pool_duration(params, Mode.ADAPTIVE, (l1, l2))
+        deadlines = Deadlines(T_R + worst[1] + 1e-9, 60.0, 300.0)
+        for a, b, w in zip(l1.tolist(), l2.tolist(), worst):
+            pair = ProtocolParams(n=N, omega=OMEGA, delta_c=150, l1=a, l2=b,
+                                  t_r=T_R, rs_duration=RS_DURATION)
+            assert w == worst_case_pool_duration(pair)
+            fits = meets_deadline(pair, deadlines, w)
+            assert fits == (w <= worst[1])
+            if not fits:
+                with pytest.raises(InfeasibleConfigError, match="worst-case"):
+                    validate_deadline(pair, deadlines)
 
     def test_naive_worst_case(self):
         params = small_params()

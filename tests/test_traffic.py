@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rspool import (ActivationCurve, AlarmScenario, ExpDecayCorrelation,
+from rspool import (ActivationCurve, AlarmScenario, CellGeometry,
+                    ExpDecayCorrelation,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
                     activation_curve, beta_pdf, fit_beta, place_stations)
 from rspool.traffic import AlarmTimeError
@@ -38,6 +39,23 @@ class TestPlacement:
     def test_rejects_degenerate_cells(self, n, r):
         with pytest.raises(ValueError):
             place_stations(n, r, seed=1)
+
+
+class TestCellRadiusCheck:
+    @pytest.mark.parametrize("r", [1e-200, 1.0, 1000.0, 1e200])
+    def test_station_on_the_edge_accepted(self, r):
+        positions = [[r, 0.0], [0.0, -r], [0.6 * r, 0.8 * r], [0.0, 0.0]]
+        geom = CellGeometry(r, np.array(positions))
+        assert geom.n_stations == 4
+
+    @pytest.mark.parametrize("r", [1e-200, 1.0, 1000.0, 1e200])
+    @pytest.mark.parametrize("scale", [1 + 1e-9, 10.0, 1e200])
+    def test_station_past_the_edge_rejected(self, r, scale):
+        # extreme radii included: a squared norm in metres would underflow
+        # or overflow there
+        outside = np.array([[0.0, 0.0], [0.0, -r * scale]])
+        with pytest.raises(ValueError, match="inside the cell radius"):
+            CellGeometry(r, outside)
 
 
 class TestSpatialCorrelation:
