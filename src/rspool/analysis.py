@@ -8,7 +8,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,7 +105,9 @@ class ActivityProbs:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """All closed-form figures for one configuration (costs in slots)."""
+    """All closed-form figures for one configuration (costs in slots). Given
+    frame arrays, `expected_costs` fills the frame-dependent figures with
+    arrays."""
 
     p_c_h0: float
     p_c_h1: float
@@ -362,106 +363,53 @@ def _weighted(p: float, c):
     return 0.0 if p == 0.0 else p * c
 
 
-@dataclass(frozen=True)
-class ThresholdBranches:
-    """The frame-independent part of the expected cost at one (omega,
-    delta_c): the per-slot collision probabilities, the masses and
-    conditional collided-slot means of the four (hypothesis, decision)
-    branches, and the costs of the two alarm-decision branches, which expand
-    every collided slot into a dedicated frame."""
+def expected_costs(params: ProtocolParams, activity: ActivityProbs,
+                   p_h1: float, frames=None) -> AnalysisReport:
+    """The full expected-cost report for one configuration (slots per pool).
 
-    pool: int
-    omega: int
-    p_a0: float
-    p_c_h0: float
-    p_c_h1: float
-    p_00: float
-    p_10: float
-    p_01: float
-    p_11: float
-    e_k_00: float
-    e_k_10: float
-    e_k_01: float
-    e_k_11: float
-    e_c_10: float
-    e_c_11: float
-
-    @property
-    def contends(self) -> bool:
-        """Whether a regular-regime collided slot has a defined contender
-        distribution, so that r1, r2 and E[S] exist."""
-        return self.omega >= 2 and 0 < self.p_a0 < 1 and self.p_c_h0 > 0.0
-
-
-def threshold_branches(params: ProtocolParams,
-                       activity: ActivityProbs) -> ThresholdBranches:
-    """Everything in the expected cost that the frames l1, l2 do not change."""
-    pool = params.pool_size
-    p_c_h0 = collision_prob(activity.p_a0, params.omega)
-    p_c_h1 = collision_prob(activity.p_a1, params.omega)
-    p00, ek00, p10, ek10 = _conditional_collision_means(pool, p_c_h0, params.delta_c)
-    p01, ek01, p11, ek11 = _conditional_collision_means(pool, p_c_h1, params.delta_c)
-    return ThresholdBranches(
-        pool=pool, omega=params.omega, p_a0=activity.p_a0,
-        p_c_h0=p_c_h0, p_c_h1=p_c_h1, p_00=p00, p_10=p10, p_01=p01, p_11=p11,
-        e_k_00=ek00, e_k_10=ek10, e_k_01=ek01, e_k_11=ek11,
-        e_c_10=_branch_cost(pool, ek10, params.omega),
-        e_c_11=_branch_cost(pool, ek11, params.omega))
-
-
-class FrameCosts(NamedTuple):
-    r1: float
-    r2: float
-    e_s: float
-    e_c_00: float
-    e_c_01: float
-    e_c: float
-
-
-def frame_costs(branches: ThresholdBranches, l1, l2, p_h1: float) -> FrameCosts:
-    """The frame-dependent part of the expected cost on top of `branches`.
-
-    `l1`, `l2` are one frame pair, or equal-length integer arrays of pairs,
-    which give an array for each figure that depends on the frames. Cost
-    identities per pool (slots), with K the conditional collided-slot count:
-    contention-based resolution costs K*E[S] on top of the preallocated
-    pool; a missed alarm escalates through both contention frames before the
-    dedicated frame.
+    With K the conditional collided-slot count of a (hypothesis, decision)
+    branch: contention-based resolution costs K*E[S] on top of the
+    preallocated pool; a missed alarm escalates through both contention
+    frames before the dedicated frame; a declared alarm expands every
+    collided slot into a dedicated omega-slot frame. `frames` = (l1, l2)
+    replaces the params' own frames; equal-length integer arrays of
+    candidate pairs give an array for each figure the frames change (r1,
+    r2, e_s, e_c_00, e_c_01 and e_c), as in `worst_case_pool_duration`.
     """
     if not 0 <= p_h1 <= 1:
         raise ValueError("alarm prior must lie in [0, 1]")
-    b, omega = branches, branches.omega
-    if not b.contends:
-        r1 = r2 = e_s = float("nan")
-    else:
+    l1, l2 = (params.l1, params.l2) if frames is None else frames
+    pool, omega = params.pool_size, params.omega
+    p_c_h0 = collision_prob(activity.p_a0, omega)
+    p_c_h1 = collision_prob(activity.p_a1, omega)
+    p00, ek00, p10, ek10 = _conditional_collision_means(pool, p_c_h0, params.delta_c)
+    p01, ek01, p11, ek11 = _conditional_collision_means(pool, p_c_h1, params.delta_c)
+    # r1, r2 and E[S] exist only where a regular-regime collided slot has a
+    # contender distribution
+    if omega >= 2 and 0 < activity.p_a0 < 1 and p_c_h0 > 0.0:
         if np.ndim(l1):
-            r = np.array([resolution_probs(omega, a, c, b.p_a0)
+            r = np.array([resolution_probs(omega, a, c, activity.p_a0)
                           for a, c in zip(l1.tolist(), l2.tolist())]).reshape(-1, 2)
             r1, r2 = r[:, 0], r[:, 1]
         else:
-            r1, r2 = resolution_probs(omega, l1, l2, b.p_a0)
+            r1, r2 = resolution_probs(omega, l1, l2, activity.p_a0)
         e_s = expected_frame_cost(omega, l1, l2, r1, r2)
-    e_c_00 = _branch_cost(b.pool, b.e_k_00, e_s)
-    e_c_01 = _branch_cost(b.pool, b.e_k_01, frame_chain_cost(omega, l1, l2, 1, 1))
-    e_c = (1.0 - p_h1) * (_weighted(b.p_00, e_c_00) + _weighted(b.p_10, b.e_c_10)) \
-        + p_h1 * (_weighted(b.p_01, e_c_01) + _weighted(b.p_11, b.e_c_11))
-    return FrameCosts(r1=r1, r2=r2, e_s=e_s, e_c_00=e_c_00, e_c_01=e_c_01, e_c=e_c)
-
-
-def expected_costs(params: ProtocolParams, activity: ActivityProbs,
-                   p_h1: float) -> AnalysisReport:
-    """Assemble the full expected-cost report for one configuration: the
-    threshold branches, then the costs at the configuration's frames (a
-    declared alarm expands every collided slot into a dedicated omega-slot
-    frame)."""
-    b = threshold_branches(params, activity)
-    f = frame_costs(b, params.l1, params.l2, p_h1)
+    else:
+        r1 = r2 = e_s = float("nan")
+    e_c_00 = _branch_cost(pool, ek00, e_s)
+    e_c_10 = _branch_cost(pool, ek10, omega)
+    e_c_01 = _branch_cost(pool, ek01, frame_chain_cost(omega, l1, l2, 1, 1))
+    e_c_11 = _branch_cost(pool, ek11, omega)
+    e_c = (1.0 - p_h1) * (_weighted(p00, e_c_00) + _weighted(p10, e_c_10)) \
+        + p_h1 * (_weighted(p01, e_c_01) + _weighted(p11, e_c_11))
+    if np.ndim(l1):
+        r1, r2, e_s, e_c_00, e_c_01, e_c = (np.broadcast_to(x, np.shape(l1)) for x in
+                                            (r1, r2, e_s, e_c_00, e_c_01, e_c))
     return AnalysisReport(
-        p_c_h0=b.p_c_h0, p_c_h1=b.p_c_h1,
-        p_00=b.p_00, p_10=b.p_10, p_01=b.p_01, p_11=b.p_11,
-        e_k_00=b.e_k_00, e_k_10=b.e_k_10, e_k_01=b.e_k_01, e_k_11=b.e_k_11,
-        e_c_00=f.e_c_00, e_c_10=b.e_c_10, e_c_01=f.e_c_01, e_c_11=b.e_c_11,
-        e_c=f.e_c, p_h1=p_h1, r1=f.r1, r2=f.r2, e_s=f.e_s)
+        p_c_h0=p_c_h0, p_c_h1=p_c_h1, p_00=p00, p_10=p10, p_01=p01, p_11=p11,
+        e_k_00=ek00, e_k_10=ek10, e_k_01=ek01, e_k_11=ek11,
+        e_c_00=e_c_00, e_c_10=e_c_10, e_c_01=e_c_01, e_c_11=e_c_11,
+        e_c=e_c, p_h1=p_h1, r1=r1, r2=r2, e_s=e_s)
 
 
 def naive_expected_cost(params: ProtocolParams, activity: ActivityProbs,
@@ -470,9 +418,7 @@ def naive_expected_cost(params: ProtocolParams, activity: ActivityProbs,
     dedicated omega-slot frame, with no threshold decision."""
     if not 0 <= p_h1 <= 1:
         raise ValueError("alarm prior must lie in [0, 1]")
-    pool = params.pool_size
-    p_c_h0 = collision_prob(activity.p_a0, params.omega)
-    p_c_h1 = collision_prob(activity.p_a1, params.omega)
-    cost_h0 = pool + pool * p_c_h0 * params.omega
-    cost_h1 = pool + pool * p_c_h1 * params.omega
+    pool, omega = params.pool_size, params.omega
+    cost_h0, cost_h1 = (_branch_cost(pool, pool * collision_prob(p_a, omega), omega)
+                        for p_a in (activity.p_a0, activity.p_a1))
     return (1.0 - p_h1) * cost_h0 + p_h1 * cost_h1

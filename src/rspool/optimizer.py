@@ -3,6 +3,7 @@ collision threshold and contention frame lengths."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import sys
@@ -97,50 +98,11 @@ class SweepResult:
     simulated: bool = False
 
 
-def _params(base: SweepBase, omega: int, delta_c_pct: float,
-            l1: int, l2: int) -> ProtocolParams:
-    n = base.geometry.n_stations
-    return ProtocolParams(n=n, omega=omega,
-                          delta_c=analysis.delta_c_from_pct(
-                              delta_c_pct, math.ceil(n / omega)),
-                          l1=l1, l2=l2, t_r=base.t_r,
-                          rs_duration=base.rs_duration)
-
-
-def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
-                    l1: int, l2: int, simulate_pools: int,
-                    seed) -> SweepRow:
-    try:
-        params = _params(base, omega, delta_c_pct, l1, l2)
-        simulator.validate_deadline(params, base.deadlines, Mode.ADAPTIVE)
-    except (ValueError, InfeasibleConfigError):
-        return SweepRow(omega=omega, delta_c_pct=delta_c_pct, l1=l1, l2=l2,
-                        feasible=False)
-
-    activity = base.activity()
-    report = analysis.expected_costs(params, activity, base.p_h1)
-    row = SweepRow(omega=omega, delta_c_pct=delta_c_pct, l1=l1, l2=l2,
-                   feasible=True, e_c_analytical=report.e_c,
-                   p11=report.p_11, p10=report.p_10)
-
-    if simulate_pools > 0:
-        process = None
-        if base.alarm is not None and base.p_h1 > 0:
-            process = AlarmProcess(prob_per_pool=base.p_h1, template=base.alarm)
-        stats = simulator.run_scenario(
-            base.geometry, params, base.traffic, base.deadlines, alarms=[],
-            horizon=simulate_pools * base.t_r, mode=Mode.ADAPTIVE, seed=seed,
-            alarm_process=process)
-        row.e_c_simulated = stats.mean_rs_per_pool
-        row.e_c_simulated_stderr = stats.stderr_rs_per_pool
-    return row
-
-
 @functools.lru_cache(maxsize=256)
 def _frame_pairs(omega: int) -> np.ndarray:
     """The distinct (l1, l2) that the fractions FRACTION_STEPS reach at
     group size omega, with the second fraction never above the first, as
-    the rows of a read-only (2, k) array in the order the grid first
+    the columns of a read-only (2, k) array in the order the grid first
     reaches them: fraction pairs that round to the same frames cost the
     same. Cached per omega."""
     pairs = dict.fromkeys(frames_for(omega, f1, f2) for f1 in FRACTION_STEPS
@@ -150,40 +112,61 @@ def _frame_pairs(omega: int) -> np.ndarray:
     return table
 
 
-def _searched_frames(base: SweepBase, omega: int, delta_c_pct: float) -> tuple[int, int]:
-    """Frame lengths minimising the analytical cost over the pairs
-    `_frame_pairs` lists.
+def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
+                    l1_frac: float | str, l2_frac: float | str,
+                    ) -> tuple[SweepRow, ProtocolParams | None]:
+    """The analytical row of one grid point, at its cheapest frame pair.
 
-    One array pass scores every pair: the deadline rule gives the feasible
-    pairs, and the frame-dependent part of the cost is evaluated over them
-    on top of the point's threshold branches. Ties keep the first pair in
-    grid order; with no feasible pair of defined cost the 60/40 split is
-    returned."""
-    fallback = frames_for(omega, 0.6, 0.4)
-    try:  # the point's parameters; the candidate frames come as arrays
-        params = _params(base, omega, delta_c_pct, *fallback)
+    The candidates are the pair the fixed fractions give or, with both
+    fractions searched, the pairs `_frame_pairs` lists. One deadline mask
+    and one `expected_costs` call over the deadline-feasible pairs score
+    them; the first pair of least defined cost wins. With none, the row
+    keeps its default pair (the fixed pair, or the 60/40 split when
+    searching), feasible by the mask or not, at that pair's own cost.
+    Also returns the point's parameters, at the default frames, or None
+    when the point has none."""
+    if l1_frac == "search":
+        default, (l1, l2) = frames_for(omega, 0.6, 0.4), _frame_pairs(omega)
+    else:
+        default = frames_for(omega, l1_frac, l2_frac)
+        l1, l2 = np.array(default).reshape(2, 1)
+    row = SweepRow(omega=omega, delta_c_pct=delta_c_pct, l1=default[0],
+                   l2=default[1], feasible=False)
+    n = base.geometry.n_stations
+    try:
+        params = ProtocolParams(
+            n=n, omega=omega, l1=default[0], l2=default[1], t_r=base.t_r,
+            delta_c=analysis.delta_c_from_pct(delta_c_pct, math.ceil(n / omega)),
+            rs_duration=base.rs_duration)
     except ValueError:
-        return fallback
-    l1, l2 = _frame_pairs(omega)
+        return row, None
     worst = simulator.worst_case_pool_duration(params, Mode.ADAPTIVE, (l1, l2))
     feasible = simulator.meets_deadline(params, base.deadlines, worst)
     if not feasible.any():
-        return fallback
+        return row, params
     l1, l2 = l1[feasible], l2[feasible]
-    branches = analysis.threshold_branches(params, base.activity())
-    # one cost per pair, a NaN cost read as infinite: neither ever wins
-    e_c = np.fmin(analysis.frame_costs(branches, l1, l2, base.p_h1).e_c,
-                  np.full(l1.shape, math.inf))
+    report = analysis.expected_costs(params, base.activity(), base.p_h1,
+                                     frames=(l1, l2))
+    # a NaN cost read as infinite: it never wins
+    e_c = np.fmin(report.e_c, math.inf)
     best = int(np.argmin(e_c))
     if e_c[best] == math.inf:
-        return fallback
-    return int(l1[best]), int(l2[best])
+        at = np.flatnonzero((l1 == default[0]) & (l2 == default[1]))
+        if not at.size:
+            return row, params
+        best = int(at[0])
+    row.l1, row.l2, row.feasible = int(l1[best]), int(l2[best]), True
+    row.e_c_analytical = float(report.e_c[best])
+    row.p11, row.p10 = report.p_11, report.p_10
+    return row, params
 
 
 def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
     """Evaluate the expected pool cost and detection probabilities over the
     grid; returns all rows plus the cheapest feasible configuration (ties go
-    to the smaller group size, then the smaller threshold)."""
+    to the smaller group size, then the smaller threshold). A simulated
+    sweep also runs each feasible row's configuration for `simulate_pools`
+    pools."""
     simulated = grid.simulate_pools > 0
     if simulated and seed is None:
         raise ValueError("simulated sweeps need a seed")
@@ -191,19 +174,27 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
         ss = seed if isinstance(seed, np.random.SeedSequence) \
             else np.random.SeedSequence(seed)
         seeds = iter(ss.spawn(len(grid.omega_values) * len(grid.delta_c_pcts)))
-    else:
-        seeds = None
 
     rows: list[SweepRow] = []
     for omega in sorted(grid.omega_values):
         for pct in sorted(grid.delta_c_pcts):
-            if grid.l1_frac == "search":
-                l1, l2 = _searched_frames(base, omega, pct)
-            else:
-                l1, l2 = frames_for(omega, grid.l1_frac, grid.l2_frac)
-            point_seed = next(seeds) if seeds is not None else None
-            rows.append(_evaluate_point(base, omega, pct, l1, l2,
-                                        grid.simulate_pools, point_seed))
+            row, params = _evaluate_point(base, omega, pct, grid.l1_frac, grid.l2_frac)
+            rows.append(row)
+            if not simulated:
+                continue
+            point_seed = next(seeds)
+            if not row.feasible:
+                continue
+            process = None
+            if base.alarm is not None and base.p_h1 > 0:
+                process = AlarmProcess(prob_per_pool=base.p_h1, template=base.alarm)
+            stats = simulator.run_scenario(
+                base.geometry, dataclasses.replace(params, l1=row.l1, l2=row.l2),
+                base.traffic, base.deadlines, alarms=[],
+                horizon=grid.simulate_pools * base.t_r, mode=Mode.ADAPTIVE,
+                seed=point_seed, alarm_process=process)
+            row.e_c_simulated = stats.mean_rs_per_pool
+            row.e_c_simulated_stderr = stats.stderr_rs_per_pool
 
     feasible = [r for r in rows if r.feasible
                 and not math.isnan(r.selected_cost(simulated))]
@@ -243,15 +234,11 @@ def compare_naive(base: SweepBase, omega_values=DEFAULT_OMEGAS,
     activity = base.activity()
     rows: list[NaiveComparisonRow] = []
     for omega in sorted(omega_values):
-        l1, l2 = _searched_frames(base, omega, delta_c_pct)
-        adaptive = _evaluate_point(base, omega, delta_c_pct, l1, l2, 0, None)
-        if not adaptive.feasible:
-            continue
-        naive = analysis.naive_expected_cost(
-            _params(base, omega, delta_c_pct, l1, l2), activity, base.p_h1)
-        rows.append(NaiveComparisonRow(omega=omega,
-                                       e_c_adaptive=adaptive.e_c_analytical,
-                                       e_c_naive=naive))
+        row, params = _evaluate_point(base, omega, delta_c_pct, "search", "search")
+        if row.feasible:
+            rows.append(NaiveComparisonRow(
+                omega=omega, e_c_adaptive=row.e_c_analytical,
+                e_c_naive=analysis.naive_expected_cost(params, activity, base.p_h1)))
     if not rows:
         raise InfeasibleConfigError("every group size is infeasible")
     return NaiveComparison(rows=rows,

@@ -24,8 +24,8 @@ class CellGeometry:
     positions: np.ndarray  # shape (n, 2), metres
 
     def __post_init__(self):
-        if self.radius_m <= 0:
-            raise ValueError("cell radius must be positive")
+        if not 0 < self.radius_m < math.inf:
+            raise ValueError("cell radius must be positive and finite")
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError("positions must be a non-empty (n, 2) array")
@@ -37,6 +37,9 @@ class CellGeometry:
             outside = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] > (1 + 1e-12) ** 2
         if np.any(outside):
             raise ValueError("all stations must lie inside the cell radius")
+        # an infinite coordinate is outside; a NaN one compares as neither
+        if not np.isfinite(pos).all():
+            raise ValueError("station positions must be finite")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -220,8 +223,8 @@ def place_stations(n: int, r: float, seed) -> CellGeometry:
     """Draw n station positions i.i.d. uniform over the disk of radius r."""
     if n < 1:
         raise ValueError("need at least one station")
-    if r <= 0:
-        raise ValueError("cell radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("cell radius must be positive and finite")
     rng = np.random.default_rng(seed)
     # uniform over the disk: radial CDF d^2/r^2
     d = r * np.sqrt(rng.random(n))

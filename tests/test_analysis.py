@@ -14,8 +14,7 @@ from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
                     expected_costs, expected_frame_cost, frames_for,
                     naive_expected_cost, resolution_probs, resolve_prob,
                     truncated_active_dist)
-from rspool.analysis import (_binom_pmf, frame_costs, no_singleton_placements,
-                             threshold_branches)
+from rspool.analysis import _binom_pmf, no_singleton_placements
 from tests.conftest import DC_PCT, L1, L2, N, OMEGA, P_H1, RS_DURATION, T_R
 
 P_A0 = 1 - math.exp(-0.01)  # reference regular activity per pool
@@ -440,14 +439,17 @@ class TestExpectedCosts:
         l1, l2 = (np.array(v) for v in zip(*((a, b) for a in range(1, omega, step)
                                             for b in range(1, a + 1, step))))
         params = self.make_params(omega=omega, delta_c=3, l1=1, l2=1)
-        costs = frame_costs(threshold_branches(params, activity), l1, l2, P_H1)
+        costs = expected_costs(params, activity, P_H1, frames=(l1, l2))
+        per_pair = {"r1", "r2", "e_s", "e_c_00", "e_c_01", "e_c"}
+        for name, value in costs.__dict__.items():
+            assert np.shape(value) == (l1.shape if name in per_pair else ()), name
         for i, (a, b) in enumerate(zip(l1.tolist(), l2.tolist())):
             report = expected_costs(self.make_params(omega=omega, delta_c=3, l1=a, l2=b),
                                     activity, P_H1)
-            for name, value in costs._asdict().items():
-                got = np.broadcast_to(value, l1.shape)[i]
-                assert got == getattr(report, name) or \
-                    (math.isnan(got) and math.isnan(getattr(report, name))), name
+            for name, want in report.__dict__.items():
+                got = getattr(costs, name)
+                got = got[i] if name in per_pair else got
+                assert got == want or (math.isnan(got) and math.isnan(want)), name
 
     def test_decision_rows_sum_to_one(self):
         report = expected_costs(self.make_params(), ActivityProbs(P_A0, 0.5), P_H1)

@@ -1,15 +1,33 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from rspool import analysis
-from rspool import (AlarmScenario, Deadlines, InfeasibleConfigError,
+from rspool import analysis, simulator
+from rspool import (AlarmScenario, Deadlines, InfeasibleConfigError, Mode,
                     ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
                     SweepBase, SweepGrid, compare_naive, expected_costs,
                     frames_for, sweep)
 from rspool.optimizer import (DEFAULT_DELTA_C_PCTS, DEFAULT_OMEGAS, FRACTION_STEPS,
-                              _evaluate_point, _searched_frames)
+                              _evaluate_point, _frame_pairs)
 from tests.conftest import N, P_H1, RS_DURATION, T_R
+
+FRACTION_PAIRS = [(f1, f2) for f1 in FRACTION_STEPS for f2 in FRACTION_STEPS
+                  if f2 <= f1]
+
+
+def searched_row(base, omega, pct):
+    return _evaluate_point(base, omega, pct, "search", "search")[0]
+
+
+def fixed_row(base, omega, pct, l1_frac, l2_frac):
+    return _evaluate_point(base, omega, pct, l1_frac, l2_frac)[0]
+
+
+def tight_base(ref_geometry, ref_traffic, tau_a):
+    return SweepBase(geometry=ref_geometry, traffic=ref_traffic,
+                     deadlines=Deadlines(tau_a=tau_a, tau_d=60.0, tau_p=300.0),
+                     t_r=T_R, rs_duration=RS_DURATION, p_h1=P_H1)
 
 
 @pytest.fixture(scope="module")
@@ -109,59 +127,63 @@ class TestSweep:
 
 class TestFrameFractionSearch:
     def test_search_returns_ordered_frames(self, base):
-        l1, l2 = _searched_frames(base, omega=20, delta_c_pct=50.0)
-        assert 1 <= l2 <= l1 < 20
+        row = searched_row(base, 20, 50.0)
+        assert row.feasible and 1 <= row.l2 <= row.l1 < 20
 
     def test_search_not_worse_than_default_split(self, base):
-        l1, l2 = _searched_frames(base, omega=40, delta_c_pct=50.0)
-        best = _evaluate_point(base, 40, 50.0, l1, l2, 0, None)
-        default = _evaluate_point(base, 40, 50.0, 24, 16, 0, None)
+        best = searched_row(base, 40, 50.0)
+        default = fixed_row(base, 40, 50.0, 0.6, 0.4)
+        assert (default.l1, default.l2) == (24, 16)
         assert best.e_c_analytical <= default.e_c_analytical + 1e-9
 
     @pytest.mark.parametrize("omega", [1, 10, 40, 200])
     @pytest.mark.parametrize("pct", [10.0, 50.0, 90.0])
-    def test_searched_frames_match_exhaustive_evaluation(self, base, omega, pct):
-        # every fraction pair evaluated, duplicates included; first minimum wins
+    def test_frame_search_matches_exhaustive_evaluation(self, base, omega, pct):
+        # every fraction pair evaluated on its own, duplicates included;
+        # first minimum wins
         best = (math.inf, frames_for(omega, 0.6, 0.4))
-        for f1 in FRACTION_STEPS:
-            for f2 in FRACTION_STEPS:
-                if f2 > f1:
-                    continue
-                frames = frames_for(omega, f1, f2)
-                row = _evaluate_point(base, omega, pct, *frames, 0, None)
-                if row.feasible and row.e_c_analytical < best[0]:
-                    best = (row.e_c_analytical, frames)
-        assert _searched_frames(base, omega, pct) == best[1]
+        for fractions in FRACTION_PAIRS:
+            row = fixed_row(base, omega, pct, *fractions)
+            if row.feasible and row.e_c_analytical < best[0]:
+                best = (row.e_c_analytical, (row.l1, row.l2))
+        found = searched_row(base, omega, pct)
+        assert (found.l1, found.l2) == best[1]
+        if best[0] < math.inf:
+            assert found.e_c_analytical == best[0]
 
     # the 11 x 5 reference grid, and the [compare] group sizes off it
     @pytest.mark.parametrize("omega,pct", [
         *((omega, pct) for omega in DEFAULT_OMEGAS for pct in DEFAULT_DELTA_C_PCTS),
         (15, 50.0), (25, 50.0)])
-    def test_searched_frames_match_exhaustive_evaluation_on_reference_grid(
+    def test_frame_search_matches_exhaustive_evaluation_on_reference_grid(
             self, base, omega, pct):
-        self.test_searched_frames_match_exhaustive_evaluation(base, omega, pct)
+        self.test_frame_search_matches_exhaustive_evaluation(base, omega, pct)
 
     def test_no_deadline_feasible_pair_keeps_default_split(
             self, ref_geometry, ref_traffic):
         # 2.51 s leaves 10 ms after the 2.5 s period, less than the 40 ms
         # preallocated pool of omega = 40 alone
-        tight = Deadlines(tau_a=2.51, tau_d=60.0, tau_p=300.0)
-        base = SweepBase(geometry=ref_geometry, traffic=ref_traffic,
-                         deadlines=tight, t_r=T_R, rs_duration=RS_DURATION,
-                         p_h1=P_H1)
-        for l1, l2 in dict.fromkeys(frames_for(40, f1, f2) for f1 in FRACTION_STEPS
-                                    for f2 in FRACTION_STEPS if f2 <= f1):
-            assert not _evaluate_point(base, 40, 50.0, l1, l2, 0, None).feasible
-        assert _searched_frames(base, 40, 50.0) == (24, 16)
+        base = tight_base(ref_geometry, ref_traffic, 2.51)
+        for fractions in FRACTION_PAIRS:
+            row = fixed_row(base, 40, 50.0, *fractions)
+            assert not row.feasible
+            assert (row.l1, row.l2) == frames_for(40, *fractions)
+        row = searched_row(base, 40, 50.0)
+        assert not row.feasible and (row.l1, row.l2) == (24, 16)
 
     def test_undefined_costs_keep_default_split(self, base, monkeypatch):
         # a regular-regime branch with mass but no defined mean leaves every
-        # pair's cost NaN
+        # pair's cost NaN; the 60/40 split is deadline-feasible, so the row
+        # stays feasible there, at its own (NaN) cost
         nan = float("nan")
         monkeypatch.setattr(analysis, "_conditional_collision_means",
                             lambda pool, p_c, delta_c: (1.0, nan, 0.0, nan))
-        assert math.isnan(_evaluate_point(base, 40, 50.0, 4, 4, 0, None).e_c_analytical)
-        assert _searched_frames(base, 40, 50.0) == (24, 16)
+        fixed = fixed_row(base, 40, 50.0, 0.1, 0.1)
+        assert fixed.feasible and (fixed.l1, fixed.l2) == (4, 4)
+        assert math.isnan(fixed.e_c_analytical)
+        row = searched_row(base, 40, 50.0)
+        assert row.feasible and (row.l1, row.l2) == (24, 16)
+        assert math.isnan(row.e_c_analytical)
 
     def test_equal_costs_keep_first_pair_in_grid_order(self, ref_geometry,
                                                         ref_deadlines):
@@ -172,36 +194,74 @@ class TestFrameFractionSearch:
                          deadlines=ref_deadlines, t_r=T_R,
                          rs_duration=RS_DURATION, p_h1=0.0)
         assert base.activity().p_a0 == 0.0
-        for frames in [(4, 4), (24, 16), (39, 39)]:
-            row = _evaluate_point(base, 40, 50.0, *frames, 0, None)
+        for fractions, frames in [((0.1, 0.1), (4, 4)), ((0.6, 0.4), (24, 16)),
+                                  ((1.0, 1.0), (39, 39))]:
+            row = fixed_row(base, 40, 50.0, *fractions)
+            assert (row.l1, row.l2) == frames
             assert row.feasible and row.e_c_analytical == N / 40
-        assert _searched_frames(base, 40, 50.0) == frames_for(40, 0.1, 0.1) == (4, 4)
+        row = searched_row(base, 40, 50.0)
+        assert (row.l1, row.l2) == frames_for(40, 0.1, 0.1) == (4, 4)
 
     def test_single_station_groups(self, base):
-        assert _searched_frames(base, 1, 50.0) == (1, 1)
+        row = searched_row(base, 1, 50.0)
+        assert (row.l1, row.l2) == (1, 1)
         searched = sweep(SweepGrid(omega_values=(1,), delta_c_pcts=(50.0,),
                                    l1_frac="search", l2_frac="search"), base)
         assert searched.rows[0].e_c_analytical == pytest.approx(N)
 
 
+@pytest.fixture
+def costed(monkeypatch):
+    """The (params, frames) of every expected_costs call."""
+    calls = []
+    full_report = analysis.expected_costs
+
+    def counted(params, activity, p_h1, frames=None):
+        calls.append((params, frames))
+        return full_report(params, activity, p_h1, frames=frames)
+
+    monkeypatch.setattr(analysis, "expected_costs", counted)
+    return calls
+
+
 class TestSearchCost:
-    def test_searched_sweep_costs_each_row_once(self, base, monkeypatch):
-        # the search scores its candidates in one array pass per point; only
-        # the row of each point goes through expected_costs
-        calls = []
-        full_report = analysis.expected_costs
-
-        def counted(*args):
-            calls.append(args[0])
-            return full_report(*args)
-
-        monkeypatch.setattr(analysis, "expected_costs", counted)
+    def test_searched_sweep_costs_each_point_once(self, base, costed):
+        # one expected_costs call per grid point scores every candidate
+        # pair at once; the row reads its cost from that call
         grid = SweepGrid(l1_frac="search", l2_frac="search")
         rows = sweep(grid, base).rows
         assert all(r.feasible for r in rows)
-        assert len(calls) == len(rows) == len(DEFAULT_OMEGAS) * len(DEFAULT_DELTA_C_PCTS)
-        assert [(p.omega, p.l1, p.l2) for p in calls] == \
-            [(r.omega, r.l1, r.l2) for r in rows]
+        assert len(costed) == len(rows) == len(DEFAULT_OMEGAS) * len(DEFAULT_DELTA_C_PCTS)
+        for (params, (l1, l2)), row in zip(costed, rows):
+            assert params.omega == row.omega
+            assert (row.l1, row.l2) in set(zip(l1.tolist(), l2.tolist()))
+
+    def test_search_costs_only_deadline_feasible_pairs(self, ref_geometry,
+                                                       ref_traffic, costed):
+        # at omega = 40, delta_c = 90 % the worst case grows with l1 + l2,
+        # and 3 s of slack after the period admits only the shorter pairs
+        base = tight_base(ref_geometry, ref_traffic, 5.5)
+        row = searched_row(base, 40, 90.0)
+        [(params, (l1, l2))] = costed
+        worst = simulator.worst_case_pool_duration(params, Mode.ADAPTIVE, (l1, l2))
+        assert simulator.meets_deadline(params, base.deadlines, worst).all()
+        assert 0 < l1.size < _frame_pairs(40).shape[1]
+        assert row.feasible and (row.l1, row.l2) in set(zip(l1.tolist(), l2.tolist()))
+
+    def test_searched_simulated_sweep_runs_the_row_frames(self, base, monkeypatch):
+        runs = []
+
+        def stub(geometry, params, *args, **kwargs):
+            runs.append(params)
+            return SimpleNamespace(mean_rs_per_pool=1.5, stderr_rs_per_pool=0.5)
+
+        monkeypatch.setattr(simulator, "run_scenario", stub)
+        grid = SweepGrid(omega_values=(40,), delta_c_pcts=(50.0,),
+                         l1_frac="search", l2_frac="search", simulate_pools=3)
+        row = sweep(grid, base, seed=7).rows[0]
+        assert (row.l1, row.l2) != frames_for(40, 0.6, 0.4)
+        assert [(p.omega, p.l1, p.l2) for p in runs] == [(40, row.l1, row.l2)]
+        assert (row.e_c_simulated, row.e_c_simulated_stderr) == (1.5, 0.5)
 
 
 class TestCompareNaive:

@@ -35,7 +35,8 @@ class TestPlacement:
         b = place_stations(100, 50.0, seed=7)
         np.testing.assert_array_equal(a.positions, b.positions)
 
-    @pytest.mark.parametrize("n,r", [(0, 10.0), (5, 0.0), (5, -1.0)])
+    @pytest.mark.parametrize("n,r", [(0, 10.0), (5, 0.0), (5, -1.0),
+                                     (3, math.inf), (3, math.nan)])
     def test_rejects_degenerate_cells(self, n, r):
         with pytest.raises(ValueError):
             place_stations(n, r, seed=1)
@@ -56,6 +57,13 @@ class TestCellRadiusCheck:
         outside = np.array([[0.0, 0.0], [0.0, -r * scale]])
         with pytest.raises(ValueError, match="inside the cell radius"):
             CellGeometry(r, outside)
+
+    @pytest.mark.parametrize("r,positions", [
+        (math.nan, [[0.0, 0.0]]), (math.inf, [[0.0, 0.0]]),
+        (1.0, [[math.nan, 0.0]]), (1.0, [[0.0, 0.0], [0.0, math.nan]])])
+    def test_non_finite_cell_rejected(self, r, positions):
+        with pytest.raises(ValueError, match="finite"):
+            CellGeometry(r, np.array(positions))
 
 
 class TestSpatialCorrelation:
