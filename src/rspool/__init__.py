@@ -11,8 +11,8 @@ from .analysis import (ActivityProbs, AnalysisReport, ProtocolParams,
 from .config import CellConfig, ConfigError, load_experiment
 from .optimizer import (NaiveComparison, SweepBase, SweepGrid, SweepResult,
                         compare_naive, sweep)
-from .simulator import (AlarmProcess, Decision, InfeasibleConfigError, Mode,
-                        ScenarioStats, kc_chi_square, run_pool, run_scenario,
+from .simulator import (AlarmProcess, InfeasibleConfigError, Mode,
+                        ScenarioStats, kc_chi_square, run_scenario,
                         validate_deadline, worst_case_pool_duration)
 from .traffic import (ActivationCurve, AlarmScenario, BetaFit, CellGeometry,
                       Deadlines, ExpDecayCorrelation, RegularTrafficParams,

@@ -21,11 +21,6 @@ class Mode(Enum):
     NAIVE_CONTENTION_FREE = "naive"
 
 
-class Decision(Enum):
-    REGULAR = "regular"
-    ALARM = "alarm"
-
-
 class InfeasibleConfigError(ValueError):
     """The deadline cannot be met even in the worst-case pool."""
 
@@ -144,29 +139,6 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
                                 omega * (n_dedicated + n_cg - n_contended)]))
 
 
-@dataclass(frozen=True)
-class PoolResult:
-    k_c: int
-    decision: Decision
-    total_rs: int
-    resolved_slot: dict[int, int]  # station id -> index of its resolving slot
-
-
-def run_pool(active_stations, params: ProtocolParams, mode: Mode,
-             rng) -> PoolResult:
-    """Execute one pool for the stations holding a pending report: the
-    single-pool view of the batch resolver `run_scenario` uses."""
-    active = np.unique(np.asarray(active_stations, dtype=int))
-    if active.size and (active[0] < 0 or active[-1] >= params.n):
-        raise ValueError("active station ids out of range")
-    res = _resolve_pools(np.zeros(active.size, dtype=int), active, 1, params,
-                         mode, rng)
-    return PoolResult(k_c=int(res.k_c[0]),
-                      decision=Decision.ALARM if res.alarm[0] else Decision.REGULAR,
-                      total_rs=int(res.total_rs[0]),
-                      resolved_slot=dict(zip(active.tolist(), res.slot.tolist())))
-
-
 # --------------------------------------------------------------------------
 # scenario-level driving
 
@@ -193,6 +165,19 @@ class DelayHistogram:
             return
         hist = np.bincount(np.floor(delays / self.bin_width).astype(int))
         self.counts[kind.value] = _add_counts(self.counts.get(kind.value), hist)
+
+
+@dataclass(frozen=True)
+class _Arrivals:
+    """The admitted reports of a chunk of consecutive pools, sorted by
+    (pool, station) with at most one report per station and pool."""
+
+    w0: int                # window of the chunk's first pool
+    pool: np.ndarray       # per report: its pool, counted from the chunk's first
+    station: np.ndarray    # per report: the station holding it
+    kind: np.ndarray       # per report: index into _KINDS
+    t_gen: np.ndarray      # per report: generation time (s)
+    h1: np.ndarray         # per pool: an alarm front passes through its window
 
 
 GROUP_ENDS = ("l1", "l2", "dedicated")
@@ -262,6 +247,48 @@ class ScenarioStats:
             return float("nan")
         pools_per_ri = self.t_ri / self.t_r
         return self.mean_rs_per_pool * pools_per_ri / self.n_stations
+
+    def add(self, arrivals: _Arrivals, res: _Resolved, params: ProtocolParams,
+            deadlines: Deadlines, trace: list | None = None) -> None:
+        """Account a chunk of pools and its reports as resolved by `res`;
+        a `trace` list gets one entry per pool."""
+        total = res.total_rs
+        h1 = arrivals.h1
+        self.pools_run += h1.size
+        self.sum_rs += float(total.sum())
+        self.sum_rs_sq += float((total * total).sum())
+        self.sum_duration += float(total.sum()) * params.rs_duration
+        self.pools_h1 += int(h1.sum())
+        self.pools_h0 += int((~h1).sum())
+        self.alarm_decisions_h1 += int((res.alarm & h1).sum())
+        self.alarm_decisions_h0 += int((res.alarm & ~h1).sum())
+        self.kc_counts += np.bincount(res.k_c, minlength=self.kc_counts.size)
+        self.groups_ended += res.groups_ended
+        self.slots_by_part += res.slots_by_part
+        if trace is not None:
+            trace.extend(
+                {"window": arrivals.w0 + i, "hypothesis": "h1" if is_h1 else "h0",
+                 "k_c": k_c, "total_rs": total_rs,
+                 "decision": "alarm" if is_alarm else "regular"}
+                for i, (is_h1, k_c, is_alarm, total_rs) in enumerate(zip(
+                    h1.tolist(), res.k_c.tolist(), res.alarm.tolist(), total.tolist())))
+
+        kind = arrivals.kind
+        deadline = np.array([deadlines.for_kind(k) for k in _KINDS])
+        delay = ((arrivals.w0 + arrivals.pool + 1) * self.t_r
+                 + (res.slot + 1) * params.rs_duration - arrivals.t_gen)
+        self.reports_total += kind.size
+        self.unresolved_active += int((res.slot < 0).sum())
+        self.dropped_reports += int((delay > deadline[kind]).sum())
+        for k, report_kind in enumerate(_KINDS):
+            delays = delay[kind == k]
+            if delays.size == 0:
+                continue
+            name = report_kind.value
+            self.reports_by_kind[name] = self.reports_by_kind.get(name, 0) + delays.size
+            self.delay_histogram.add(report_kind, delays)
+            self.max_delay_by_kind[name] = max(
+                self.max_delay_by_kind.get(name, 0.0), float(delays.max()))
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -373,13 +400,10 @@ _KINDS = (ReportKind.PERIODIC, ReportKind.ON_DEMAND, ReportKind.ALARM)
 _ALARM = 2
 
 
-def run_scenario(geometry: CellGeometry, params: ProtocolParams,
-                 traffic: RegularTrafficParams, deadlines: Deadlines,
-                 alarms: list[AlarmScenario], horizon: float, mode: Mode,
-                 seed, delay_bin: float = 0.05,
-                 alarm_process: AlarmProcess | None = None,
-                 trace: list | None = None) -> ScenarioStats:
-    """Simulate pools every t_r over the horizon with gated arrivals.
+def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
+              alarms: list[AlarmScenario], alarm_process: AlarmProcess | None,
+              n_pools: int, rng):
+    """Yield the admitted reports of the pools [0, n_pools), chunk by chunk.
 
     Regular reports arrive per station as a Poisson stream; alarm events
     trigger stations along the propagating front. A report generated during a
@@ -387,37 +411,19 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
     never carries more than one pending poll; an admitted alarm supersedes a
     pending regular report, and a later-scheduled alarm an earlier one.
 
-    Pools are independent once the alarm schedule is fixed, so they are drawn
-    and resolved in chunks of CHUNK_POOLS pools, fewer in a cell busy enough
-    to expect more than CHUNK_REPORTS regular reports; alarm reports
-    scheduled for a later chunk wait in a queue.
+    Nothing here depends on the pool design. A chunk holds CHUNK_POOLS
+    pools, fewer in a cell busy enough to expect more than CHUNK_REPORTS
+    regular reports; alarm reports scheduled for a later chunk wait in a
+    queue. The draws are made lazily, chunk by chunk.
     """
-    # a ratio within float error of an integer counts as that many pools:
-    # 0.3 / 0.1 is 2.9999999999999996
-    periods = horizon / params.t_r
-    n_pools = math.floor(periods * (1 + 1e-9)) if math.isfinite(periods) else 0
-    if n_pools < 1:
-        raise ValueError("horizon must cover a finite number (>= 1) of pool periods")
-    if geometry.n_stations != params.n:
-        raise ValueError("geometry and protocol disagree on the station count")
-    validate_deadline(params, deadlines, mode)
-
-    rng = np.random.default_rng(seed)
-    n = params.n
-    t_r = params.t_r
-    rs = params.rs_duration
+    n = geometry.n_stations
     p_active = activity_prob_regular(traffic.lambda_p, traffic.lambda_d, t_r)
     p_periodic = traffic.lambda_p / traffic.total_rate
     rate = traffic.total_rate
-    deadline = np.array([deadlines.for_kind(kind) for kind in _KINDS])
 
     queue = _AlarmQueue(geometry, t_r, n_pools)
     for scenario in alarms:
         queue.schedule(scenario, rng)
-
-    stats_acc = ScenarioStats(n_stations=n, t_r=t_r, t_ri=traffic.t_ri)
-    stats_acc.delay_histogram = DelayHistogram(delay_bin)
-    stats_acc.kc_counts = np.zeros(params.pool_size + 1, dtype=int)
 
     chunk = max(1, min(CHUNK_POOLS, int(CHUNK_REPORTS / max(n * p_active, 1.0))))
     for w0 in range(0, n_pools, chunk):
@@ -448,46 +454,47 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
             _, last = np.unique(key[::-1], return_index=True)
             last = key.size - 1 - last
             key, kind, t_gen = key[last], kind[last], t_gen[last]
-        pool = key // n
-        res = _resolve_pools(pool, key % n, n_chunk, params, mode, rng)
-
-        total = res.total_rs
-        stats_acc.pools_run += n_chunk
-        stats_acc.sum_rs += float(total.sum())
-        stats_acc.sum_rs_sq += float((total * total).sum())
-        stats_acc.sum_duration += float(total.sum()) * rs
         h1 = np.zeros(n_chunk, dtype=bool)
         h1[h1_windows - w0] = True
-        stats_acc.pools_h1 += int(h1.sum())
-        stats_acc.pools_h0 += int(n_chunk - h1.sum())
-        stats_acc.alarm_decisions_h1 += int((res.alarm & h1).sum())
-        stats_acc.alarm_decisions_h0 += int((res.alarm & ~h1).sum())
-        stats_acc.kc_counts += np.bincount(res.k_c, minlength=params.pool_size + 1)
-        stats_acc.groups_ended += res.groups_ended
-        stats_acc.slots_by_part += res.slots_by_part
-        if trace is not None:
-            trace.extend(
-                {"window": w0 + i, "hypothesis": "h1" if is_h1 else "h0",
-                 "k_c": k_c, "total_rs": total_rs,
-                 "decision": (Decision.ALARM if is_alarm else Decision.REGULAR).value}
-                for i, (is_h1, k_c, is_alarm, total_rs) in enumerate(zip(
-                    h1.tolist(), res.k_c.tolist(), res.alarm.tolist(), total.tolist())))
+        yield _Arrivals(w0=w0, pool=key // n, station=key % n, kind=kind,
+                        t_gen=t_gen, h1=h1)
 
-        delay = (w0 + pool + 1) * t_r + (res.slot + 1) * rs - t_gen
-        stats_acc.reports_total += key.size
-        stats_acc.unresolved_active += int((res.slot < 0).sum())
-        stats_acc.dropped_reports += int((delay > deadline[kind]).sum())
-        for k, report_kind in enumerate(_KINDS):
-            delays = delay[kind == k]
-            if delays.size == 0:
-                continue
-            name = report_kind.value
-            stats_acc.reports_by_kind[name] = stats_acc.reports_by_kind.get(name, 0) + delays.size
-            stats_acc.delay_histogram.add(report_kind, delays)
-            stats_acc.max_delay_by_kind[name] = max(
-                stats_acc.max_delay_by_kind.get(name, 0.0), float(delays.max()))
 
-    return stats_acc
+def pool_count(horizon: float, t_r: float) -> int:
+    """Whole pool periods in the horizon. A ratio within float error of an
+    integer counts as that many pools: 0.3 / 0.1 is 2.9999999999999996."""
+    periods = horizon / t_r
+    return math.floor(periods * (1 + 1e-9)) if math.isfinite(periods) else 0
+
+
+def run_scenario(geometry: CellGeometry, params: ProtocolParams,
+                 traffic: RegularTrafficParams, deadlines: Deadlines,
+                 alarms: list[AlarmScenario], horizon: float, mode: Mode,
+                 seed, delay_bin: float = 0.05,
+                 alarm_process: AlarmProcess | None = None,
+                 trace: list | None = None) -> ScenarioStats:
+    """Simulate pools every t_r over the horizon with gated arrivals.
+
+    `_arrivals` draws each chunk's reports and `_resolve_pools` resolves
+    them; pools are independent once the alarm schedule is fixed.
+    """
+    n_pools = pool_count(horizon, params.t_r)
+    if n_pools < 1:
+        raise ValueError("horizon must cover a finite number (>= 1) of pool periods")
+    if geometry.n_stations != params.n:
+        raise ValueError("geometry and protocol disagree on the station count")
+    validate_deadline(params, deadlines, mode)
+
+    rng = np.random.default_rng(seed)
+    stats = ScenarioStats(n_stations=params.n, t_r=params.t_r, t_ri=traffic.t_ri,
+                          delay_histogram=DelayHistogram(delay_bin),
+                          kc_counts=np.zeros(params.pool_size + 1, dtype=int))
+    for arrivals in _arrivals(geometry, traffic, params.t_r, alarms,
+                              alarm_process, n_pools, rng):
+        res = _resolve_pools(arrivals.pool, arrivals.station, arrivals.h1.size,
+                             params, mode, rng)
+        stats.add(arrivals, res, params, deadlines, trace)
+    return stats
 
 
 def kc_chi_square(kc_counts, pool_size: int, p_c: float) -> tuple[float, float, int]:

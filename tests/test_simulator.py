@@ -1,18 +1,19 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Decision,
-                    Deadlines, InfeasibleConfigError, Mode,
-                    ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
-                    UnitCorrelation, activity_prob_regular, collision_prob,
-                    expected_costs, kc_chi_square, place_stations, run_pool,
-                    run_scenario, validate_deadline, worst_case_pool_duration)
+from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Deadlines,
+                    InfeasibleConfigError, Mode, ProtocolParams,
+                    RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
+                    activity_prob_regular, collision_prob, expected_costs,
+                    kc_chi_square, place_stations, run_scenario,
+                    validate_deadline, worst_case_pool_duration)
 from rspool.analysis import ActivityProbs
-from rspool.simulator import CHUNK_POOLS, meets_deadline
+from rspool.simulator import CHUNK_POOLS, _resolve_pools, meets_deadline
 from rspool.traffic import AlarmTimeError
 from tests.conftest import L1, L2, LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A
 
@@ -24,6 +25,18 @@ def small_params(**overrides):
                     rs_duration=RS_DURATION)
     defaults.update(overrides)
     return ProtocolParams(**defaults)
+
+
+def resolve_pool(active, params, mode, rng):
+    """One pool through the batch resolver, for the stations `active`
+    (sorted, distinct ids) holding a report: its k_c, alarm decision,
+    total_rs and station id -> index of the resolving slot."""
+    active = np.asarray(active, dtype=int)
+    res = _resolve_pools(np.zeros(active.size, dtype=int), active, 1, params,
+                         mode, rng)
+    return SimpleNamespace(k_c=int(res.k_c[0]), alarm=bool(res.alarm[0]),
+                           total_rs=int(res.total_rs[0]),
+                           resolved_slot=dict(zip(active.tolist(), res.slot.tolist())))
 
 
 def grouping(n, omega):
@@ -39,9 +52,9 @@ class TestGrouping:
         params = grouping(95, 10)
         assert params.pool_size == 10
         for s in range(95):
-            assert run_pool([s], params, Mode.ADAPTIVE, rng).resolved_slot == {s: s // 10}
+            assert resolve_pool([s], params, Mode.ADAPTIVE, rng).resolved_slot == {s: s // 10}
         # a collided group's members take the dedicated slots at s % omega
-        outcome = run_pool(np.arange(90, 95), params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(np.arange(90, 95), params, Mode.ADAPTIVE, rng)
         assert outcome.resolved_slot == {s: 10 + s % 10 for s in range(90, 95)}
 
     def test_collidable_counts_groups_with_two_plus_members(self):
@@ -56,19 +69,19 @@ class TestGrouping:
                     == int((sizes >= 2).sum()), (n, omega)
 
 
-class TestRunPool:
+class TestResolvePool:
     def test_empty_pool(self, rng):
         params = small_params()
-        outcome = run_pool([], params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool([], params, Mode.ADAPTIVE, rng)
         assert outcome.k_c == 0
-        assert outcome.decision is Decision.REGULAR
+        assert not outcome.alarm
         assert outcome.total_rs == params.pool_size
         assert outcome.resolved_slot == {}
 
     def test_one_station_per_group_resolves_in_own_slot(self, rng):
         params = small_params()
         active = np.arange(0, params.n, params.omega)  # one per group
-        outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
         assert outcome.k_c == 0
         assert outcome.total_rs == params.pool_size
         assert outcome.resolved_slot == {int(s): int(s) // params.omega for s in active}
@@ -76,9 +89,9 @@ class TestRunPool:
     def test_saturated_cell_goes_contention_free(self, rng):
         params = ProtocolParams(n=N, omega=OMEGA, delta_c=100, l1=24, l2=16,
                                 t_r=T_R, rs_duration=RS_DURATION)
-        outcome = run_pool(np.arange(N), params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(np.arange(N), params, Mode.ADAPTIVE, rng)
         assert outcome.k_c == params.pool_size
-        assert outcome.decision is Decision.ALARM
+        assert outcome.alarm
         assert outcome.total_rs == 200 + 200 * 40
         assert len(outcome.resolved_slot) == N
 
@@ -87,8 +100,8 @@ class TestRunPool:
         # l1 + l2 + omega slots, and every resolving slot lies inside the pool
         params = small_params(delta_c=20)
         active = np.flatnonzero(np.random.default_rng(4).random(params.n) < 0.2)
-        outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
-        assert outcome.decision is Decision.REGULAR and outcome.k_c > 0
+        outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
+        assert not outcome.alarm and outcome.k_c > 0
         common = outcome.total_rs - params.pool_size
         assert outcome.k_c * params.l1 <= common
         assert common <= outcome.k_c * (params.l1 + params.l2 + params.omega)
@@ -98,8 +111,8 @@ class TestRunPool:
         params = small_params(delta_c=3)
         for trial in range(40):
             active = np.flatnonzero(np.random.default_rng(trial).random(params.n) < 0.25)
-            outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
-            assert (outcome.decision is Decision.ALARM) == (outcome.k_c >= 3)
+            outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
+            assert outcome.alarm == (outcome.k_c >= 3)
 
     # at delta_c = 8 every pool here declares the alarm regime; at 20 none
     # does, and the collided groups go through the contention frames
@@ -108,30 +121,18 @@ class TestRunPool:
         params = small_params(delta_c=delta_c)
         for trial in range(25):
             active = np.flatnonzero(np.random.default_rng(100 + trial).random(params.n) < 0.3)
-            outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
-            assert (outcome.decision is Decision.ALARM) == (delta_c == 8)
+            outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
+            assert outcome.alarm == (delta_c == 8)
             assert set(outcome.resolved_slot) == set(int(s) for s in active)
             assert max(outcome.resolved_slot.values()) < outcome.total_rs
             slots = list(outcome.resolved_slot.values())
             assert len(set(slots)) == len(slots)  # no two stations share a slot
 
-    def test_unsorted_duplicate_ids_count_once(self, rng):
-        params = small_params()
-        outcome = run_pool([45, 3, 45], params, Mode.ADAPTIVE, rng)
-        assert outcome.k_c == 0
-        assert outcome.resolved_slot == {3: 0, 45: 4}
-
-    @pytest.mark.parametrize("ids", [[-1], [0, 200]])
-    def test_out_of_range_ids_rejected(self, rng, ids):
-        params = small_params()
-        with pytest.raises(ValueError, match="out of range"):
-            run_pool(ids, params, Mode.ADAPTIVE, rng)
-
     def test_naive_mode_expands_every_collision_to_dedicated_frame(self, rng):
         params = small_params(delta_c=8)
         # two colliding groups, below the adaptive threshold
         active = np.array([0, 1, 10, 11])
-        naive = run_pool(active, params, Mode.NAIVE_CONTENTION_FREE, rng)
+        naive = resolve_pool(active, params, Mode.NAIVE_CONTENTION_FREE, rng)
         assert naive.total_rs == params.pool_size + 2 * params.omega
         base = params.pool_size
         assert naive.resolved_slot == {0: base, 1: base + 1,
@@ -141,15 +142,15 @@ class TestRunPool:
     def test_adaptive_below_threshold_uses_contention_frames(self, rng):
         # l1 + l2 differs from omega, so the cost tells the branches apart
         params = small_params(delta_c=8, l1=5, l2=2)
-        outcome = run_pool(np.array([0, 1]), params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(np.array([0, 1]), params, Mode.ADAPTIVE, rng)
         assert outcome.total_rs - params.pool_size in (5, 5 + 2, 5 + 2 + params.omega)
         assert min(outcome.resolved_slot.values()) >= params.pool_size
 
     def test_alarm_branch_dedicates_slot_per_member_index(self, rng):
         params = small_params(delta_c=1)
         active = np.array([20, 21, 22])
-        outcome = run_pool(active, params, Mode.ADAPTIVE, rng)
-        assert outcome.decision is Decision.ALARM
+        outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
+        assert outcome.alarm
         assert outcome.total_rs == params.pool_size + params.omega
         base = params.pool_size
         for st in active:
