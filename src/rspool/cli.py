@@ -130,13 +130,16 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
                                template=alarms[0])
         alarms = []
 
-    ss = np.random.SeedSequence(seed)
-    geom_seed, run_seed = ss.spawn(2)
-    geometry = traffic.place_stations(cell.n_stations, cell.radius_m, geom_seed)
-
     horizon = sim.horizon_s
     if args.replications is not None:
         horizon = args.replications * cell.protocol.t_r
+    elif simulator.pool_count(horizon, cell.protocol.t_r) < 1:
+        raise ConfigError(f"simulation.horizon_s = {horizon:g} s covers no whole "
+                          f"pool period of {cell.protocol.t_r:g} s")
+
+    ss = np.random.SeedSequence(seed)
+    geom_seed, run_seed = ss.spawn(2)
+    geometry = traffic.place_stations(cell.n_stations, cell.radius_m, geom_seed)
 
     trace: list | None = [] if args.trace else None
     stats = simulator.run_scenario(geometry, cell.protocol, cell.traffic,

@@ -166,24 +166,17 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
     grid; returns all rows plus the cheapest feasible configuration (ties go
     to the smaller group size, then the smaller threshold). A simulated
     sweep also runs each feasible row's configuration for `simulate_pools`
-    pools."""
+    pools, every row with `seed`, so all rows see the same arrivals."""
     simulated = grid.simulate_pools > 0
     if simulated and seed is None:
         raise ValueError("simulated sweeps need a seed")
-    if simulated:
-        ss = seed if isinstance(seed, np.random.SeedSequence) \
-            else np.random.SeedSequence(seed)
-        seeds = iter(ss.spawn(len(grid.omega_values) * len(grid.delta_c_pcts)))
 
     rows: list[SweepRow] = []
     for omega in sorted(grid.omega_values):
         for pct in sorted(grid.delta_c_pcts):
             row, params = _evaluate_point(base, omega, pct, grid.l1_frac, grid.l2_frac)
             rows.append(row)
-            if not simulated:
-                continue
-            point_seed = next(seeds)
-            if not row.feasible:
+            if not (simulated and row.feasible):
                 continue
             process = None
             if base.alarm is not None and base.p_h1 > 0:
@@ -192,7 +185,7 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
                 base.geometry, dataclasses.replace(params, l1=row.l1, l2=row.l2),
                 base.traffic, base.deadlines, alarms=[],
                 horizon=grid.simulate_pools * base.t_r, mode=Mode.ADAPTIVE,
-                seed=point_seed, alarm_process=process)
+                seed=seed, alarm_process=process)
             row.e_c_simulated = stats.mean_rs_per_pool
             row.e_c_simulated_stderr = stats.stderr_rs_per_pool
 

@@ -191,7 +191,6 @@ class ScenarioStats:
     pools_run: int = 0
     sum_rs: float = 0.0
     sum_rs_sq: float = 0.0
-    sum_duration: float = 0.0
     pools_h0: int = 0
     pools_h1: int = 0
     alarm_decisions_h0: int = 0
@@ -212,6 +211,7 @@ class ScenarioStats:
     n_stations: int = 0
     t_r: float = 0.0
     t_ri: float = 0.0
+    rs_duration: float = 0.0
 
     @property
     def mean_rs_per_pool(self) -> float:
@@ -230,7 +230,7 @@ class ScenarioStats:
 
     @property
     def mean_pool_duration(self) -> float:
-        return self.sum_duration / self.pools_run if self.pools_run else float("nan")
+        return self.mean_rs_per_pool * self.rs_duration
 
     @property
     def p_alarm_given_h0(self) -> float:
@@ -248,8 +248,8 @@ class ScenarioStats:
         pools_per_ri = self.t_ri / self.t_r
         return self.mean_rs_per_pool * pools_per_ri / self.n_stations
 
-    def add(self, arrivals: _Arrivals, res: _Resolved, params: ProtocolParams,
-            deadlines: Deadlines, trace: list | None = None) -> None:
+    def add(self, arrivals: _Arrivals, res: _Resolved, deadlines: Deadlines,
+            trace: list | None = None) -> None:
         """Account a chunk of pools and its reports as resolved by `res`;
         a `trace` list gets one entry per pool."""
         total = res.total_rs
@@ -257,7 +257,6 @@ class ScenarioStats:
         self.pools_run += h1.size
         self.sum_rs += float(total.sum())
         self.sum_rs_sq += float((total * total).sum())
-        self.sum_duration += float(total.sum()) * params.rs_duration
         self.pools_h1 += int(h1.sum())
         self.pools_h0 += int((~h1).sum())
         self.alarm_decisions_h1 += int((res.alarm & h1).sum())
@@ -276,7 +275,7 @@ class ScenarioStats:
         kind = arrivals.kind
         deadline = np.array([deadlines.for_kind(k) for k in _KINDS])
         delay = ((arrivals.w0 + arrivals.pool + 1) * self.t_r
-                 + (res.slot + 1) * params.rs_duration - arrivals.t_gen)
+                 + (res.slot + 1) * self.rs_duration - arrivals.t_gen)
         self.reports_total += kind.size
         self.unresolved_active += int((res.slot < 0).sum())
         self.dropped_reports += int((delay > deadline[kind]).sum())
@@ -355,16 +354,17 @@ class _AlarmQueue:
         self.time = np.append(self.time, times[triggered[keep]])
 
     def pop(self, start: int, end: int) -> tuple[np.ndarray, ...]:
-        """Remove the reports and H1 windows before window `end`, and return
-        the reports (window, station, time) and H1 windows from `start` on.
-        An event drawn at the very start of a window can round into the one
-        before, which has already been simulated; those are dropped."""
+        """Remove the reports and H1 windows before window `end`; return the
+        reports (window, station, time) from `start` on and the H1 flags of
+        the windows [start, end). An event drawn at the very start of a window
+        can round into the one before, already simulated; those are dropped."""
         due = self.window < end
         now = due & (self.window >= start)
         out = self.window[now], self.station[now], self.time[now]
         self.window, self.station, self.time = (
             self.window[~due], self.station[~due], self.time[~due])
-        h1 = self.h1[(self.h1 >= start) & (self.h1 < end)]
+        h1 = np.zeros(end - start, dtype=bool)
+        h1[self.h1[(self.h1 >= start) & (self.h1 < end)] - start] = True
         self.h1 = self.h1[self.h1 >= end]
         return (*out, h1)
 
@@ -414,7 +414,7 @@ def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
     Nothing here depends on the pool design. A chunk holds CHUNK_POOLS
     pools, fewer in a cell busy enough to expect more than CHUNK_REPORTS
     regular reports; alarm reports scheduled for a later chunk wait in a
-    queue. The draws are made lazily, chunk by chunk.
+    queue.
     """
     n = geometry.n_stations
     p_active = activity_prob_regular(traffic.lambda_p, traffic.lambda_d, t_r)
@@ -444,7 +444,7 @@ def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
         t_gen = (w0 + key // n) * t_r + -np.log1p(-u * p_active) / rate
         kind = (rng.random(key.size) >= p_periodic).astype(np.int64)  # into _KINDS
 
-        a_window, a_station, a_time, h1_windows = queue.pop(w0, w0 + n_chunk)
+        a_window, a_station, a_time, h1 = queue.pop(w0, w0 + n_chunk)
         if a_window.size:
             key = np.concatenate((key, (a_window - w0) * n + a_station))
             kind = np.concatenate((kind, np.full(a_window.size, _ALARM)))
@@ -454,8 +454,6 @@ def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
             _, last = np.unique(key[::-1], return_index=True)
             last = key.size - 1 - last
             key, kind, t_gen = key[last], kind[last], t_gen[last]
-        h1 = np.zeros(n_chunk, dtype=bool)
-        h1[h1_windows - w0] = True
         yield _Arrivals(w0=w0, pool=key // n, station=key % n, kind=kind,
                         t_gen=t_gen, h1=h1)
 
@@ -475,8 +473,9 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
                  trace: list | None = None) -> ScenarioStats:
     """Simulate pools every t_r over the horizon with gated arrivals.
 
-    `_arrivals` draws each chunk's reports and `_resolve_pools` resolves
-    them; pools are independent once the alarm schedule is fixed.
+    `_arrivals` draws each chunk's reports from child 0 of `seed` (an int
+    or a SeedSequence), so for one seed every design sees the same
+    arrivals, and `_resolve_pools` resolves them from child 1.
     """
     n_pools = pool_count(horizon, params.t_r)
     if n_pools < 1:
@@ -485,15 +484,21 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
         raise ValueError("geometry and protocol disagree on the station count")
     validate_deadline(params, deadlines, mode)
 
-    rng = np.random.default_rng(seed)
+    # the children are built, not spawn()ed: spawn advances a caller's
+    # SeedSequence, so a second run with it would draw other arrivals
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    arrival_rng, contention_rng = (np.random.default_rng(np.random.SeedSequence(
+        ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size))
+        for i in range(2))
     stats = ScenarioStats(n_stations=params.n, t_r=params.t_r, t_ri=traffic.t_ri,
+                          rs_duration=params.rs_duration,
                           delay_histogram=DelayHistogram(delay_bin),
                           kc_counts=np.zeros(params.pool_size + 1, dtype=int))
     for arrivals in _arrivals(geometry, traffic, params.t_r, alarms,
-                              alarm_process, n_pools, rng):
+                              alarm_process, n_pools, arrival_rng):
         res = _resolve_pools(arrivals.pool, arrivals.station, arrivals.h1.size,
-                             params, mode, rng)
-        stats.add(arrivals, res, params, deadlines, trace)
+                             params, mode, contention_rng)
+        stats.add(arrivals, res, deadlines, trace)
     return stats
 
 

@@ -317,6 +317,15 @@ class TestSimulationSectionErrors:
                        "--out", str(tmp_path / "o")) == 1
         assert f"simulation.{key}" in config_invalid_line(capsys)
 
+    @pytest.mark.parametrize("value", ["1.0", "2.4"])
+    def test_horizon_short_of_one_pool_period(self, tmp_path, capsys, value):
+        # the small cell's pool period is 2.5 s
+        cfg = write_cell_with(tmp_path, "simulation", "horizon_s", value)
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        assert "simulation.horizon_s" in config_invalid_line(capsys)
+        assert not (tmp_path / "o").exists()
+
 
 class TestGridSectionErrors:
     @pytest.mark.parametrize("section,key,value", [

@@ -1,6 +1,7 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from rspool import analysis, simulator
@@ -113,6 +114,23 @@ class TestSweep:
         assert not math.isnan(row.e_c_simulated)
         assert abs(row.e_c_simulated - row.e_c_analytical) < \
             3 * row.e_c_simulated_stderr + 0.01 * row.e_c_analytical
+
+    def test_simulated_rows_share_their_arrivals(self, base, monkeypatch):
+        totals = []
+        run_scenario = simulator.run_scenario
+
+        def spy(*args, **kwargs):
+            stats = run_scenario(*args, **kwargs)
+            totals.append(stats.reports_total)
+            return stats
+
+        monkeypatch.setattr(simulator, "run_scenario", spy)
+        grid = SweepGrid(omega_values=(20, 40), delta_c_pcts=(25.0, 50.0),
+                         simulate_pools=200)
+        # a SeedSequence, as the command line passes
+        result = sweep(grid, base, seed=np.random.SeedSequence(2025))
+        assert len(totals) == sum(r.feasible for r in result.rows) == 4
+        assert len(set(totals)) == 1
 
     def test_simulated_sweep_requires_seed(self, base):
         grid = SweepGrid(omega_values=(40,), delta_c_pcts=(50.0,),

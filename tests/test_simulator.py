@@ -495,6 +495,36 @@ class TestRunScenario:
         assert stats.kc_counts[0] == stats.kc_counts.sum() == 20
 
 
+class TestCommonArrivals:
+    @pytest.mark.parametrize("seed_kind", ["int", "seed-sequence"])
+    def test_arrivals_do_not_depend_on_the_design(self, ref_geometry, ref_traffic,
+                                                  ref_deadlines, seed_kind):
+        # one seed object serves every run: a SeedSequence must not advance
+        seed = 8128 if seed_kind == "int" else np.random.SeedSequence(8128)
+        process = AlarmProcess(prob_per_pool=0.2, template=AlarmScenario(
+            (0, 0), 4000.0, 0.0, SqrtCapCorrelation(500.0)))
+        arrivals, costs = [], set()
+        for omega, l1, l2 in ((40, 24, 16), (50, 5, 5), (40, 5, 5)):
+            params = ProtocolParams(n=N, omega=omega, delta_c=N // omega // 2,
+                                    l1=l1, l2=l2, t_r=T_R, rs_duration=RS_DURATION)
+            for mode in Mode:
+                trace = []
+                # two chunks: the second's arrivals are drawn after the
+                # first chunk's contention
+                stats = run_scenario(ref_geometry, params, ref_traffic, ref_deadlines,
+                                     alarms=[], horizon=(CHUNK_POOLS + 20) * T_R,
+                                     mode=mode, seed=seed, alarm_process=process,
+                                     trace=trace)
+                arrivals.append((stats.reports_total, stats.reports_by_kind,
+                                 stats.pools_h1, [t["hypothesis"] for t in trace]))
+                costs.add(stats.sum_rs)
+        assert arrivals[0][2] > 0
+        assert all(seen == arrivals[0] for seen in arrivals[1:])
+        # naive mode never reads l1 and l2, so only the two omega = 40
+        # designs cost the same there
+        assert len(costs) == 5
+
+
 class TestKcGoodnessOfFit:
     def test_chi_square_requires_two_samples(self):
         with pytest.raises(ValueError, match="two pool samples"):
