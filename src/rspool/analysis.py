@@ -207,18 +207,40 @@ def collision_prob(p_a: float, omega: int) -> float:
     return -math.expm1(_log1p_minus_x(m * p_a) + m * _log1p_minus_x(-p_a))
 
 
-def no_singleton_placements(u: int, v: int) -> int:
-    """Number of ways to place v labelled users into u slots with no slot
-    holding exactly one user (exact integer arithmetic)."""
-    if u < 0 or v < 0:
-        raise ValueError("arguments must be non-negative")
-    total = 0
-    for t in range(v + 1):
-        ff = 1
-        for j in range(t):
-            ff *= u - j
-        total += (-1) ** t * math.comb(v, t) * ff * (u - t) ** (v - t)
-    return total
+def _assoc_stirling(top: int) -> list[list[int]]:
+    """S2(v, k) for v <= top: the partitions of v labelled contenders into k
+    blocks of two or more, by S2(v+1, k) = k S2(v, k) + v S2(v-1, k-1)."""
+    s2 = [[0] * (top // 2 + 1) for _ in range(top + 1)]
+    s2[0][0] = 1
+    for v in range(1, top):
+        for k in range(1, (v + 1) // 2 + 1):
+            s2[v + 1][k] = k * s2[v][k] + v * s2[v - 1][k - 1]
+    return s2
+
+
+def _no_singleton_counts(u: int, s2: list[list[int]]) -> list[int]:
+    """N(u, v) for each row v of `s2`: the placements of v labelled
+    contenders into u slots with no slot holding exactly one. Each of the k
+    blocks of a partition takes a slot of its own, so in exact integers
+    N(u, v) = sum_k perm(u, k) S2(v, k)."""
+    perm = [math.perm(u, k) for k in range(len(s2[0]))]
+    return [sum(map(int.__mul__, perm[:v // 2 + 1], row)) for v, row in enumerate(s2)]
+
+
+@functools.lru_cache(maxsize=512)
+def _survivor_table(l: int, top: int) -> np.ndarray:
+    """T[m, s] = R(m - s | m, l), s <= m <= top: the probability that a frame
+    of l slots leaves s of m contenders unresolved. Each entry is the exact
+    count of such placements, C(l, j) perm(m, j) N(l - j, s) with j = m - s,
+    over l**m. Cached read-only per (l, top)."""
+    s2 = _assoc_stirling(top)
+    table = np.zeros((top + 1, top + 1))
+    for j in range(min(l, top) + 1):
+        for s, n in enumerate(_no_singleton_counts(l - j, s2[:top - j + 1])):
+            # int / int is correctly rounded: the float of the exact fraction
+            table[j + s, s] = math.comb(l, j) * math.perm(j + s, j) * n / l**(j + s)
+    table.setflags(write=False)
+    return table
 
 
 def resolve_prob(h: int, m: int, l: int) -> float:
@@ -230,18 +252,7 @@ def resolve_prob(h: int, m: int, l: int) -> float:
         raise ValueError("counts must be non-negative")
     if h > m or h > l:
         raise ValueError("cannot resolve more users than contend or than slots exist")
-    return _resolve_prob(h, m, l)
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _resolve_prob(h: int, m: int, l: int) -> float:
-    """`resolve_prob` without the argument checks, computed once per (h, m, l)."""
-    ff = 1
-    for i in range(h):
-        ff *= m - i
-    num = math.comb(l, h) * ff * no_singleton_placements(l - h, m - h)
-    # int / int is correctly rounded: the float of the exact fraction
-    return num / l**m
+    return float(_survivor_table(l, m)[m, m - h])
 
 
 def _binom_pmf(n: int, p: float) -> np.ndarray:
@@ -284,30 +295,23 @@ def truncated_active_dist(omega: int, p_a: float) -> np.ndarray:
     return dist
 
 
-@functools.lru_cache(maxsize=4096)
-def resolution_probs(omega: int, l1: int, l2: int, p_a: float) -> tuple[float, float]:
+def resolution_probs(omega: int, l1, l2, p_a: float):
     """Probabilities that a collided slot is fully resolved by the first
-    contention frame (r1) and, failing that, by the second frame (r2).
-    Cached per argument tuple: they do not depend on the threshold, which a
-    sweep varies at fixed frames."""
-    pa = truncated_active_dist(omega, p_a)
-    r1 = 0.0
-    r2 = 0.0
-    remaining = 1.0
-    for m in range(2, omega + 1):
-        w = pa[m]
-        remaining -= w
-        if w > 0.0:
-            if m <= l1:
-                r1 += _resolve_prob(m, m, l1) * w
-            acc = 0.0
-            for h in range(2, m + 1):
-                if h <= l2 and m - h <= l1:
-                    acc += _resolve_prob(h, h, l2) * _resolve_prob(m - h, m, l1)
-            r2 += acc * w
-        if remaining < _TAIL_EPS:
-            break
-    return r1, r2
+    contention frame, r1 = sum_m w_m R(m|m,l1), and failing that by the
+    second, r2 = sum_{s>=2} R(s|s,l2) sum_m w_m R(m-s|m,l1), over the
+    contender distribution w up to the first multiplicity whose remaining
+    mass is below _TAIL_EPS. Takes one frame pair or equal-length integer
+    arrays of pairs: one pass over the survivor tables of their lengths."""
+    w = truncated_active_dist(omega, p_a)
+    below = np.flatnonzero(1.0 - np.cumsum(w) < _TAIL_EPS)
+    top = int(below[0]) if below.size else omega
+    frames = np.array([l1, l2])
+    lengths, at = np.unique(frames, return_inverse=True)
+    at = at.reshape(frames.shape)
+    tables = np.stack([_survivor_table(int(l), top) for l in lengths])
+    # left[i, s]: probability that a first frame of lengths[i] leaves s unresolved
+    left = w[:top + 1] @ tables
+    return left[at[0], 0], np.sum(left[at[0], 2:] * tables[at[1], 2:, 0], axis=-1)
 
 
 def frame_chain_cost(omega: int, l1: int, l2: int, reach_l2, reach_dedicated):
@@ -387,12 +391,7 @@ def expected_costs(params: ProtocolParams, activity: ActivityProbs,
     # r1, r2 and E[S] exist only where a regular-regime collided slot has a
     # contender distribution
     if omega >= 2 and 0 < activity.p_a0 < 1 and p_c_h0 > 0.0:
-        if np.ndim(l1):
-            r = np.array([resolution_probs(omega, a, c, activity.p_a0)
-                          for a, c in zip(l1.tolist(), l2.tolist())]).reshape(-1, 2)
-            r1, r2 = r[:, 0], r[:, 1]
-        else:
-            r1, r2 = resolution_probs(omega, l1, l2, activity.p_a0)
+        r1, r2 = resolution_probs(omega, l1, l2, activity.p_a0)
         e_s = expected_frame_cost(omega, l1, l2, r1, r2)
     else:
         r1 = r2 = e_s = float("nan")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -14,10 +15,57 @@ from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
                     expected_costs, expected_frame_cost, frames_for,
                     naive_expected_cost, resolution_probs, resolve_prob,
                     truncated_active_dist)
-from rspool.analysis import _binom_pmf, no_singleton_placements
+from rspool.analysis import (_TAIL_EPS, _assoc_stirling, _binom_pmf,
+                             _no_singleton_counts)
+from rspool.optimizer import DEFAULT_OMEGAS, _frame_pairs
 from tests.conftest import DC_PCT, L1, L2, N, OMEGA, P_H1, RS_DURATION, T_R
 
 P_A0 = 1 - math.exp(-0.01)  # reference regular activity per pool
+# heavy load: t_ri = 30 s, lambda_d = 1/300 per second, over one pool period
+P_A0_HEAVY = 1 - math.exp(-(1 / 30 + 1 / 300) * T_R)
+
+
+def no_singleton_placements(u: int, v: int) -> int:
+    """Number of ways to place v labelled users into u slots with no slot
+    holding exactly one user, by inclusion-exclusion over the users that sit
+    alone (exact integer arithmetic); oracle for the S2 table."""
+    total = 0
+    for t in range(v + 1):
+        ff = 1
+        for j in range(t):
+            ff *= u - j
+        total += (-1) ** t * math.comb(v, t) * ff * (u - t) ** (v - t)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_resolve_prob(h: int, m: int, l: int) -> float:
+    """R(h|m,l) from the inclusion-exclusion count, rounded once."""
+    num = math.comb(l, h) * math.perm(m, h) * no_singleton_placements(l - h, m - h)
+    return num / l**m
+
+
+def per_pair_resolution_probs(omega: int, l1: int, l2: int, p_a: float):
+    """r1 and r2 of one frame pair by the double loop over multiplicities m
+    and second-frame contenders h, with the same tail cut; reference for the
+    array pass."""
+    pa = truncated_active_dist(omega, p_a)
+    r1 = r2 = 0.0
+    remaining = 1.0
+    for m in range(2, omega + 1):
+        w = pa[m]
+        remaining -= w
+        if w > 0.0:
+            if m <= l1:
+                r1 += oracle_resolve_prob(m, m, l1) * w
+            acc = 0.0
+            for h in range(2, m + 1):
+                if h <= l2 and m - h <= l1:
+                    acc += oracle_resolve_prob(h, h, l2) * oracle_resolve_prob(m - h, m, l1)
+            r2 += acc * w
+        if remaining < _TAIL_EPS:
+            break
+    return r1, r2
 
 
 def brute_force_resolution_dist(m: int, l: int) -> np.ndarray:
@@ -169,6 +217,12 @@ class TestResolveProb:
         assert no_singleton_placements(3, 0) == 1
         assert no_singleton_placements(0, 3) == 0
 
+    def test_stirling_count_matches_inclusion_exclusion(self):
+        s2 = _assoc_stirling(60)
+        for u in [*range(61), 150, 199, 500]:
+            counts = _no_singleton_counts(u, s2)
+            assert counts == [no_singleton_placements(u, v) for v in range(61)], u
+
 
 class TestTruncatedDist:
     def test_normalised(self):
@@ -241,6 +295,23 @@ class TestResolutionProbs:
         # with vanishing activity only pairs collide: r1 -> 1 - 1/l1
         r1, _ = resolution_probs(40, 24, 16, 1e-6)
         assert r1 == pytest.approx(1 - 1 / 24, abs=1e-4)
+
+    @pytest.mark.parametrize("p_a", [P_A0, P_A0_HEAVY], ids=["reference", "heavy"])
+    def test_array_pass_matches_per_pair_loop(self, p_a):
+        for omega in DEFAULT_OMEGAS:
+            if omega < 2:
+                continue
+            l1, l2 = _frame_pairs(omega)
+            r1, r2 = resolution_probs(omega, l1, l2, p_a)
+            for i, (a, b) in enumerate(zip(l1.tolist(), l2.tolist())):
+                want1, want2 = per_pair_resolution_probs(omega, a, b, p_a)
+                assert r1[i] == pytest.approx(want1, rel=1e-14, abs=0), (omega, a, b)
+                assert r2[i] == pytest.approx(want2, rel=1e-14, abs=0), (omega, a, b)
+
+    def test_scalar_call_equals_one_pair_array_call(self):
+        for l1, l2 in [(24, 16), (3, 3), (1, 1), (39, 2)]:
+            r1, r2 = resolution_probs(OMEGA, np.array([l1]), np.array([l2]), P_A0)
+            assert resolution_probs(OMEGA, l1, l2, P_A0) == (r1[0], r2[0])
 
     def test_reference_values_against_event_mc(self):
         r1, r2 = resolution_probs(OMEGA, L1, L2, P_A0)
