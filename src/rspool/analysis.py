@@ -338,8 +338,9 @@ def _conditional_collision_means(pool: int, p_c: float, delta_c: int,
                                  ) -> tuple[float, float, float, float]:
     """Masses and conditional means of the collided-slot count below / at-or-
     above the threshold. Returns (mass_below, mean_below, mass_above, mean_above);
-    means are NaN when the conditioning event has zero probability. Cached per
-    argument tuple: a sweep asks for the same figures at every frame pair."""
+    the masses are divided by their sum, which the pmf meets only within
+    rounding, so neither exceeds 1. Means are NaN when the conditioning event
+    has zero probability. Cached per argument tuple."""
     k = np.arange(pool + 1)
     pmf = _binom_pmf(pool, p_c)
     lo = slice(0, min(max(delta_c, 0), pool + 1))
@@ -348,7 +349,8 @@ def _conditional_collision_means(pool: int, p_c: float, delta_c: int,
     mass_hi = float(pmf[hi].sum())
     mean_lo = float((k[lo] * pmf[lo]).sum() / mass_lo) if mass_lo > 0 else float("nan")
     mean_hi = float((k[hi] * pmf[hi]).sum() / mass_hi) if mass_hi > 0 else float("nan")
-    return mass_lo, mean_lo, mass_hi, mean_hi
+    total = mass_lo + mass_hi
+    return mass_lo / total, mean_lo, mass_hi / total, mean_hi
 
 
 def _branch_cost(pool: int, e_k: float, per_collision):

@@ -17,7 +17,7 @@ from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
                     truncated_active_dist)
 from rspool.analysis import (_TAIL_EPS, _assoc_stirling, _binom_pmf,
                              _no_singleton_counts)
-from rspool.optimizer import DEFAULT_OMEGAS, _frame_pairs
+from rspool.optimizer import DEFAULT_DELTA_C_PCTS, DEFAULT_OMEGAS, _frame_pairs
 from tests.conftest import DC_PCT, L1, L2, N, OMEGA, P_H1, RS_DURATION, T_R
 
 P_A0 = 1 - math.exp(-0.01)  # reference regular activity per pool
@@ -450,6 +450,24 @@ class TestDetectionProbs:
         report = branch_report(P_A0, 0.12, 100)
         assert report.p_00 + report.p_10 == pytest.approx(1.0, abs=1e-12)
         assert report.p_01 + report.p_11 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p_a0", [P_A0, P_A0_HEAVY], ids=["reference", "heavy"])
+    def test_reference_grid_probabilities_lie_in_unit_interval(self, ref_geometry,
+                                                               ref_traffic, p_a0):
+        scenario = AlarmScenario((0, 0), 4000.0, t_a=0.0,
+                                 correlation=SqrtCapCorrelation(500.0))
+        activity = ActivityProbs(p_a0, activity_prob_alarm(scenario, ref_geometry,
+                                                           ref_traffic, T_R))
+        for omega in DEFAULT_OMEGAS:
+            l1, l2 = frames_for(omega, 0.6, 0.4)
+            for pct in DEFAULT_DELTA_C_PCTS:
+                params = ProtocolParams(
+                    n=N, omega=omega, l1=l1, l2=l2, t_r=T_R, rs_duration=RS_DURATION,
+                    delta_c=delta_c_from_pct(pct, math.ceil(N / omega)))
+                report = expected_costs(params, activity, P_H1)
+                probs = (report.p_00, report.p_10, report.p_01, report.p_11)
+                assert all(0.0 <= p <= 1.0 for p in probs), (omega, pct, probs)
+                assert abs(report.p_00 + report.p_10 - 1.0) <= 2 * math.ulp(1.0)
 
     def test_non_increasing_in_threshold(self):
         pool = math.ceil(N / OMEGA)
