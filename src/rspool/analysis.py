@@ -49,8 +49,8 @@ class ProtocolParams:
             raise ValueError("frame lengths must be at least 1")
         if self.omega > 1 and not (self.l2 <= self.l1 < self.omega):
             raise ValueError("frame lengths must satisfy l2 <= l1 < omega")
-        if self.t_r <= 0 or self.rs_duration <= 0:
-            raise ValueError("durations must be positive")
+        if not (0 < self.t_r < math.inf and 0 < self.rs_duration < math.inf):
+            raise ValueError("durations must be positive and finite")
 
     @property
     def pool_size(self) -> int:
@@ -68,10 +68,6 @@ class ProtocolParams:
         if self.omega < 2:
             return 0
         return self.pool_size - (self.n % self.omega == 1)
-
-    @property
-    def delta_c_pct(self) -> float:
-        return 100.0 * self.delta_c / self.pool_size
 
 
 def delta_c_from_pct(pct: float, pool_size: int) -> int:
@@ -210,8 +206,7 @@ def collision_prob(p_a: float, omega: int) -> float:
 def _assoc_stirling(top: int) -> list[list[int]]:
     """S2(v, k) for v <= top: the partitions of v labelled contenders into k
     blocks of two or more, by S2(v+1, k) = k S2(v, k) + v S2(v-1, k-1)."""
-    s2 = [[0] * (top // 2 + 1) for _ in range(top + 1)]
-    s2[0][0] = 1
+    s2 = [[int(v == k == 0) for k in range(top // 2 + 1)] for v in range(top + 1)]
     for v in range(1, top):
         for k in range(1, (v + 1) // 2 + 1):
             s2[v + 1][k] = k * s2[v][k] + v * s2[v - 1][k - 1]
@@ -300,11 +295,11 @@ def resolution_probs(omega: int, l1, l2, p_a: float):
     contention frame, r1 = sum_m w_m R(m|m,l1), and failing that by the
     second, r2 = sum_{s>=2} R(s|s,l2) sum_m w_m R(m-s|m,l1), over the
     contender distribution w up to the first multiplicity whose remaining
-    mass is below _TAIL_EPS. Takes one frame pair or equal-length integer
-    arrays of pairs: one pass over the survivor tables of their lengths."""
+    mass, which never rises with m, is below _TAIL_EPS. Takes one frame pair
+    or equal-length integer arrays of pairs: one pass over the survivor
+    tables of their lengths."""
     w = truncated_active_dist(omega, p_a)
-    below = np.flatnonzero(1.0 - np.cumsum(w) < _TAIL_EPS)
-    top = int(below[0]) if below.size else omega
+    top = min(omega, int(np.count_nonzero(1.0 - np.cumsum(w) >= _TAIL_EPS)))
     frames = np.array([l1, l2])
     lengths, at = np.unique(frames, return_inverse=True)
     at = at.reshape(frames.shape)

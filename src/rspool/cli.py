@@ -133,9 +133,11 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     horizon = sim.horizon_s
     if args.replications is not None:
         horizon = args.replications * cell.protocol.t_r
-    elif simulator.pool_count(horizon, cell.protocol.t_r) < 1:
-        raise ConfigError(f"simulation.horizon_s = {horizon:g} s covers no whole "
-                          f"pool period of {cell.protocol.t_r:g} s")
+    if simulator.pool_count(horizon, cell.protocol.t_r) < 1:
+        raise ConfigError(f"a horizon of {horizon:g} s (simulation.horizon_s or --replications)"
+                          f" covers no whole pool period of {cell.protocol.t_r:g} s")
+    if not horizon / sim.delay_bin_s < 2**53:
+        raise ConfigError(f"simulation.delay_bin_s is too narrow for a {horizon:g} s horizon")
 
     ss = np.random.SeedSequence(seed)
     geom_seed, run_seed = ss.spawn(2)
@@ -258,21 +260,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and not 0 <= args.seed < 2**64:
+            raise CommandError(f"--seed must lie in [0, 2**64), got {args.seed}",
+                               "invalid-argument")
         exp = load_experiment(args.config)
         _COMMANDS[args.command](args, exp, Path(args.out))
-    except (ConfigError, CommandError) as exc:
-        category, error = exc.category, exc
-    except InfeasibleConfigError as exc:
-        category, error = "infeasible-config", exc
-    except AlarmTimeError as exc:  # the [alarm.*] section's event time or speed
-        category, error = "config-invalid", exc
-    except ValueError as exc:
-        category, error = "invalid-parameters", exc
-    else:
-        return 0
-    # one line, even for a message that spans several (a parser error's does)
-    print(f"error:{category}: {' '.join(str(error).split())}", file=sys.stderr)
-    return 1
+    except (ConfigError, CommandError, InfeasibleConfigError, AlarmTimeError) as exc:
+        # one line, even for a message that spans several (a parser error's does)
+        print(f"error:{exc.category}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass
 
 from .analysis import ProtocolParams, delta_c_from_pct, frames_for
@@ -101,9 +102,9 @@ class Experiment:
         self._require("cell")
         n = self._int("cell", "n_stations")
         r = self._float("cell", "radius_m")
-        if not (n >= 1 and 0 < r < math.inf):
+        if not (n >= 1 and sys.float_info.min <= r < math.inf):
             raise ConfigError("cell.n_stations and cell.radius_m must be positive "
-                              "(the radius finite)")
+                              "(the radius finite and not subnormal)")
         return n, r
 
     def cell(self) -> CellConfig:

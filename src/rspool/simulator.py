@@ -23,6 +23,7 @@ class Mode(Enum):
 
 class InfeasibleConfigError(ValueError):
     """The deadline cannot be met even in the worst-case pool."""
+    category = "infeasible-config"
 
 
 def worst_case_pool_duration(params: ProtocolParams,

@@ -143,7 +143,9 @@ CorrelationModel = UnitCorrelation | ExpDecayCorrelation | SqrtCapCorrelation
 
 
 class AlarmTimeError(ValueError):
-    """An alarm front reaches some station at a non-finite time."""
+    """An alarm front reaches some station at a non-finite time, or its
+    activations span more histogram bins than an index holds."""
+    category = "config-invalid"
 
 
 @dataclass(frozen=True)
@@ -249,8 +251,10 @@ def activation_curve(geometry: CellGeometry, scenario: AlarmScenario,
     if t_hit.size == 0:
         return ActivationCurve(bin_width=bin_width, counts=np.zeros(1, dtype=int),
                                start_s=scenario.t_a)
-    idx = np.floor((t_hit - scenario.t_a) / bin_width).astype(int)
-    counts = np.bincount(idx, minlength=int(idx.max()) + 1)
+    idx = np.floor((t_hit - scenario.t_a) / bin_width)
+    if not idx.max() < 2**53:
+        raise AlarmTimeError(f"activations span {idx.max():g} bins of {bin_width:g} s")
+    counts = np.bincount(idx.astype(int))
     return ActivationCurve(bin_width=bin_width, counts=counts, start_s=scenario.t_a)
 
 

@@ -266,6 +266,23 @@ class TestRejectedCalls:
         assert not (tmp_path / "new").exists()
 
 
+class TestSeedArgument:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "18446744073709551616000"])
+    @pytest.mark.parametrize("command", ["traffic", "analyze", "simulate", "sweep",
+                                         "compare-naive"])
+    def test_out_of_range_seed_is_invalid_argument(self, config_path, tmp_path,
+                                                   capsys, command, seed):
+        assert run_cli(command, "--config", str(config_path), "--seed", seed,
+                       "--out", str(tmp_path / "o")) == 1
+        assert error_lines(capsys) == ["error:invalid-argument"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_range_ends_are_accepted(self, config_path, tmp_path, seed):
+        assert run_cli("analyze", "--config", str(config_path), "--seed", seed,
+                       "--out", str(tmp_path)) == 0
+
+
 class TestAlarmSectionErrors:
     @pytest.mark.parametrize("edit", [
         ("d_max_m = 500", "d_max_m = -1"),
@@ -357,13 +374,35 @@ class TestGridSectionErrors:
 class TestCellSectionErrors:
     @pytest.mark.parametrize("key,value", [
         ("n_stations", "0"), ("n_stations", "-3"), ("radius_m", "-5"),
-        ("radius_m", "0"), ("radius_m", "nan"), ("radius_m", "inf")])
+        ("radius_m", "0"), ("radius_m", "nan"), ("radius_m", "inf"),
+        ("radius_m", "5e-324")])
     @pytest.mark.parametrize("command", ["traffic", "analyze", "simulate"])
     def test_exits_config_invalid(self, tmp_path, capsys, key, value, command):
         cfg = write_cell_with(tmp_path, "cell", key, value)
         assert run_cli(command, "--config", str(cfg), "--seed", "1",
                        "--out", str(tmp_path / "o")) == 1
         assert f"cell.{key}" in config_invalid_line(capsys)
+
+
+class TestValuesCheckedWhereUsed:
+    """Values that pass their section's own checks but fail the command that
+    uses them: each exits config-invalid with one line, not a traceback."""
+
+    @pytest.mark.parametrize("section,key,value,command", [
+        ("protocol", "t_r_s", "nan", ["analyze"]),
+        ("protocol", "t_r_s", "inf", ["simulate"]),
+        ("protocol", "rs_duration_s", "inf", ["sweep"]),
+        # two pool periods of 1e308 s overflow the horizon
+        ("protocol", "t_r_s", "1e308", ["simulate", "--replications", "2"]),
+        ("simulation", "delay_bin_s", "1e-300", ["simulate"]),
+        ("simulation", "bin_width_s", "1e-300", ["traffic"]),
+        ("alarm.quake", "speed_m_per_s", "1e-300", ["traffic"]),
+    ])
+    def test_exits_config_invalid(self, tmp_path, capsys, section, key, value, command):
+        cfg = write_cell_with(tmp_path, section, key, value)
+        assert run_cli(*command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        assert error_lines(capsys) == ["error:config-invalid"]
 
 
 # values for the INI mutations: plain numbers, edge floats, words the schema
