@@ -201,8 +201,8 @@ class Experiment:
             alarm_prob_per_pool=self._float("simulation", "alarm_prob_per_pool", 0.0),
             bin_width_s=self._float("simulation", "bin_width_s", 0.005))
         for key in ("horizon_s", "delay_bin_s", "bin_width_s"):
-            if not 0 < getattr(opts, key) < math.inf:
-                raise ConfigError(f"simulation.{key} must be positive and finite")
+            if not sys.float_info.min <= getattr(opts, key) < math.inf:
+                raise ConfigError(f"simulation.{key} must be a positive, finite, normal float")
         if not 0 <= opts.alarm_prob_per_pool <= 1:
             raise ConfigError("simulation.alarm_prob_per_pool must lie in [0, 1]")
         return opts

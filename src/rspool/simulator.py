@@ -46,7 +46,8 @@ def worst_case_pool_duration(params: ProtocolParams,
             params.omega, l1, l2, 1, 1)
         above = pool + collidable * params.omega
         worst = np.maximum(below, above)
-    return worst * params.rs_duration
+    with np.errstate(over="ignore"):  # too long to fit the float range: infinite
+        return worst * params.rs_duration
 
 
 def meets_deadline(params: ProtocolParams, deadlines: Deadlines, worst):

@@ -143,8 +143,7 @@ CorrelationModel = UnitCorrelation | ExpDecayCorrelation | SqrtCapCorrelation
 
 
 class AlarmTimeError(ValueError):
-    """An alarm front reaches some station at a non-finite time, or its
-    activations span more histogram bins than an index holds."""
+    """An alarm front reaches a station at a non-finite time or past 2**53 histogram bins."""
     category = "config-invalid"
 
 

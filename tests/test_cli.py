@@ -324,6 +324,7 @@ class TestSimulationSectionErrors:
         ("horizon_s", "0"), ("horizon_s", "-5"), ("horizon_s", "inf"),
         ("delay_bin_s", "0"), ("delay_bin_s", "nan"), ("delay_bin_s", "-0.05"),
         ("bin_width_s", "nan"), ("bin_width_s", "0"), ("bin_width_s", "-inf"),
+        ("bin_width_s", "5e-324"),
         ("alarm_prob_per_pool", "2"), ("alarm_prob_per_pool", "-0.1"),
         ("alarm_prob_per_pool", "nan"),
     ])
@@ -386,23 +387,28 @@ class TestCellSectionErrors:
 
 class TestValuesCheckedWhereUsed:
     """Values that pass their section's own checks but fail the command that
-    uses them: each exits config-invalid with one line, not a traceback."""
+    uses them: each exits with one error line, not a traceback or a warning."""
 
-    @pytest.mark.parametrize("section,key,value,command", [
-        ("protocol", "t_r_s", "nan", ["analyze"]),
-        ("protocol", "t_r_s", "inf", ["simulate"]),
-        ("protocol", "rs_duration_s", "inf", ["sweep"]),
+    @pytest.mark.parametrize("section,key,value,command,category", [
+        ("protocol", "t_r_s", "nan", ["analyze"], "config-invalid"),
+        ("protocol", "t_r_s", "inf", ["simulate"], "config-invalid"),
+        ("protocol", "rs_duration_s", "inf", ["sweep"], "config-invalid"),
+        # finite, but the worst-case pool duration overflows
+        ("protocol", "rs_duration_s", "1e308", ["analyze"], "infeasible-config"),
+        ("protocol", "rs_duration_s", "1e308", ["sweep"], "infeasible-config"),
         # two pool periods of 1e308 s overflow the horizon
-        ("protocol", "t_r_s", "1e308", ["simulate", "--replications", "2"]),
-        ("simulation", "delay_bin_s", "1e-300", ["simulate"]),
-        ("simulation", "bin_width_s", "1e-300", ["traffic"]),
-        ("alarm.quake", "speed_m_per_s", "1e-300", ["traffic"]),
+        ("protocol", "t_r_s", "1e308", ["simulate", "--replications", "2"],
+         "config-invalid"),
+        ("simulation", "delay_bin_s", "1e-300", ["simulate"], "config-invalid"),
+        ("simulation", "bin_width_s", "1e-300", ["traffic"], "config-invalid"),
+        ("alarm.quake", "speed_m_per_s", "1e-300", ["traffic"], "config-invalid"),
     ])
-    def test_exits_config_invalid(self, tmp_path, capsys, section, key, value, command):
+    def test_exits_with_one_error_line(self, tmp_path, capsys, section, key, value,
+                                       command, category):
         cfg = write_cell_with(tmp_path, section, key, value)
         assert run_cli(*command, "--config", str(cfg), "--seed", "1",
                        "--out", str(tmp_path / "o")) == 1
-        assert error_lines(capsys) == ["error:config-invalid"]
+        assert error_lines(capsys) == [f"error:{category}"]
 
 
 # values for the INI mutations: plain numbers, edge floats, words the schema
