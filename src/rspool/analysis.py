@@ -273,8 +273,9 @@ def truncated_active_dist(omega: int, p_a: float) -> np.ndarray:
     """Distribution of the number of contenders in a collided slot.
 
     Entry m holds P(m active | >= 2 active) for the omega stations sharing the
-    slot; entries 0 and 1 are zero. The array is cached per argument pair and
-    read-only.
+    slot; entries 0 and 1 are zero. The array ends at the first m whose
+    remaining mass, which never rises with m, is below _TAIL_EPS (at omega at
+    the latest). It is cached per argument pair and read-only.
     """
     if omega < 2:
         raise ValueError("omega must be at least 2 for a collision to exist")
@@ -286,6 +287,7 @@ def truncated_active_dist(omega: int, p_a: float) -> np.ndarray:
     if z <= 0:
         raise ValueError("collision probability underflows to zero")
     dist = pmf / z
+    dist = dist[:min(omega, int(np.count_nonzero(1.0 - np.cumsum(dist) >= _TAIL_EPS))) + 1]
     dist.setflags(write=False)
     return dist
 
@@ -294,19 +296,17 @@ def resolution_probs(omega: int, l1, l2, p_a: float):
     """Probabilities that a collided slot is fully resolved by the first
     contention frame, r1 = sum_m w_m R(m|m,l1), and failing that by the
     second, r2 = sum_{s>=2} R(s|s,l2) sum_m w_m R(m-s|m,l1), over the
-    contender distribution w up to the first multiplicity whose remaining
-    mass, which never rises with m, is below _TAIL_EPS. Takes one frame pair
-    or equal-length integer arrays of pairs: one pass over the survivor
-    tables of their lengths."""
+    contender distribution w (`truncated_active_dist`, cut at its tail).
+    Takes one frame pair or equal-length integer arrays of pairs: one pass
+    over the survivor tables of their distinct lengths."""
     w = truncated_active_dist(omega, p_a)
-    top = min(omega, int(np.count_nonzero(1.0 - np.cumsum(w) >= _TAIL_EPS)))
     frames = np.array([l1, l2])
-    lengths, at = np.unique(frames, return_inverse=True)
-    at = at.reshape(frames.shape)
-    tables = np.stack([_survivor_table(int(l), top) for l in lengths])
+    lengths = np.unique(frames)
+    tables = np.stack([_survivor_table(l, w.size - 1) for l in lengths.tolist()])
     # left[i, s]: probability that a first frame of lengths[i] leaves s unresolved
-    left = w[:top + 1] @ tables
-    return left[at[0], 0], np.sum(left[at[0], 2:] * tables[at[1], 2:, 0], axis=-1)
+    left = w @ tables
+    i1, i2 = np.searchsorted(lengths, frames)
+    return left[i1, 0], np.sum(left[i1, 2:] * tables[i2, 2:, 0], axis=-1)
 
 
 def frame_chain_cost(omega: int, l1: int, l2: int, reach_l2, reach_dedicated):

@@ -47,9 +47,12 @@ def oracle_resolve_prob(h: int, m: int, l: int) -> float:
 
 def per_pair_resolution_probs(omega: int, l1: int, l2: int, p_a: float):
     """r1 and r2 of one frame pair by the double loop over multiplicities m
-    and second-frame contenders h, with the same tail cut; reference for the
-    array pass."""
-    pa = truncated_active_dist(omega, p_a)
+    and second-frame contenders h over the whole contender distribution,
+    stopping where the remaining mass falls below _TAIL_EPS; reference for
+    the array pass."""
+    pa = _binom_pmf(omega, p_a)
+    pa[:2] = 0.0
+    pa /= pa.sum()
     r1 = r2 = 0.0
     remaining = 1.0
     for m in range(2, omega + 1):
