@@ -6,14 +6,13 @@ from .analysis import (ActivityProbs, AnalysisReport, ProtocolParams,
                        activity_prob_alarm, activity_prob_regular,
                        activity_probs, collision_prob, delta_c_from_pct,
                        expected_costs, expected_frame_cost, frames_for,
-                       naive_expected_cost, resolution_probs, resolve_prob,
-                       truncated_active_dist)
+                       resolution_probs, resolve_prob, truncated_active_dist)
 from .config import CellConfig, ConfigError, load_experiment
 from .optimizer import (NaiveComparison, SweepBase, SweepGrid, SweepResult,
                         compare_naive, sweep)
-from .simulator import (AlarmProcess, InfeasibleConfigError, Mode,
-                        ScenarioStats, kc_chi_square, run_scenario,
-                        validate_deadline, worst_case_pool_duration)
+from .simulator import (AlarmProcess, InfeasibleConfigError, ScenarioStats,
+                        kc_chi_square, run_scenario, validate_deadline,
+                        worst_case_pool_duration)
 from .traffic import (ActivationCurve, AlarmScenario, BetaFit, CellGeometry,
                       Deadlines, ExpDecayCorrelation, RegularTrafficParams,
                       ReportKind, SqrtCapCorrelation, UnitCorrelation,

@@ -407,14 +407,3 @@ def expected_costs(params: ProtocolParams, activity: ActivityProbs,
         e_c_00=e_c_00, e_c_10=e_c_10, e_c_01=e_c_01, e_c_11=e_c_11,
         e_c=e_c, p_h1=p_h1, r1=r1, r2=r2, e_s=e_s)
 
-
-def naive_expected_cost(params: ProtocolParams, activity: ActivityProbs,
-                        p_h1: float) -> float:
-    """Expected pool cost when every collided slot is always expanded into a
-    dedicated omega-slot frame, with no threshold decision."""
-    if not 0 <= p_h1 <= 1:
-        raise ValueError("alarm prior must lie in [0, 1]")
-    pool, omega = params.pool_size, params.omega
-    cost_h0, cost_h1 = (_branch_cost(pool, pool * collision_prob(p_a, omega), omega)
-                        for p_a in (activity.p_a0, activity.p_a1))
-    return (1.0 - p_h1) * cost_h0 + p_h1 * cost_h1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -120,6 +121,9 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     cell = exp.cell()
     alarms = [scenario for _, scenario in exp.alarms()]
     sim = exp.simulation()
+    protocol = cell.protocol
+    if sim.mode == "naive":  # every collided slot takes its dedicated frame
+        protocol = dataclasses.replace(protocol, delta_c=1)
 
     process = None
     if sim.alarm_prob_per_pool > 0:
@@ -144,9 +148,9 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     geometry = traffic.place_stations(cell.n_stations, cell.radius_m, geom_seed)
 
     trace: list | None = [] if args.trace else None
-    stats = simulator.run_scenario(geometry, cell.protocol, cell.traffic,
-                                   cell.deadlines, alarms, horizon, sim.mode,
-                                   run_seed, delay_bin=sim.delay_bin_s,
+    stats = simulator.run_scenario(geometry, protocol, cell.traffic,
+                                   cell.deadlines, alarms, horizon, run_seed,
+                                   delay_bin=sim.delay_bin_s,
                                    alarm_process=process, trace=trace)
     _json_dump(out / "scenario_stats.json", stats.to_dict())
 
@@ -266,10 +270,14 @@ def main(argv=None) -> int:
         exp = load_experiment(args.config)
         _COMMANDS[args.command](args, exp, Path(args.out))
     except (ConfigError, CommandError, InfeasibleConfigError, AlarmTimeError) as exc:
-        # one line, even for a message that spans several (a parser error's does)
-        print(f"error:{exc.category}: {' '.join(str(exc).split())}", file=sys.stderr)
-        return 1
-    return 0
+        category, message = exc.category, str(exc)
+    except MemoryError as exc:  # a cell or a run too large for this machine
+        category, message = "out-of-memory", str(exc) or "not enough memory for this run"
+    else:
+        return 0
+    # one line, even for a message that spans several (a parser error's does)
+    print(f"error:{category}: {' '.join(message.split())}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .analysis import ProtocolParams, delta_c_from_pct, frames_for
 from .optimizer import SweepGrid, _check_omega_values
-from .simulator import Mode
 from .traffic import (AlarmScenario, Deadlines, ExpDecayCorrelation,
                       RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation)
 
@@ -45,7 +44,7 @@ class CellConfig:
 @dataclass(frozen=True)
 class SimulationOptions:
     horizon_s: float = 300.0
-    mode: Mode = Mode.ADAPTIVE
+    mode: str = "adaptive"  # or "naive": the pool run at delta_c = 1
     delay_bin_s: float = 0.05
     alarm_prob_per_pool: float = 0.0
     bin_width_s: float = 0.005
@@ -189,11 +188,9 @@ class Experiment:
         return p
 
     def simulation(self) -> SimulationOptions:
-        mode_raw = self._str("simulation", "mode", "adaptive").lower()
-        try:
-            mode = Mode.ADAPTIVE if mode_raw == "adaptive" else Mode(mode_raw)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for simulation.mode: {mode_raw!r}") from exc
+        mode = self._str("simulation", "mode", "adaptive").lower()
+        if mode not in ("adaptive", "naive"):
+            raise ConfigError(f"invalid value for simulation.mode: {mode!r}")
         opts = SimulationOptions(
             horizon_s=self._float("simulation", "horizon_s", 300.0),
             mode=mode,

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, simulator
 from .analysis import ActivityProbs, ProtocolParams, frames_for
-from .simulator import AlarmProcess, InfeasibleConfigError, Mode
+from .simulator import AlarmProcess, InfeasibleConfigError
 from .traffic import AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams
 
 DEFAULT_OMEGAS = (1, 10, 20, 30, 40, 50, 60, 80, 100, 150, 200)
@@ -140,7 +140,7 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
             rs_duration=base.rs_duration)
     except ValueError:
         return row, None
-    worst = simulator.worst_case_pool_duration(params, Mode.ADAPTIVE, (l1, l2))
+    worst = simulator.worst_case_pool_duration(params, (l1, l2))
     feasible = simulator.meets_deadline(params, base.deadlines, worst)
     if not feasible.any():
         return row, params
@@ -184,8 +184,8 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
             stats = simulator.run_scenario(
                 base.geometry, dataclasses.replace(params, l1=row.l1, l2=row.l2),
                 base.traffic, base.deadlines, alarms=[],
-                horizon=grid.simulate_pools * base.t_r, mode=Mode.ADAPTIVE,
-                seed=seed, alarm_process=process)
+                horizon=grid.simulate_pools * base.t_r, seed=seed,
+                alarm_process=process)
             row.e_c_simulated = stats.mean_rs_per_pool
             row.e_c_simulated_stderr = stats.stderr_rs_per_pool
 
@@ -223,15 +223,17 @@ def compare_naive(base: SweepBase, omega_values=DEFAULT_OMEGAS,
 
     The adaptive side runs at the frames a searched sweep picks at the same
     (omega, delta_c), so each row's adaptive cost is that sweep row's cost;
-    group sizes the sweep flags infeasible get no row."""
+    group sizes the sweep flags infeasible get no row. The naive cost is the
+    cost at delta_c = 1, where every collided slot takes a dedicated frame."""
     activity = base.activity()
     rows: list[NaiveComparisonRow] = []
     for omega in sorted(omega_values):
         row, params = _evaluate_point(base, omega, delta_c_pct, "search", "search")
         if row.feasible:
+            naive = dataclasses.replace(params, delta_c=1)
             rows.append(NaiveComparisonRow(
                 omega=omega, e_c_adaptive=row.e_c_analytical,
-                e_c_naive=analysis.naive_expected_cost(params, activity, base.p_h1)))
+                e_c_naive=analysis.expected_costs(naive, activity, base.p_h1).e_c))
     if not rows:
         raise InfeasibleConfigError("every group size is infeasible")
     return NaiveComparison(rows=rows,

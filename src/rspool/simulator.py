@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -16,18 +15,12 @@ from .traffic import (AlarmScenario, CellGeometry, Deadlines, RegularTrafficPara
                       ReportKind)
 
 
-class Mode(Enum):
-    ADAPTIVE = "adaptive"
-    NAIVE_CONTENTION_FREE = "naive"
-
-
 class InfeasibleConfigError(ValueError):
     """The deadline cannot be met even in the worst-case pool."""
     category = "infeasible-config"
 
 
-def worst_case_pool_duration(params: ProtocolParams,
-                             mode: Mode = Mode.ADAPTIVE, frames=None):
+def worst_case_pool_duration(params: ProtocolParams, frames=None):
     """Upper bound on the pool duration, accounting for the threshold branch.
 
     Below the threshold at most delta_c - 1 slots escalate through both
@@ -37,15 +30,9 @@ def worst_case_pool_duration(params: ProtocolParams,
     an array of durations.
     """
     l1, l2 = (params.l1, params.l2) if frames is None else frames
-    pool = params.pool_size
     collidable = params.collidable_groups
-    if mode is Mode.NAIVE_CONTENTION_FREE:
-        worst = pool + collidable * params.omega
-    else:
-        below = pool + min(params.delta_c - 1, collidable) * frame_chain_cost(
-            params.omega, l1, l2, 1, 1)
-        above = pool + collidable * params.omega
-        worst = np.maximum(below, above)
+    below = min(params.delta_c - 1, collidable) * frame_chain_cost(params.omega, l1, l2, 1, 1)
+    worst = params.pool_size + np.maximum(below, collidable * params.omega)
     with np.errstate(over="ignore"):  # too long to fit the float range: infinite
         return worst * params.rs_duration
 
@@ -56,10 +43,9 @@ def meets_deadline(params: ProtocolParams, deadlines: Deadlines, worst):
     return deadlines.tau_a > params.t_r + worst
 
 
-def validate_deadline(params: ProtocolParams, deadlines: Deadlines,
-                      mode: Mode = Mode.ADAPTIVE) -> None:
+def validate_deadline(params: ProtocolParams, deadlines: Deadlines) -> None:
     """Reject configurations whose worst-case pool breaks the alarm deadline."""
-    worst = worst_case_pool_duration(params, mode)
+    worst = worst_case_pool_duration(params)
     if not meets_deadline(params, deadlines, worst):
         raise InfeasibleConfigError(
             f"alarm deadline {deadlines.tau_a:g} s cannot cover the pool period "
@@ -79,16 +65,16 @@ class _Resolved:
 
 
 def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
-                   params: ProtocolParams, mode: Mode, rng) -> _Resolved:
+                   params: ProtocolParams, rng) -> _Resolved:
     """Resolve the reports of `n_pools` independent pools together.
 
     Report i is held by `station[i]` in pool `pool[i]`; the reports are sorted
     by (pool, station) with no repeats, so the reports of one group in one
     pool form a run. Every report transmits in its group's preallocated slot.
     In each pool the collided slots are counted against the threshold; those
-    of a regular-decision pool in adaptive mode contend in the frames l1 and
-    then l2, and whoever is left (every member, for an alarm decision or in
-    naive mode) takes the dedicated frame at its in-group index.
+    of a regular-decision pool contend in the frames l1 and then l2, and
+    whoever is left (every member, for an alarm decision) takes the
+    dedicated frame at its in-group index.
     """
     g, omega, l1, l2 = params.pool_size, params.omega, params.l1, params.l2
     m = station.size
@@ -105,10 +91,7 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
     n_cg = cg_pool.size
     k_c = np.bincount(cg_pool, minlength=n_pools)
     alarm = k_c >= params.delta_c
-    if mode is Mode.ADAPTIVE:
-        contends = ~alarm[cg_pool]
-    else:
-        contends = np.zeros(n_cg, dtype=bool)
+    contends = ~alarm[cg_pool]
 
     members = np.flatnonzero(collided[run_of])  # reports in collided groups
     cg_of = (np.cumsum(collided) - 1)[run_of]  # their collided group
@@ -205,8 +188,7 @@ class ScenarioStats:
     delay_histogram: DelayHistogram = field(default_factory=lambda: DelayHistogram(0.05))
     # pools per collided-slot count k_c, length pool_size + 1
     kc_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    # collided groups of regular-decision pools (adaptive mode) by the frame
-    # that resolved their last contender, in GROUP_ENDS order
+    # collided groups of regular-decision pools by their last frame, in GROUP_ENDS order
     groups_ended: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=int))
     # slots spent on each part of the pool, in POOL_PARTS order
     slots_by_part: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=int))
@@ -469,8 +451,8 @@ def pool_count(horizon: float, t_r: float) -> int:
 
 def run_scenario(geometry: CellGeometry, params: ProtocolParams,
                  traffic: RegularTrafficParams, deadlines: Deadlines,
-                 alarms: list[AlarmScenario], horizon: float, mode: Mode,
-                 seed, delay_bin: float = 0.05,
+                 alarms: list[AlarmScenario], horizon: float, seed,
+                 delay_bin: float = 0.05,
                  alarm_process: AlarmProcess | None = None,
                  trace: list | None = None) -> ScenarioStats:
     """Simulate pools every t_r over the horizon with gated arrivals.
@@ -484,7 +466,7 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
         raise ValueError("horizon must cover a finite number (>= 1) of pool periods")
     if geometry.n_stations != params.n:
         raise ValueError("geometry and protocol disagree on the station count")
-    validate_deadline(params, deadlines, mode)
+    validate_deadline(params, deadlines)
 
     # the children are built, not spawn()ed: spawn advances a caller's
     # SeedSequence, so a second run with it would draw other arrivals
@@ -499,7 +481,7 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
     for arrivals in _arrivals(geometry, traffic, params.t_r, alarms,
                               alarm_process, n_pools, arrival_rng):
         res = _resolve_pools(arrivals.pool, arrivals.station, arrivals.h1.size,
-                             params, mode, contention_rng)
+                             params, contention_rng)
         stats.add(arrivals, res, deadlines, trace)
     return stats
 

@@ -4,6 +4,7 @@ propagating alarm events, their spatial correlation and activation curves."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -306,10 +307,12 @@ def fit_beta(curve: ActivationCurve) -> BetaFit:
 
     a0, b0 = _moment_guess(centers, weights, t_span)
     try:
-        popt, _ = optimize.curve_fit(
-            lambda t, a, b: beta_pdf(t, a, b, t_span),
-            centers, density, p0=(a0, b0),
-            bounds=((1e-3, 1e-3), (1e3, 1e3)), maxfev=20000)
+        with warnings.catch_warnings():  # the covariance it warns about is discarded
+            warnings.simplefilter("ignore", optimize.OptimizeWarning)
+            popt, _ = optimize.curve_fit(
+                lambda t, a, b: beta_pdf(t, a, b, t_span),
+                centers, density, p0=(a0, b0),
+                bounds=((1e-3, 1e-3), (1e3, 1e3)), maxfev=20000)
         alpha, beta = float(popt[0]), float(popt[1])
     except RuntimeError:
         alpha, beta = a0, b0

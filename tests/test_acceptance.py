@@ -15,7 +15,6 @@ from rspool import (ActivityProbs, AlarmProcess, AlarmScenario, Deadlines,
                     activity_prob_alarm, activity_prob_regular, collision_prob,
                     compare_naive, expected_costs, fit_beta,
                     kc_chi_square, place_stations, resolve_prob, run_scenario)
-from rspool.simulator import Mode
 from rspool.traffic import ActivationCurve
 from tests.conftest import (DC_PCT, L1, L2, LAMBDA_D, N, OMEGA, P_H1, RADIUS,
                             RS_DURATION, T_R, T_RI, TAU_A, TAU_D, TAU_P)
@@ -74,8 +73,7 @@ def optimum_mixture_run(optimum_params, traffic_params, deadlines, geometry,
     process = AlarmProcess(prob_per_pool=P_H1, template=alarm_template)
     return run_scenario(geometry, optimum_params, traffic_params, deadlines,
                         alarms=[], horizon=POOLS_AT_OPTIMUM * T_R,
-                        mode=Mode.ADAPTIVE, seed=271828,
-                        alarm_process=process)
+                        seed=271828, alarm_process=process)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +97,7 @@ def detection_runs(optimum_params, traffic_params, deadlines):
             trace = []
             stats = run_scenario(geom, optimum_params, traffic_params, deadlines,
                                  alarms=[alarm], horizon=2 * T_R,
-                                 mode=Mode.ADAPTIVE, seed=r_seed, trace=trace)
+                                 seed=r_seed, trace=trace)
             assert trace[0]["hypothesis"] == "h1"
             kc[i] = trace[0]["k_c"]
             max_alarm_delay = max(max_alarm_delay,
@@ -142,8 +140,7 @@ class TestCriterion02DegeneratePolling:
         params = ProtocolParams(n=N, omega=1, delta_c=100, l1=1, l2=1,
                                 t_r=T_R, rs_duration=RS_DURATION)
         stats = run_scenario(geometry, params, traffic_params, deadlines,
-                             alarms=[], horizon=20 * T_R, mode=Mode.ADAPTIVE,
-                             seed=161803)
+                             alarms=[], horizon=20 * T_R, seed=161803)
         ok = (stats.mean_rs_per_pool == N
               and stats.std_rs_per_pool == 0.0
               and abs(stats.mean_pool_duration - 1.6) < 1e-12)
@@ -336,7 +333,7 @@ class TestCriterion10IndependentSlotsAssumption:
             geom = place_stations(N, RADIUS, g_seed)
             stats = run_scenario(geom, optimum_params, traffic_params, deadlines,
                                  alarms=[], horizon=POOLS_PER_META_REP * T_R,
-                                 mode=Mode.ADAPTIVE, seed=r_seed)
+                                 seed=r_seed)
             _, pvalue, _ = kc_chi_square(stats.kc_counts,
                                          optimum_params.pool_size, p_c)
             passes += pvalue > 0.01

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
-                    SqrtCapCorrelation, UnitCorrelation, activity_prob_alarm,
-                    activity_prob_regular, collision_prob, delta_c_from_pct,
-                    expected_costs, expected_frame_cost, frames_for,
-                    naive_expected_cost, resolution_probs, resolve_prob,
-                    truncated_active_dist)
+                    SqrtCapCorrelation, SweepBase, UnitCorrelation,
+                    activity_prob_alarm, activity_prob_regular, collision_prob,
+                    compare_naive, delta_c_from_pct, expected_costs,
+                    expected_frame_cost, frames_for, resolution_probs,
+                    resolve_prob, truncated_active_dist)
 from rspool.analysis import (_TAIL_EPS, _assoc_stirling, _binom_pmf,
                              _no_singleton_counts)
 from rspool.optimizer import DEFAULT_DELTA_C_PCTS, DEFAULT_OMEGAS, _frame_pairs
@@ -580,11 +580,24 @@ class TestExpectedCosts:
             dist[2] = 0.0
         assert truncated_active_dist(OMEGA, P_A0)[2] > 0.0
 
-    def test_naive_cost_reference(self):
-        params = self.make_params()
-        naive = naive_expected_cost(params, ActivityProbs(P_A0, P_A0), 0.0)
-        pc = collision_prob(P_A0, OMEGA)
-        assert naive == pytest.approx(200 + 200 * pc * OMEGA, rel=1e-12)
+    @pytest.mark.parametrize("p_h1", [0.0, P_H1])
+    def test_naive_cost_reference(self, ref_geometry, ref_traffic, ref_deadlines,
+                                  p_h1):
+        # the naive scheme expands every collided slot into a dedicated
+        # frame, E[C] = P + P p_c omega under each hypothesis; compare_naive
+        # reads it off the cost pass at delta_c = 1
+        quake = AlarmScenario((0.0, 0.0), 4000.0, 10.0, SqrtCapCorrelation(500.0))
+        base = SweepBase(geometry=ref_geometry, traffic=ref_traffic,
+                         deadlines=ref_deadlines, t_r=T_R, rs_duration=RS_DURATION,
+                         p_h1=p_h1, alarm=quake)
+        [row] = compare_naive(base, omega_values=(OMEGA,)).rows
+        pc = [collision_prob(p_a, OMEGA) for p_a in (base.activity().p_a0,
+                                                    base.activity().p_a1)]
+        assert pc[1] > pc[0]
+        pool = 200
+        assert row.e_c_naive == pytest.approx(
+            (1 - p_h1) * (pool + pool * pc[0] * OMEGA) + p_h1 * (pool + pool * pc[1] * OMEGA),
+            rel=1e-12)
 
 
 class TestProtocolParams:

@@ -199,6 +199,25 @@ class TestSimulateCommand:
         for name in ("scenario_stats.json", "delay_histogram.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("seed", ["1", "7"])
+    def test_naive_mode_is_adaptive_at_delta_c_1(self, tmp_path, seed):
+        # the naive baseline is the threshold test at delta_c = 1, so both
+        # configurations write the same bytes, the per-pool trace included
+        outs = []
+        for name, section, key, value in (("naive", "simulation", "mode", "naive"),
+                                          ("one", "protocol", "delta_c_slots", "1")):
+            cfg = write_cell_with(tmp_path / name, section, key, value)
+            outs.append(tmp_path / name / "out")
+            assert run_cli("simulate", "--config", str(cfg), "--seed", seed,
+                           "--out", str(outs[-1]), "--trace") == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "pool_trace.jsonl" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        stats = json.loads((outs[0] / "scenario_stats.json").read_text())
+        assert stats["pools_h1"] > 0 and stats["p_alarm_given_h1"] == 1.0
+
 
 class TestSweepCommand:
     def test_writes_rows_and_argmin(self, config_path, tmp_path):
@@ -307,6 +326,7 @@ def write_cell_with(tmp_path, section, key, value) -> Path:
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(SMALL_CELL)
     cp[section][key] = value
+    tmp_path.mkdir(parents=True, exist_ok=True)
     cfg = tmp_path / "cell.ini"
     with open(cfg, "w", encoding="utf-8") as fh:
         cp.write(fh)
@@ -326,7 +346,7 @@ class TestSimulationSectionErrors:
         ("bin_width_s", "nan"), ("bin_width_s", "0"), ("bin_width_s", "-inf"),
         ("bin_width_s", "5e-324"),
         ("alarm_prob_per_pool", "2"), ("alarm_prob_per_pool", "-0.1"),
-        ("alarm_prob_per_pool", "nan"),
+        ("alarm_prob_per_pool", "nan"), ("mode", "bogus"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "traffic"])
     def test_exits_config_invalid(self, tmp_path, capsys, key, value, command):
@@ -411,6 +431,22 @@ class TestValuesCheckedWhereUsed:
         assert error_lines(capsys) == [f"error:{category}"]
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["traffic", "analyze", "simulate", "sweep",
+                                         "compare-naive"])
+    def test_exits_with_one_error_line(self, config_path, tmp_path, capsys,
+                                       monkeypatch, command):
+        # a cell too large for the machine (say n_stations = 1e11) fails
+        # where the stations are placed; stand in for it without allocating
+        def placement_too_large(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("rspool.traffic.place_stations", placement_too_large)
+        assert run_cli(command, "--config", str(config_path), "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        assert error_lines(capsys) == ["error:out-of-memory"]
+
+
 # values for the INI mutations: plain numbers, edge floats, words the schema
 # knows, interpolation syntax and short junk; no free digits, so no huge cell
 VALUES = st.sampled_from([
@@ -489,6 +525,23 @@ class TestSampleConfigs:
         for name in ("all_affected", "exp_decay", "sqrt_cap"):
             assert (tmp_path / f"activation_{name}.csv").exists()
             assert (tmp_path / f"fit_{name}.json").exists()
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_small_cell_fit_prints_nothing(self, tmp_path, capsys, seed):
+        # in a 40 m cell the fronts cross in a few bins, and scipy cannot
+        # estimate the covariance of the fit, which fit_beta discards anyway
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(ROOT / "configs" / "activation_curves.ini", encoding="utf-8")
+        cp["cell"]["radius_m"] = "40"
+        cfg = tmp_path / "small.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("traffic", "--config", str(cfg), "--seed", seed,
+                           "--out", str(tmp_path / "o")) == 0
+        assert not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err == ""
 
 
 # Runs four commands in one fresh interpreter and prints the scipy

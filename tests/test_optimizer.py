@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rspool import analysis, simulator
-from rspool import (AlarmScenario, Deadlines, InfeasibleConfigError, Mode,
+from rspool import (AlarmScenario, Deadlines, InfeasibleConfigError,
                     ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
                     SweepBase, SweepGrid, compare_naive, expected_costs,
                     frames_for, sweep)
@@ -261,7 +261,7 @@ class TestSearchCost:
         base = tight_base(ref_geometry, ref_traffic, 5.5)
         row = searched_row(base, 40, 90.0)
         [(params, (l1, l2))] = costed
-        worst = simulator.worst_case_pool_duration(params, Mode.ADAPTIVE, (l1, l2))
+        worst = simulator.worst_case_pool_duration(params, (l1, l2))
         assert simulator.meets_deadline(params, base.deadlines, worst).all()
         assert 0 < l1.size < _frame_pairs(40).shape[1]
         assert row.feasible and (row.l1, row.l2) in set(zip(l1.tolist(), l2.tolist()))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Deadlines,
-                    InfeasibleConfigError, Mode, ProtocolParams,
+                    InfeasibleConfigError, ProtocolParams,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
                     activity_prob_regular, collision_prob, expected_costs,
                     kc_chi_square, place_stations, run_scenario,
@@ -27,13 +27,12 @@ def small_params(**overrides):
     return ProtocolParams(**defaults)
 
 
-def resolve_pool(active, params, mode, rng):
+def resolve_pool(active, params, rng):
     """One pool through the batch resolver, for the stations `active`
     (sorted, distinct ids) holding a report: its k_c, alarm decision,
     total_rs and station id -> index of the resolving slot."""
     active = np.asarray(active, dtype=int)
-    res = _resolve_pools(np.zeros(active.size, dtype=int), active, 1, params,
-                         mode, rng)
+    res = _resolve_pools(np.zeros(active.size, dtype=int), active, 1, params, rng)
     return SimpleNamespace(k_c=int(res.k_c[0]), alarm=bool(res.alarm[0]),
                            total_rs=int(res.total_rs[0]),
                            resolved_slot=dict(zip(active.tolist(), res.slot.tolist())))
@@ -52,9 +51,9 @@ class TestGrouping:
         params = grouping(95, 10)
         assert params.pool_size == 10
         for s in range(95):
-            assert resolve_pool([s], params, Mode.ADAPTIVE, rng).resolved_slot == {s: s // 10}
+            assert resolve_pool([s], params, rng).resolved_slot == {s: s // 10}
         # a collided group's members take the dedicated slots at s % omega
-        outcome = resolve_pool(np.arange(90, 95), params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(np.arange(90, 95), params, rng)
         assert outcome.resolved_slot == {s: 10 + s % 10 for s in range(90, 95)}
 
     def test_collidable_counts_groups_with_two_plus_members(self):
@@ -72,7 +71,7 @@ class TestGrouping:
 class TestResolvePool:
     def test_empty_pool(self, rng):
         params = small_params()
-        outcome = resolve_pool([], params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool([], params, rng)
         assert outcome.k_c == 0
         assert not outcome.alarm
         assert outcome.total_rs == params.pool_size
@@ -81,7 +80,7 @@ class TestResolvePool:
     def test_one_station_per_group_resolves_in_own_slot(self, rng):
         params = small_params()
         active = np.arange(0, params.n, params.omega)  # one per group
-        outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(active, params, rng)
         assert outcome.k_c == 0
         assert outcome.total_rs == params.pool_size
         assert outcome.resolved_slot == {int(s): int(s) // params.omega for s in active}
@@ -89,7 +88,7 @@ class TestResolvePool:
     def test_saturated_cell_goes_contention_free(self, rng):
         params = ProtocolParams(n=N, omega=OMEGA, delta_c=100, l1=24, l2=16,
                                 t_r=T_R, rs_duration=RS_DURATION)
-        outcome = resolve_pool(np.arange(N), params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(np.arange(N), params, rng)
         assert outcome.k_c == params.pool_size
         assert outcome.alarm
         assert outcome.total_rs == 200 + 200 * 40
@@ -100,7 +99,7 @@ class TestResolvePool:
         # l1 + l2 + omega slots, and every resolving slot lies inside the pool
         params = small_params(delta_c=20)
         active = np.flatnonzero(np.random.default_rng(4).random(params.n) < 0.2)
-        outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(active, params, rng)
         assert not outcome.alarm and outcome.k_c > 0
         common = outcome.total_rs - params.pool_size
         assert outcome.k_c * params.l1 <= common
@@ -111,7 +110,7 @@ class TestResolvePool:
         params = small_params(delta_c=3)
         for trial in range(40):
             active = np.flatnonzero(np.random.default_rng(trial).random(params.n) < 0.25)
-            outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
+            outcome = resolve_pool(active, params, rng)
             assert outcome.alarm == (outcome.k_c >= 3)
 
     # at delta_c = 8 every pool here declares the alarm regime; at 20 none
@@ -121,7 +120,7 @@ class TestResolvePool:
         params = small_params(delta_c=delta_c)
         for trial in range(25):
             active = np.flatnonzero(np.random.default_rng(100 + trial).random(params.n) < 0.3)
-            outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
+            outcome = resolve_pool(active, params, rng)
             assert outcome.alarm == (delta_c == 8)
             assert set(outcome.resolved_slot) == set(int(s) for s in active)
             assert max(outcome.resolved_slot.values()) < outcome.total_rs
@@ -129,10 +128,13 @@ class TestResolvePool:
             assert len(set(slots)) == len(slots)  # no two stations share a slot
 
     def test_naive_mode_expands_every_collision_to_dedicated_frame(self, rng):
-        params = small_params(delta_c=8)
-        # two colliding groups, below the adaptive threshold
+        # the naive scheme is the threshold test at delta_c = 1: two colliding
+        # groups, which contend below a threshold of 8, go straight to their
+        # dedicated frames
+        params = small_params(delta_c=1)
         active = np.array([0, 1, 10, 11])
-        naive = resolve_pool(active, params, Mode.NAIVE_CONTENTION_FREE, rng)
+        naive = resolve_pool(active, params, rng)
+        assert naive.alarm and naive.k_c == 2
         assert naive.total_rs == params.pool_size + 2 * params.omega
         base = params.pool_size
         assert naive.resolved_slot == {0: base, 1: base + 1,
@@ -142,14 +144,14 @@ class TestResolvePool:
     def test_adaptive_below_threshold_uses_contention_frames(self, rng):
         # l1 + l2 differs from omega, so the cost tells the branches apart
         params = small_params(delta_c=8, l1=5, l2=2)
-        outcome = resolve_pool(np.array([0, 1]), params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(np.array([0, 1]), params, rng)
         assert outcome.total_rs - params.pool_size in (5, 5 + 2, 5 + 2 + params.omega)
         assert min(outcome.resolved_slot.values()) >= params.pool_size
 
     def test_alarm_branch_dedicates_slot_per_member_index(self, rng):
         params = small_params(delta_c=1)
         active = np.array([20, 21, 22])
-        outcome = resolve_pool(active, params, Mode.ADAPTIVE, rng)
+        outcome = resolve_pool(active, params, rng)
         assert outcome.alarm
         assert outcome.total_rs == params.pool_size + params.omega
         base = params.pool_size
@@ -183,7 +185,7 @@ class TestFeasibility:
                                 t_r=T_R, rs_duration=RS_DURATION)
         l1 = np.array([1, 24, 39, 39])
         l2 = np.array([1, 16, 1, 39])
-        worst = worst_case_pool_duration(params, Mode.ADAPTIVE, (l1, l2))
+        worst = worst_case_pool_duration(params, (l1, l2))
         deadlines = Deadlines(T_R + worst[1] + 1e-9, 60.0, 300.0)
         for a, b, w in zip(l1.tolist(), l2.tolist(), worst):
             pair = ProtocolParams(n=N, omega=OMEGA, delta_c=150, l1=a, l2=b,
@@ -196,22 +198,22 @@ class TestFeasibility:
                     validate_deadline(pair, deadlines)
 
     def test_naive_worst_case(self):
-        params = small_params()
-        worst = worst_case_pool_duration(params, Mode.NAIVE_CONTENTION_FREE)
+        # at delta_c = 1 no slot escalates through the contention frames
+        params = small_params(delta_c=1)
+        worst = worst_case_pool_duration(params)
         assert worst == pytest.approx((20 + 20 * 10) * RS_DURATION)
 
 
 @pytest.fixture(scope="module")
 def h0_run(ref_geometry, ref_params, ref_traffic, ref_deadlines):
     return run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                        alarms=[], horizon=2000 * T_R, mode=Mode.ADAPTIVE,
-                        seed=424242)
+                        alarms=[], horizon=2000 * T_R, seed=424242)
 
 
 class TestRunScenario:
     def test_deterministic_for_seed(self, ref_geometry, ref_params, ref_traffic,
                                     ref_deadlines):
-        kwargs = dict(alarms=[], horizon=50 * T_R, mode=Mode.ADAPTIVE, seed=99)
+        kwargs = dict(alarms=[], horizon=50 * T_R, seed=99)
         a = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines, **kwargs)
         b = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines, **kwargs)
         assert a.to_dict() == b.to_dict()
@@ -297,8 +299,7 @@ class TestRunScenario:
         alarm = AlarmScenario((0, 0), 4000.0, t_a=6.0,
                               correlation=SqrtCapCorrelation(500.0))
         stats = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[alarm], horizon=10 * T_R,
-                             mode=Mode.ADAPTIVE, seed=5150)
+                             alarms=[alarm], horizon=10 * T_R, seed=5150)
         assert stats.pools_h1 == 1
         assert stats.p_alarm_given_h1 == 1.0
         assert stats.p_alarm_given_h0 == 0.0
@@ -312,8 +313,7 @@ class TestRunScenario:
                                template=AlarmScenario((0, 0), 4000.0, 0.0,
                                                       SqrtCapCorrelation(500.0)))
         stats = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=100 * T_R, mode=Mode.ADAPTIVE,
-                             seed=31337, alarm_process=process)
+                             alarms=[], horizon=100 * T_R, seed=31337, alarm_process=process)
         # about 20 of 100 windows should carry an event; events drawn close
         # to a window boundary split their reports across two pools, so
         # per-pool detection can fall just short of certainty
@@ -323,41 +323,40 @@ class TestRunScenario:
     def test_naive_mode_costs_more_than_adaptive_under_h0(self, ref_geometry,
                                                           ref_params, ref_traffic,
                                                           ref_deadlines):
-        naive = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=300 * T_R,
-                             mode=Mode.NAIVE_CONTENTION_FREE, seed=777)
+        naive = run_scenario(ref_geometry, dataclasses.replace(ref_params, delta_c=1),
+                             ref_traffic, ref_deadlines, alarms=[],
+                             horizon=300 * T_R, seed=777)
         adaptive = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                                alarms=[], horizon=300 * T_R,
-                                mode=Mode.ADAPTIVE, seed=777)
+                                alarms=[], horizon=300 * T_R, seed=777)
         assert naive.mean_rs_per_pool > adaptive.mean_rs_per_pool
 
     def test_trace_records_every_pool(self, ref_geometry, ref_params, ref_traffic,
                                       ref_deadlines):
         trace = []
         stats = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=20 * T_R, mode=Mode.ADAPTIVE,
-                             seed=1, trace=trace)
+                             alarms=[], horizon=20 * T_R, seed=1, trace=trace)
         assert len(trace) == stats.pools_run == 20
         assert all(t["total_rs"] >= ref_params.pool_size for t in trace)
 
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_traced_pools_within_worst_case(self, mode):
+    @pytest.mark.parametrize("delta_c", [15, 1])
+    def test_traced_pools_within_worst_case(self, delta_c):
         # about 14 of 20 slots collide in a regular pool, either side of the
         # threshold of 15, so both decisions occur, the regular ones with up
-        # to 14 frame chains; alarm events collide every slot
-        params = small_params(delta_c=15)
+        # to 14 frame chains; alarm events collide every slot. At delta_c = 1
+        # (the naive scheme) every pool with a collided slot is an alarm pool
+        params = small_params(delta_c=delta_c)
         geometry = place_stations(params.n, 1000.0, seed=4)
         process = AlarmProcess(prob_per_pool=0.2, template=AlarmScenario(
             (0, 0), 4000.0, 0.0, UnitCorrelation()))
         trace = []
         run_scenario(geometry, params, RegularTrafficParams(10.0),
                      Deadlines(TAU_A, 60.0, 300.0), alarms=[], horizon=300 * T_R,
-                     mode=mode, seed=6, alarm_process=process, trace=trace)
-        assert {t["decision"] for t in trace} == {"regular", "alarm"}
+                     seed=6, alarm_process=process, trace=trace)
+        assert {t["decision"] for t in trace} == (
+            {"regular", "alarm"} if delta_c == 15 else {"alarm"})
         assert {t["hypothesis"] for t in trace} == {"h0", "h1"}
         # the bound is a whole number of slots times the slot length
-        bound = round(worst_case_pool_duration(params, mode)
-                      / params.rs_duration)
+        bound = round(worst_case_pool_duration(params) / params.rs_duration)
         assert max(t["total_rs"] for t in trace) <= bound
 
     def test_one_poll_per_station_and_alarm_supersedes_regular(self):
@@ -370,7 +369,7 @@ class TestRunScenario:
         alarm = AlarmScenario((0, 0), 4000.0, t_a=3.0, correlation=UnitCorrelation())
         stats = run_scenario(geometry, params, traffic,
                              Deadlines(TAU_A, 60.0, 300.0), alarms=[alarm],
-                             horizon=4 * T_R, mode=Mode.ADAPTIVE, seed=8)
+                             horizon=4 * T_R, seed=8)
         assert stats.pools_h1 == 1
         assert stats.unresolved_active == 0
         # one poll per station per pool, however many arrivals it drew
@@ -394,7 +393,7 @@ class TestRunScenario:
             stats = run_scenario(geometry, params, ref_traffic,
                                  Deadlines(TAU_A, 60.0, 300.0), alarms=[alarm],
                                  horizon=(CHUNK_POOLS + 2) * T_R,
-                                 mode=Mode.ADAPTIVE, seed=17, trace=trace)
+                                 seed=17, trace=trace)
             assert stats.pools_h1 == 1
             assert trace[window]["hypothesis"] == "h1"
             assert trace[window]["decision"] == "alarm"
@@ -414,8 +413,8 @@ class TestRunScenario:
         stats = run_scenario(geometry, params,
                              RegularTrafficParams(1e9),
                              Deadlines(TAU_A, 60.0, 300.0), alarms=[],
-                             horizon=(CHUNK_POOLS + 1) * T_R, mode=Mode.ADAPTIVE,
-                             seed=23, alarm_process=process, trace=trace)
+                             horizon=(CHUNK_POOLS + 1) * T_R, seed=23,
+                             alarm_process=process, trace=trace)
         assert [t["hypothesis"] for t in trace] == ["h0"] + ["h1"] * CHUNK_POOLS
         assert trace[CHUNK_POOLS]["decision"] == "alarm"
         assert stats.unresolved_active == stats.dropped_reports == 0
@@ -430,8 +429,7 @@ class TestRunScenario:
             tracemalloc.start()
             try:
                 run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=pools * T_R, mode=Mode.ADAPTIVE,
-                             seed=5)
+                             alarms=[], horizon=pools * T_R, seed=5)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -447,7 +445,7 @@ class TestRunScenario:
             stats = run_scenario(ref_geometry, params,
                                  RegularTrafficParams(0.01),
                                  Deadlines(50.0, 60.0, 300.0), alarms=[],
-                                 horizon=40 * T_R, mode=Mode.ADAPTIVE, seed=6)
+                                 horizon=40 * T_R, seed=6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -464,7 +462,7 @@ class TestRunScenario:
             with pytest.raises(AlarmTimeError):
                 run_scenario(geometry, params, ref_traffic,
                              Deadlines(TAU_A, 60.0, 300.0), horizon=2 * T_R,
-                             mode=Mode.ADAPTIVE, seed=1, **kwargs)
+                             seed=1, **kwargs)
 
     def test_horizon_counts_whole_periods_despite_rounding(self, ref_traffic):
         params = small_params(t_r=0.1)
@@ -472,22 +470,21 @@ class TestRunScenario:
         assert 0.3 / 0.1 < 3
         stats = run_scenario(geometry, params, ref_traffic,
                              Deadlines(TAU_A, 60.0, 300.0), alarms=[],
-                             horizon=0.3, mode=Mode.ADAPTIVE, seed=1)
+                             horizon=0.3, seed=1)
         assert stats.pools_run == 3
 
     def test_rejects_short_horizon(self, ref_geometry, ref_params, ref_traffic,
                                    ref_deadlines):
         with pytest.raises(ValueError):
             run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                         alarms=[], horizon=1.0, mode=Mode.ADAPTIVE, seed=1)
+                         alarms=[], horizon=1.0, seed=1)
 
     def test_degenerate_polling_cost_is_constant(self, ref_geometry, ref_traffic,
                                                  ref_deadlines):
         params = ProtocolParams(n=N, omega=1, delta_c=100, l1=1, l2=1,
                                 t_r=T_R, rs_duration=RS_DURATION)
         stats = run_scenario(ref_geometry, params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=20 * T_R, mode=Mode.ADAPTIVE,
-                             seed=2)
+                             alarms=[], horizon=20 * T_R, seed=2)
         assert stats.mean_rs_per_pool == N
         assert stats.std_rs_per_pool == 0.0
         assert stats.mean_pool_duration == pytest.approx(1.6)
@@ -505,23 +502,23 @@ class TestCommonArrivals:
             (0, 0), 4000.0, 0.0, SqrtCapCorrelation(500.0)))
         arrivals, costs = [], set()
         for omega, l1, l2 in ((40, 24, 16), (50, 5, 5), (40, 5, 5)):
-            params = ProtocolParams(n=N, omega=omega, delta_c=N // omega // 2,
-                                    l1=l1, l2=l2, t_r=T_R, rs_duration=RS_DURATION)
-            for mode in Mode:
+            for delta_c in (N // omega // 2, 1):
+                params = ProtocolParams(n=N, omega=omega, delta_c=delta_c, l1=l1,
+                                        l2=l2, t_r=T_R, rs_duration=RS_DURATION)
                 trace = []
                 # two chunks: the second's arrivals are drawn after the
                 # first chunk's contention
                 stats = run_scenario(ref_geometry, params, ref_traffic, ref_deadlines,
                                      alarms=[], horizon=(CHUNK_POOLS + 20) * T_R,
-                                     mode=mode, seed=seed, alarm_process=process,
+                                     seed=seed, alarm_process=process,
                                      trace=trace)
                 arrivals.append((stats.reports_total, stats.reports_by_kind,
                                  stats.pools_h1, [t["hypothesis"] for t in trace]))
                 costs.add(stats.sum_rs)
         assert arrivals[0][2] > 0
         assert all(seen == arrivals[0] for seen in arrivals[1:])
-        # naive mode never reads l1 and l2, so only the two omega = 40
-        # designs cost the same there
+        # at delta_c = 1 no pool contends, so l1 and l2 go unread and only
+        # the two omega = 40 designs cost the same there
         assert len(costs) == 5
 
 
