@@ -10,12 +10,10 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, optimizer, simulator, traffic
 from .config import ConfigError, Experiment, load_experiment
 from .simulator import AlarmProcess, InfeasibleConfigError
-from .traffic import AlarmTimeError
+from .traffic import AlarmTimeError, CellGeometry, child_seed
 
 
 class CommandError(Exception):
@@ -44,9 +42,18 @@ def _csv_dump(path: Path, header: list[str], rows) -> None:
     with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if isinstance(v, float) and math.isnan(v) else v
-                             for v in row])
+        writer.writerows(rows)
+
+
+def _table_dump(out: Path, stem: str, fmt: str, header: list[str], rows) -> None:
+    """A table as `<stem>.csv` or as `<stem>.json`, one record per row; an
+    undefined (NaN) value is an empty cell or null."""
+    rows = [[None if isinstance(v, float) and math.isnan(v) else v for v in row]
+            for row in rows]
+    if fmt == "json":
+        _json_dump(out / f"{stem}.json", [dict(zip(header, row)) for row in rows])
+    else:
+        _csv_dump(out / f"{stem}.csv", header, rows)
 
 
 def _require_seed(args) -> int:
@@ -55,20 +62,30 @@ def _require_seed(args) -> int:
     return args.seed
 
 
+def _stations(exp: Experiment, seed) -> CellGeometry:
+    """The cell's stations, placed from child 0 of the seed: one seed, one cell."""
+    n, r = exp.population()
+    return traffic.place_stations(n, r, child_seed(seed, 0))
+
+
+def _protocol(exp: Experiment, cell) -> analysis.ProtocolParams:
+    """The configured protocol or, under `[simulation] mode = naive`, the one
+    at delta_c = 1, where every collided slot takes its dedicated frame."""
+    naive = exp.simulation().mode == "naive"
+    return dataclasses.replace(cell.protocol, delta_c=1) if naive else cell.protocol
+
+
 def cmd_traffic(args, exp: Experiment, out: Path) -> None:
     seed = _require_seed(args)
-    n, r = exp.population()
+    geometry = _stations(exp, seed)
     alarms = exp.alarms()
     if not alarms:
         raise CommandError("no scenarios: define at least one [alarm.*] section",
                            "no-scenarios")
     bin_width = exp.simulation().bin_width_s
-
-    ss = np.random.SeedSequence(seed)
-    geometry = traffic.place_stations(n, r, ss.spawn(1)[0])
-    curve_seeds = ss.spawn(len(alarms))
-    for (name, scenario), cseed in zip(alarms, curve_seeds):
-        curve = traffic.activation_curve(geometry, scenario, bin_width, cseed)
+    for child, (name, scenario) in enumerate(alarms, 1):
+        curve = traffic.activation_curve(geometry, scenario, bin_width,
+                                         child_seed(seed, child))
         rows = [(curve.start_s + i * curve.bin_width, int(c))
                 for i, c in enumerate(curve.counts)]
         _csv_dump(out / f"activation_{name}.csv", ["bin_start_s", "count"], rows)
@@ -89,6 +106,7 @@ def cmd_traffic(args, exp: Experiment, out: Path) -> None:
 
 def cmd_analyze(args, exp: Experiment, out: Path) -> None:
     cell = exp.cell()
+    protocol = _protocol(exp, cell)
     alarms = exp.alarms()
     p_h1 = exp.p_h1()
     alarm = geometry = None
@@ -98,16 +116,15 @@ def cmd_analyze(args, exp: Experiment, out: Path) -> None:
                 "alarm scenarios make the station placement matter: pass --seed",
                 "seed-required")
         alarm = alarms[0][1]
-        geometry = traffic.place_stations(cell.n_stations, cell.radius_m, args.seed)
-    activity = analysis.activity_probs(cell.traffic, cell.protocol.t_r, alarm, geometry)
-    simulator.validate_deadline(cell.protocol, cell.deadlines)
-    report = analysis.expected_costs(cell.protocol, activity, p_h1)
+        geometry = _stations(exp, args.seed)
+    activity = analysis.activity_probs(cell.traffic, protocol.t_r, alarm, geometry)
+    simulator.validate_deadline(protocol, cell.deadlines)
+    report = analysis.expected_costs(protocol, activity, p_h1)
     record = report.to_dict()
     record["params"] = {
-        "n": cell.protocol.n, "omega": cell.protocol.omega,
-        "delta_c": cell.protocol.delta_c, "l1": cell.protocol.l1,
-        "l2": cell.protocol.l2, "t_r_s": cell.protocol.t_r,
-        "rs_duration_s": cell.protocol.rs_duration,
+        "n": protocol.n, "omega": protocol.omega, "delta_c": protocol.delta_c,
+        "l1": protocol.l1, "l2": protocol.l2, "t_r_s": protocol.t_r,
+        "rs_duration_s": protocol.rs_duration,
         "p_a0": activity.p_a0, "p_a1": activity.p_a1,
     }
     _json_dump(out / "analysis.json", record)
@@ -121,9 +138,7 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     cell = exp.cell()
     alarms = [scenario for _, scenario in exp.alarms()]
     sim = exp.simulation()
-    protocol = cell.protocol
-    if sim.mode == "naive":  # every collided slot takes its dedicated frame
-        protocol = dataclasses.replace(protocol, delta_c=1)
+    protocol = _protocol(exp, cell)
 
     process = None
     if sim.alarm_prob_per_pool > 0:
@@ -143,14 +158,10 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     if not horizon / sim.delay_bin_s < 2**53:
         raise ConfigError(f"simulation.delay_bin_s is too narrow for a {horizon:g} s horizon")
 
-    ss = np.random.SeedSequence(seed)
-    geom_seed, run_seed = ss.spawn(2)
-    geometry = traffic.place_stations(cell.n_stations, cell.radius_m, geom_seed)
-
     trace: list | None = [] if args.trace else None
-    stats = simulator.run_scenario(geometry, protocol, cell.traffic,
-                                   cell.deadlines, alarms, horizon, run_seed,
-                                   delay_bin=sim.delay_bin_s,
+    stats = simulator.run_scenario(_stations(exp, seed), protocol, cell.traffic,
+                                   cell.deadlines, alarms, horizon,
+                                   child_seed(seed, 1), delay_bin=sim.delay_bin_s,
                                    alarm_process=process, trace=trace)
     _json_dump(out / "scenario_stats.json", stats.to_dict())
 
@@ -171,9 +182,8 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
 def _sweep_base(exp: Experiment, seed) -> optimizer.SweepBase:
     cell = exp.cell()
     alarms = exp.alarms()
-    geometry = traffic.place_stations(cell.n_stations, cell.radius_m, seed)
     return optimizer.SweepBase(
-        geometry=geometry, traffic=cell.traffic, deadlines=cell.deadlines,
+        geometry=_stations(exp, seed), traffic=cell.traffic, deadlines=cell.deadlines,
         t_r=cell.protocol.t_r, rs_duration=cell.protocol.rs_duration,
         p_h1=exp.p_h1(), alarm=alarms[0][1] if alarms else None)
 
@@ -181,22 +191,14 @@ def _sweep_base(exp: Experiment, seed) -> optimizer.SweepBase:
 def cmd_sweep(args, exp: Experiment, out: Path) -> None:
     seed = _require_seed(args)
     grid = exp.sweep_options()
-    ss = np.random.SeedSequence(seed)
-    base_seed, sweep_seed = ss.spawn(2)
-    base = _sweep_base(exp, base_seed)
-    result = optimizer.sweep(grid, base, seed=sweep_seed)
+    result = optimizer.sweep(grid, _sweep_base(exp, seed), seed=child_seed(seed, 1))
 
     header = ["omega", "delta_c_pct", "l1", "l2", "feasible", "e_c_analytical",
               "e_c_simulated", "e_c_simulated_stderr", "p11", "p10"]
     rows = [(r.omega, r.delta_c_pct, r.l1, r.l2, int(r.feasible),
              r.e_c_analytical, r.e_c_simulated, r.e_c_simulated_stderr,
              r.p11, r.p10) for r in result.rows]
-    if args.format == "json":
-        clean = [[None if isinstance(v, float) and math.isnan(v) else v
-                  for v in row] for row in rows]
-        _json_dump(out / "sweep.json", [dict(zip(header, row)) for row in clean])
-    else:
-        _csv_dump(out / "sweep.csv", header, rows)
+    _table_dump(out, "sweep", args.format, header, rows)
 
     best = result.argmin
     _json_dump(out / "sweep_argmin.json", {
@@ -214,14 +216,9 @@ def cmd_compare_naive(args, exp: Experiment, out: Path) -> None:
     base = _sweep_base(exp, seed)
     result = optimizer.compare_naive(base, opts.omega_values, opts.delta_c_pct)
 
-    rows = [(r.omega, r.e_c_adaptive, r.e_c_naive) for r in result.rows]
-    if args.format == "json":
-        _json_dump(out / "compare_naive.json",
-                   [{"omega": o, "e_c_adaptive": a, "e_c_naive": nv}
-                    for o, a, nv in rows])
-    else:
-        _csv_dump(out / "compare_naive.csv",
-                  ["omega", "e_c_adaptive", "e_c_naive"], rows)
+    _table_dump(out, "compare_naive", args.format,
+                ["omega", "e_c_adaptive", "e_c_naive"],
+                [(r.omega, r.e_c_adaptive, r.e_c_naive) for r in result.rows])
     _json_dump(out / "compare_naive_summary.json", {
         "min_adaptive": result.min_adaptive,
         "min_naive": result.min_naive,

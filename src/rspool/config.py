@@ -9,7 +9,7 @@ import sys
 from dataclasses import dataclass
 
 from .analysis import ProtocolParams, delta_c_from_pct, frames_for
-from .optimizer import SweepGrid, _check_omega_values
+from .optimizer import FRAME_SPLIT, SweepGrid, _check_omega_values
 from .traffic import (AlarmScenario, Deadlines, ExpDecayCorrelation,
                       RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation)
 
@@ -25,8 +25,9 @@ class ConfigError(Exception):
 _REQUIRED = object()
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw.replace(",", " ").split())
+def _list_of(conv):
+    """A parser of numbers separated by commas or blanks, each read by `conv`."""
+    return lambda raw: tuple(conv(x) for x in raw.replace(",", " ").split())
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,9 @@ class Experiment:
         l1 = self._int("protocol", "l1", None)
         l2 = self._int("protocol", "l2", None)
         try:
-            if l1 is None or l2 is None:  # the 60/40 split of the group size
-                d1, d2 = frames_for(omega, 0.6, 0.4)
-                l1 = d1 if l1 is None else l1
-                l2 = d2 if l2 is None else l2
+            if l1 is None or l2 is None:
+                d1, d2 = frames_for(omega, *FRAME_SPLIT)
+                l1, l2 = (d1 if l1 is None else l1), (d2 if l2 is None else l2)
             protocol = ProtocolParams(n=n, omega=omega, delta_c=delta_c, l1=l1,
                                       l2=l2, t_r=t_r, rs_duration=rs)
         except (ValueError, OverflowError) as exc:  # an omega past the float range
@@ -207,18 +207,15 @@ class Experiment:
     def sweep_options(self) -> SweepGrid:
         self._require("sweep")
 
-        def float_list(raw: str) -> tuple[float, ...]:
-            return tuple(float(x) for x in raw.replace(",", " ").split())
-
         def frac(raw: str):
             return "search" if raw.strip().lower() == "search" else float(raw)
 
         try:  # the grid rejects bad axes with ValueError, naming the key
             return SweepGrid(
-                omega_values=self._get("sweep", "omega_values", _int_list),
-                delta_c_pcts=self._get("sweep", "delta_c_pcts", float_list),
-                l1_frac=self._get("sweep", "l1_frac", frac, 0.6),
-                l2_frac=self._get("sweep", "l2_frac", frac, 0.4),
+                omega_values=self._get("sweep", "omega_values", _list_of(int)),
+                delta_c_pcts=self._get("sweep", "delta_c_pcts", _list_of(float)),
+                l1_frac=self._get("sweep", "l1_frac", frac, FRAME_SPLIT[0]),
+                l2_frac=self._get("sweep", "l2_frac", frac, FRAME_SPLIT[1]),
                 simulate_pools=self._int("sweep", "simulate_pools", 0))
         except ValueError as exc:
             raise ConfigError(f"invalid [sweep] section: {exc}") from exc
@@ -227,7 +224,7 @@ class Experiment:
         self._require("compare")
         try:
             return CompareOptions(
-                omega_values=self._get("compare", "omega_values", _int_list),
+                omega_values=self._get("compare", "omega_values", _list_of(int)),
                 delta_c_pct=self._float("compare", "delta_c_pct", 50.0))
         except ValueError as exc:
             raise ConfigError(f"invalid [compare] section: {exc}") from exc

@@ -18,6 +18,7 @@ from .traffic import AlarmScenario, CellGeometry, Deadlines, RegularTrafficParam
 
 DEFAULT_OMEGAS = (1, 10, 20, 30, 40, 50, 60, 80, 100, 150, 200)
 DEFAULT_DELTA_C_PCTS = (10.0, 25.0, 50.0, 75.0, 90.0)
+FRAME_SPLIT = (0.6, 0.4)  # the default frames l1, l2 as fractions of the group size
 FRACTION_STEPS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 
@@ -57,8 +58,8 @@ def _check_omega_values(omega_values) -> None:
 class SweepGrid:
     omega_values: tuple[int, ...] = DEFAULT_OMEGAS
     delta_c_pcts: tuple[float, ...] = DEFAULT_DELTA_C_PCTS
-    l1_frac: float | str = 0.6
-    l2_frac: float | str = 0.4
+    l1_frac: float | str = FRAME_SPLIT[0]
+    l2_frac: float | str = FRAME_SPLIT[1]
     simulate_pools: int = 0  # pools per grid point; 0 = analytical only
 
     def __post_init__(self):
@@ -121,12 +122,12 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
     fractions searched, the pairs `_frame_pairs` lists. One deadline mask
     and one `expected_costs` call over the deadline-feasible pairs score
     them; the first pair of least defined cost wins. With none, the row
-    keeps its default pair (the fixed pair, or the 60/40 split when
+    keeps its default pair (the fixed pair, or the FRAME_SPLIT pair when
     searching), feasible by the mask or not, at that pair's own cost.
     Also returns the point's parameters, at the default frames, or None
     when the point has none."""
     if l1_frac == "search":
-        default, (l1, l2) = frames_for(omega, 0.6, 0.4), _frame_pairs(omega)
+        default, (l1, l2) = frames_for(omega, *FRAME_SPLIT), _frame_pairs(omega)
     else:
         default = frames_for(omega, l1_frac, l2_frac)
         l1, l2 = np.array(default).reshape(2, 1)

@@ -12,7 +12,7 @@ import numpy as np
 from .analysis import (ProtocolParams, _binom_pmf, activity_prob_regular,
                        frame_chain_cost)
 from .traffic import (AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams,
-                      ReportKind)
+                      ReportKind, child_seed)
 
 
 class InfeasibleConfigError(ValueError):
@@ -468,12 +468,8 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
         raise ValueError("geometry and protocol disagree on the station count")
     validate_deadline(params, deadlines)
 
-    # the children are built, not spawn()ed: spawn advances a caller's
-    # SeedSequence, so a second run with it would draw other arrivals
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    arrival_rng, contention_rng = (np.random.default_rng(np.random.SeedSequence(
-        ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size))
-        for i in range(2))
+    arrival_rng, contention_rng = (np.random.default_rng(child_seed(seed, i))
+                                   for i in range(2))
     stats = ScenarioStats(n_stations=params.n, t_r=params.t_r, t_ri=traffic.t_ri,
                           rs_duration=params.rs_duration,
                           delay_histogram=DelayHistogram(delay_bin),

@@ -221,6 +221,14 @@ class BetaFit:
             raise ValueError("fitted shape parameters and span must be positive")
 
 
+def child_seed(seed, i: int) -> np.random.SeedSequence:
+    """Child `i` of `seed` (an int or a SeedSequence) as `spawn` gives it, but
+    built: `spawn` advances the caller's object, so a second call differs."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                  pool_size=ss.pool_size)
+
+
 def place_stations(n: int, r: float, seed) -> CellGeometry:
     """Draw n station positions i.i.d. uniform over the disk of radius r."""
     if n < 1:

@@ -9,10 +9,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rspool import activity_probs, load_experiment, place_stations
 from rspool.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,6 +145,33 @@ class TestAnalyzeCommand:
                        "--out", str(tmp_path / "o")) == 1
         assert error_lines(capsys) == ["error:config-invalid"]
 
+    def test_naive_mode_is_analyzed_at_delta_c_1(self, tmp_path):
+        # analyze reads the mode as simulate does, and reports the threshold
+        # it analysed
+        outs = []
+        for name, section, key, value in (("naive", "simulation", "mode", "naive"),
+                                          ("one", "protocol", "delta_c_slots", "1")):
+            cfg = write_cell_with(tmp_path / name, section, key, value)
+            outs.append(tmp_path / name / "out" / "analysis.json")
+            assert run_cli("analyze", "--config", str(cfg), "--seed", "3",
+                           "--out", str(outs[-1].parent)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["params"]["delta_c"] == 1
+
+    def test_naive_cost_is_compare_naives(self, tmp_path):
+        # the reference cell at omega = 40, the configured 24/16 frames
+        text = (ROOT / "configs" / "reference_cell.ini").read_text(encoding="utf-8")
+        assert "\nmode = adaptive\n" in text
+        cfg = tmp_path / "naive.ini"
+        cfg.write_text(text.replace("\nmode = adaptive\n", "\nmode = naive\n"),
+                       encoding="utf-8")
+        for command in ("analyze", "compare-naive"):
+            assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                           "--format", "json", "--out", str(tmp_path / "o")) == 0
+        e_c = json.loads((tmp_path / "o" / "analysis.json").read_text())["e_c"]
+        rows = json.loads((tmp_path / "o" / "compare_naive.json").read_text())
+        assert [row["e_c_naive"] for row in rows if row["omega"] == 40] == [e_c]
+
 
 class TestSimulateCommand:
     def test_writes_stats_and_histogram(self, config_path, tmp_path):
@@ -253,6 +282,56 @@ class TestCompareNaiveCommand:
         assert summary["naive_over_adaptive_ratio"] >= 1.0
 
 
+class TestOneCellPerSeed:
+    """Every command places the stations from child 0 of its seed, so one
+    seed names one cell."""
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_compare_naive_rows_are_searched_sweep_rows(self, tmp_path, seed):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(SMALL_CELL)
+        cp["sweep"]["l1_frac"] = cp["sweep"]["l2_frac"] = "search"
+        cfg = tmp_path / "cell.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        out = tmp_path / "out"
+        for command in ("sweep", "compare-naive"):
+            assert run_cli(command, "--config", str(cfg), "--seed", seed,
+                           "--format", "json", "--out", str(out)) == 0
+        swept = {(row["omega"], row["delta_c_pct"]): row["e_c_analytical"]
+                 for row in json.loads((out / "sweep.json").read_text())}
+        pct = cp.getfloat("compare", "delta_c_pct")
+        rows = json.loads((out / "compare_naive.json").read_text())
+        assert [row["omega"] for row in rows] == [5, 10, 20]
+        for row in rows:
+            assert row["e_c_adaptive"] == swept[(row["omega"], pct)], row
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_analyze_reads_the_cell_simulate_runs(self, config_path, tmp_path,
+                                                  monkeypatch, seed):
+        placed = []
+
+        def recording(*args, **kwargs):
+            placed.append(place_stations(*args, **kwargs))
+            return placed[-1]
+
+        monkeypatch.setattr("rspool.traffic.place_stations", recording)
+        assert run_cli("simulate", "--config", str(config_path), "--seed", str(seed),
+                       "--replications", "2", "--out", str(tmp_path / "sim")) == 0
+        monkeypatch.undo()
+        exp = load_experiment(str(config_path))
+        cell = exp.cell()
+        child0 = np.random.SeedSequence(seed).spawn(1)[0]
+        geometry = place_stations(cell.n_stations, cell.radius_m, child0)
+        np.testing.assert_array_equal(placed[0].positions, geometry.positions)
+        activity = activity_probs(cell.traffic, cell.protocol.t_r,
+                                  exp.alarms()[0][1], geometry)
+        assert run_cli("analyze", "--config", str(config_path), "--seed", str(seed),
+                       "--out", str(tmp_path / "an")) == 0
+        report = json.loads((tmp_path / "an" / "analysis.json").read_text())
+        assert report["params"]["p_a1"] == activity.p_a1
+
+
 class TestPathErrors:
     def test_out_naming_a_file(self, config_path, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -348,7 +427,7 @@ class TestSimulationSectionErrors:
         ("alarm_prob_per_pool", "2"), ("alarm_prob_per_pool", "-0.1"),
         ("alarm_prob_per_pool", "nan"), ("mode", "bogus"),
     ])
-    @pytest.mark.parametrize("command", ["simulate", "traffic"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "traffic"])
     def test_exits_config_invalid(self, tmp_path, capsys, key, value, command):
         cfg = write_cell_with(tmp_path, "simulation", key, value)
         assert run_cli(command, "--config", str(cfg), "--seed", "1",

@@ -9,7 +9,7 @@ from rspool import (ActivationCurve, AlarmScenario, CellGeometry,
                     ExpDecayCorrelation,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
                     activation_curve, beta_pdf, fit_beta, place_stations)
-from rspool.traffic import AlarmTimeError
+from rspool.traffic import AlarmTimeError, child_seed
 
 
 class TestPlacement:
@@ -40,6 +40,28 @@ class TestPlacement:
     def test_rejects_degenerate_cells(self, n, r):
         with pytest.raises(ValueError):
             place_stations(n, r, seed=1)
+
+
+class TestChildSeed:
+    @pytest.mark.parametrize("i", [0, 1, 3])
+    @pytest.mark.parametrize("parent", [
+        lambda: 12345, lambda: np.random.SeedSequence(12345),
+        lambda: np.random.SeedSequence(2**64 - 1).spawn(3)[2]],
+        ids=["int", "seed-sequence", "spawned"])
+    def test_is_the_child_spawn_gives(self, parent, i):
+        ss = parent()
+        expected = (np.random.SeedSequence(ss) if isinstance(ss, int)
+                    else parent()).spawn(i + 1)[i]
+        child = child_seed(ss, i)
+        assert child.spawn_key == expected.spawn_key
+        np.testing.assert_array_equal(child.generate_state(8),
+                                      expected.generate_state(8))
+
+    def test_leaves_the_parent_as_it_was(self):
+        ss = np.random.SeedSequence(7)
+        first = child_seed(ss, 0).generate_state(4)
+        assert ss.n_children_spawned == 0
+        np.testing.assert_array_equal(child_seed(ss, 0).generate_state(4), first)
 
 
 class TestCellRadiusCheck:
