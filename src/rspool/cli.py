@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -23,14 +25,30 @@ class CommandError(Exception):
 
 
 def _open_output(path: Path):
-    """Open an output file for writing. The output directory is made with the
-    first file, so a call rejected before writing leaves none behind."""
+    """Open an output file for writing. The first file to find the output
+    directory missing makes it, so a call rejected before writing leaves none."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", newline="", encoding="utf-8")
+        try:
+            return open(path, "w", newline="", encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc.strerror}",
                            "output-unwritable") from exc
+
+
+class _FirstWriteOpens:
+    """A text sink whose file its first write opens, closed with `files`:
+    a run rejected before its first pool leaves no file behind."""
+    fh = None
+
+    def __init__(self, path: Path, files: contextlib.ExitStack):
+        self.path, self.files = path, files
+
+    def write(self, text: str) -> None:
+        self.fh = self.fh or self.files.enter_context(_open_output(self.path))
+        self.fh.write(text)
 
 
 def _json_dump(path: Path, obj) -> None:
@@ -158,25 +176,18 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     if not horizon / sim.delay_bin_s < 2**53:
         raise ConfigError(f"simulation.delay_bin_s is too narrow for a {horizon:g} s horizon")
 
-    trace: list | None = [] if args.trace else None
-    stats = simulator.run_scenario(_stations(exp, seed), protocol, cell.traffic,
-                                   cell.deadlines, alarms, horizon,
-                                   child_seed(seed, 1), delay_bin=sim.delay_bin_s,
-                                   alarm_process=process, trace=trace)
+    with contextlib.ExitStack() as files:
+        trace = _FirstWriteOpens(out / "pool_trace.jsonl", files) if args.trace else None
+        stats = simulator.run_scenario(_stations(exp, seed), protocol, cell.traffic,
+                                       cell.deadlines, alarms, horizon,
+                                       child_seed(seed, 1), delay_bin=sim.delay_bin_s,
+                                       alarm_process=process, trace=trace)
     _json_dump(out / "scenario_stats.json", stats.to_dict())
 
-    rows = []
-    for kind in sorted(stats.delay_histogram.counts):
-        counts = stats.delay_histogram.counts[kind]
-        for i, c in enumerate(counts):
-            if c:
-                rows.append((kind, i * stats.delay_histogram.bin_width, int(c)))
+    hist = stats.delay_histogram
+    rows = [(kind, i * hist.bin_width, int(c)) for kind in sorted(hist.counts)
+            for i, c in enumerate(hist.counts[kind]) if c]
     _csv_dump(out / "delay_histogram.csv", ["kind", "bin_start_s", "count"], rows)
-
-    if trace is not None:
-        with _open_output(out / "pool_trace.jsonl") as fh:
-            for entry in trace:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 def _sweep_base(exp: Experiment, seed) -> optimizer.SweepBase:
@@ -249,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing keeps no state between calls
+_parser = functools.cache(build_parser)
 _COMMANDS = {
     "traffic": cmd_traffic,
     "analyze": cmd_analyze,
@@ -259,7 +272,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.seed is not None and not 0 <= args.seed < 2**64:
             raise CommandError(f"--seed must lie in [0, 2**64), got {args.seed}",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -128,16 +129,6 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
 # scenario-level driving
 
 
-def _add_counts(prev: np.ndarray | None, new: np.ndarray) -> np.ndarray:
-    """Element-wise sum of two count arrays, the shorter padded with zeros."""
-    if prev is None:
-        return new.copy()
-    merged = np.zeros(max(prev.size, new.size), dtype=int)
-    merged[:prev.size] += prev
-    merged[:new.size] += new
-    return merged
-
-
 @dataclass
 class DelayHistogram:
     """Per-kind histogram of report identification delays."""
@@ -148,8 +139,10 @@ class DelayHistogram:
     def add(self, kind: ReportKind, delays: np.ndarray) -> None:
         if delays.size == 0:
             return
-        hist = np.bincount(np.floor(delays / self.bin_width).astype(int))
-        self.counts[kind.value] = _add_counts(self.counts.get(kind.value), hist)
+        prev = self.counts.get(kind.value, np.zeros(0, dtype=int))
+        hist = np.bincount(np.floor(delays / self.bin_width).astype(int), minlength=prev.size)
+        hist[:prev.size] += prev
+        self.counts[kind.value] = hist
 
 
 @dataclass(frozen=True)
@@ -167,6 +160,8 @@ class _Arrivals:
 
 GROUP_ENDS = ("l1", "l2", "dedicated")
 POOL_PARTS = ("preallocated", "l1", "l2", "dedicated")
+# one pool of the trace: the bytes of json.dumps(entry, sort_keys=True) + "\n"
+TRACE_LINE = '{"decision": "%s", "hypothesis": "%s", "k_c": %d, "total_rs": %d, "window": %d}\n'
 
 
 @dataclass
@@ -233,9 +228,9 @@ class ScenarioStats:
         return self.mean_rs_per_pool * pools_per_ri / self.n_stations
 
     def add(self, arrivals: _Arrivals, res: _Resolved, deadlines: Deadlines,
-            trace: list | None = None) -> None:
+            trace: TextIO | None = None) -> None:
         """Account a chunk of pools and its reports as resolved by `res`;
-        a `trace` list gets one entry per pool."""
+        a `trace` text sink gets one JSON line per pool (`TRACE_LINE`)."""
         total = res.total_rs
         h1 = arrivals.h1
         self.pools_run += h1.size
@@ -249,12 +244,10 @@ class ScenarioStats:
         self.groups_ended += res.groups_ended
         self.slots_by_part += res.slots_by_part
         if trace is not None:
-            trace.extend(
-                {"window": arrivals.w0 + i, "hypothesis": "h1" if is_h1 else "h0",
-                 "k_c": k_c, "total_rs": total_rs,
-                 "decision": "alarm" if is_alarm else "regular"}
-                for i, (is_h1, k_c, is_alarm, total_rs) in enumerate(zip(
-                    h1.tolist(), res.k_c.tolist(), res.alarm.tolist(), total.tolist())))
+            trace.write("".join(map(TRACE_LINE.__mod__, zip(
+                np.where(res.alarm, "alarm", "regular").tolist(),
+                np.where(h1, "h1", "h0").tolist(), res.k_c.tolist(), total.tolist(),
+                range(arrivals.w0, arrivals.w0 + h1.size)))))
 
         kind = arrivals.kind
         deadline = np.array([deadlines.for_kind(k) for k in _KINDS])
@@ -454,12 +447,13 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
                  alarms: list[AlarmScenario], horizon: float, seed,
                  delay_bin: float = 0.05,
                  alarm_process: AlarmProcess | None = None,
-                 trace: list | None = None) -> ScenarioStats:
+                 trace: TextIO | None = None) -> ScenarioStats:
     """Simulate pools every t_r over the horizon with gated arrivals.
 
     `_arrivals` draws each chunk's reports from child 0 of `seed` (an int
     or a SeedSequence), so for one seed every design sees the same
-    arrivals, and `_resolve_pools` resolves them from child 1.
+    arrivals, and `_resolve_pools` resolves them from child 1. A `trace`
+    sink gets each chunk's per-pool lines as the chunk ends.
     """
     n_pools = pool_count(horizon, params.t_r)
     if n_pools < 1:

@@ -23,11 +23,13 @@ class CellGeometry:
 
     radius_m: float
     positions: np.ndarray  # shape (n, 2), metres
+    _distances: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.radius_m < math.inf:
             raise ValueError("cell radius must be positive and finite")
-        pos = np.asarray(self.positions, dtype=float)
+        pos = np.asarray(self.positions, dtype=float).view()
+        pos.flags.writeable = False  # a read-only view: the kept distances stay valid
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError("positions must be a non-empty (n, 2) array")
         # |p| > r (1 + 1e-12), compared squared in units of r: no square
@@ -48,8 +50,14 @@ class CellGeometry:
         return self.positions.shape[0]
 
     def distances_to(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        return np.hypot(self.positions[:, 0] - p[0], self.positions[:, 1] - p[1])
+        """Each station's distance to `point`, kept read-only for the last
+        point: every caller for one epicentre shares one pass."""
+        p = tuple(np.asarray(point, dtype=float).tolist())
+        if self._distances[0] != p:
+            d = np.hypot(self.positions[:, 0] - p[0], self.positions[:, 1] - p[1])
+            d.flags.writeable = False
+            object.__setattr__(self, "_distances", (p, d))
+        return self._distances[1]
 
 
 @dataclass(frozen=True)

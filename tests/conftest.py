@@ -1,5 +1,7 @@
 """Shared fixtures: the heavily loaded reference cell used across the suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -48,3 +50,8 @@ def ref_geometry():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def read_trace(sink) -> list[dict]:
+    """The per-pool entries a run wrote to an `io.StringIO` trace sink."""
+    return [json.loads(line) for line in sink.getvalue().splitlines()]

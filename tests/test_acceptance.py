@@ -4,6 +4,7 @@ line with the measured values (run with -s to see every line).
 The heavy scenario runs are shared across criteria through module fixtures.
 """
 
+import io
 import math
 
 import numpy as np
@@ -17,7 +18,8 @@ from rspool import (ActivityProbs, AlarmProcess, AlarmScenario, Deadlines,
                     kc_chi_square, place_stations, resolve_prob, run_scenario)
 from rspool.traffic import ActivationCurve
 from tests.conftest import (DC_PCT, L1, L2, LAMBDA_D, N, OMEGA, P_H1, RADIUS,
-                            RS_DURATION, T_R, T_RI, TAU_A, TAU_D, TAU_P)
+                            RS_DURATION, T_R, T_RI, TAU_A, TAU_D, TAU_P,
+                            read_trace)
 
 POOLS_AT_OPTIMUM = 10_000
 DETECTION_REPS = 1_000
@@ -94,10 +96,11 @@ def detection_runs(optimum_params, traffic_params, deadlines):
             geom = place_stations(N, RADIUS, g_seed)
             alarm = AlarmScenario((0.0, 0.0), v=4000.0, t_a=0.1,
                                   correlation=SqrtCapCorrelation(d_max=d_max))
-            trace = []
+            sink = io.StringIO()
             stats = run_scenario(geom, optimum_params, traffic_params, deadlines,
                                  alarms=[alarm], horizon=2 * T_R,
-                                 seed=r_seed, trace=trace)
+                                 seed=r_seed, trace=sink)
+            trace = read_trace(sink)
             assert trace[0]["hypothesis"] == "h1"
             kc[i] = trace[0]["k_c"]
             max_alarm_delay = max(max_alarm_delay,

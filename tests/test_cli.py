@@ -194,6 +194,33 @@ class TestSimulateCommand:
         first = json.loads(lines[0])
         assert {"window", "k_c", "decision", "total_rs"} <= set(first)
 
+    @pytest.mark.parametrize("alarm_prob", [None, "0.05"])
+    def test_trace_bytes(self, tmp_path, alarm_prob):
+        # 600 pools are three chunks; at 0.05 alarm events per pool the run
+        # has H1 windows and alarm decisions. Each line must be the bytes
+        # json.dumps(entry, sort_keys=True) writes
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(ROOT / "configs" / "reference_cell.ini", encoding="utf-8")
+        if alarm_prob is not None:
+            cp["simulation"]["alarm_prob_per_pool"] = alarm_prob
+        cfg = tmp_path / "cell.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "3",
+                       "--replications", "600", "--trace", "--out", str(out)) == 0
+        lines = (out / "pool_trace.jsonl").read_text(encoding="utf-8").splitlines()
+        assert all(line == json.dumps(json.loads(line), sort_keys=True)
+                   for line in lines)
+        entries = [json.loads(line) for line in lines]
+        stats = json.loads((out / "scenario_stats.json").read_text())
+        assert len(entries) == stats["pools_run"] == 600
+        assert [e["window"] for e in entries] == list(range(600))
+        assert sum(e["total_rs"] for e in entries) / 600 == stats["mean_rs_per_pool"]
+        if alarm_prob is not None:
+            assert {e["hypothesis"] for e in entries} == {"h0", "h1"}
+            assert {e["decision"] for e in entries} == {"regular", "alarm"}
+
     def test_replications_override_horizon(self, config_path, tmp_path):
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", str(config_path),
@@ -352,8 +379,13 @@ class TestRejectedCalls:
         (["simulate", "--seed", "1", "--replications", "0"], None),
         (["simulate", "--seed", "1"], ("tau_a_s = 5", "tau_a_s = 2.52")),
         (["analyze", "--seed", "1"], ("tau_a_s = 5", "tau_a_s = 2.52")),
+        # the trace file is opened by its first line, after the first pool
+        (["simulate", "--seed", "1", "--trace"], ("tau_a_s = 5", "tau_a_s = 2.52")),
+        (["simulate", "--seed", "1", "--trace"],
+         ("speed_m_per_s = 4000", "speed_m_per_s = 1e-310")),
     ], ids=["missing-seed", "zero-replications", "infeasible-simulate",
-            "infeasible-analyze"])
+            "infeasible-analyze", "infeasible-simulate-traced",
+            "alarm-time-simulate-traced"])
     def test_leaves_no_output_directory(self, tmp_path, capsys, argv, edit):
         cfg = tmp_path / "cell.ini"
         cfg.write_text(SMALL_CELL if edit is None else SMALL_CELL.replace(*edit),
@@ -362,6 +394,34 @@ class TestRejectedCalls:
         assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 1
         assert len(error_lines(capsys)) == 1
         assert not (tmp_path / "new").exists()
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no call may see another's
+    arguments."""
+
+    def test_flags_do_not_carry_over(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(config_path), "--seed", "1",
+                       "--replications", "3", "--trace", "--format", "json",
+                       "--out", str(out)) == 0
+        assert (out / "pool_trace.jsonl").exists()
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", str(config_path), "--seed", "1",
+                       "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv",
+                                                        "sweep_argmin.json"]
+
+    def test_next_call_after_a_parser_error(self, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--config", str(config_path), "--bogus")
+        assert exc.value.code == 2
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("analyze", "--config", str(config_path), "--seed", "1",
+                       "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "analysis.json").exists()
 
 
 class TestSeedArgument:

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -15,7 +16,8 @@ from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Deadlines,
 from rspool.analysis import ActivityProbs
 from rspool.simulator import CHUNK_POOLS, _resolve_pools, meets_deadline
 from rspool.traffic import AlarmTimeError
-from tests.conftest import L1, L2, LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A
+from tests.conftest import (L1, L2, LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A,
+                            read_trace)
 
 P_A0 = activity_prob_regular(1 / 300, LAMBDA_D, T_R)
 
@@ -332,9 +334,10 @@ class TestRunScenario:
 
     def test_trace_records_every_pool(self, ref_geometry, ref_params, ref_traffic,
                                       ref_deadlines):
-        trace = []
+        sink = io.StringIO()
         stats = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=20 * T_R, seed=1, trace=trace)
+                             alarms=[], horizon=20 * T_R, seed=1, trace=sink)
+        trace = read_trace(sink)
         assert len(trace) == stats.pools_run == 20
         assert all(t["total_rs"] >= ref_params.pool_size for t in trace)
 
@@ -348,10 +351,11 @@ class TestRunScenario:
         geometry = place_stations(params.n, 1000.0, seed=4)
         process = AlarmProcess(prob_per_pool=0.2, template=AlarmScenario(
             (0, 0), 4000.0, 0.0, UnitCorrelation()))
-        trace = []
+        sink = io.StringIO()
         run_scenario(geometry, params, RegularTrafficParams(10.0),
                      Deadlines(TAU_A, 60.0, 300.0), alarms=[], horizon=300 * T_R,
-                     seed=6, alarm_process=process, trace=trace)
+                     seed=6, alarm_process=process, trace=sink)
+        trace = read_trace(sink)
         assert {t["decision"] for t in trace} == (
             {"regular", "alarm"} if delta_c == 15 else {"alarm"})
         assert {t["hypothesis"] for t in trace} == {"h0", "h1"}
@@ -389,11 +393,12 @@ class TestRunScenario:
         for window in (0, CHUNK_POOLS):
             alarm = AlarmScenario((0, 0), 4000.0, t_a=(window + 0.1) * T_R,
                                   correlation=UnitCorrelation())
-            trace = []
+            sink = io.StringIO()
             stats = run_scenario(geometry, params, ref_traffic,
                                  Deadlines(TAU_A, 60.0, 300.0), alarms=[alarm],
                                  horizon=(CHUNK_POOLS + 2) * T_R,
-                                 seed=17, trace=trace)
+                                 seed=17, trace=sink)
+            trace = read_trace(sink)
             assert stats.pools_h1 == 1
             assert trace[window]["hypothesis"] == "h1"
             assert trace[window]["decision"] == "alarm"
@@ -409,12 +414,13 @@ class TestRunScenario:
         geometry = CellGeometry(radius_m=1000.0, positions=np.zeros((params.n, 2)))
         process = AlarmProcess(prob_per_pool=1.0,
                                template=AlarmScenario((1000.0, 0.0), 1000.0 / T_R, 0.0))
-        trace = []
+        sink = io.StringIO()
         stats = run_scenario(geometry, params,
                              RegularTrafficParams(1e9),
                              Deadlines(TAU_A, 60.0, 300.0), alarms=[],
                              horizon=(CHUNK_POOLS + 1) * T_R, seed=23,
-                             alarm_process=process, trace=trace)
+                             alarm_process=process, trace=sink)
+        trace = read_trace(sink)
         assert [t["hypothesis"] for t in trace] == ["h0"] + ["h1"] * CHUNK_POOLS
         assert trace[CHUNK_POOLS]["decision"] == "alarm"
         assert stats.unresolved_active == stats.dropped_reports == 0
@@ -424,16 +430,20 @@ class TestRunScenario:
 
     def test_memory_does_not_grow_with_horizon(self, ref_geometry, ref_params,
                                                ref_traffic, ref_deadlines):
-        peaks = []
-        for pools in (CHUNK_POOLS, 10 * CHUNK_POOLS):
-            tracemalloc.start()
-            try:
-                run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=pools * T_R, seed=5)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0], peaks
+        # traced into a sink that discards its input: the trace is written
+        # per chunk, so it holds no memory across chunks either
+        discard = SimpleNamespace(write=lambda text: None)
+        for trace, longest in ((None, 10), (discard, 40)):
+            peaks = []
+            for pools in (CHUNK_POOLS, longest * CHUNK_POOLS):
+                tracemalloc.start()
+                try:
+                    run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
+                                 alarms=[], horizon=pools * T_R, seed=5, trace=trace)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.5 * peaks[0], (trace, peaks)
 
     def test_memory_bounded_when_every_station_reports(self, ref_geometry):
         # 8000 reports per pool: a CHUNK_POOLS chunk would hold 2M of them
@@ -505,13 +515,14 @@ class TestCommonArrivals:
             for delta_c in (N // omega // 2, 1):
                 params = ProtocolParams(n=N, omega=omega, delta_c=delta_c, l1=l1,
                                         l2=l2, t_r=T_R, rs_duration=RS_DURATION)
-                trace = []
+                sink = io.StringIO()
                 # two chunks: the second's arrivals are drawn after the
                 # first chunk's contention
                 stats = run_scenario(ref_geometry, params, ref_traffic, ref_deadlines,
                                      alarms=[], horizon=(CHUNK_POOLS + 20) * T_R,
                                      seed=seed, alarm_process=process,
-                                     trace=trace)
+                                     trace=sink)
+                trace = read_trace(sink)
                 arrivals.append((stats.reports_total, stats.reports_by_kind,
                                  stats.pools_h1, [t["hypothesis"] for t in trace]))
                 costs.add(stats.sum_rs)

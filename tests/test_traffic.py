@@ -88,6 +88,34 @@ class TestCellRadiusCheck:
             CellGeometry(r, np.array(positions))
 
 
+class TestDistances:
+    """The distances to the last point asked for are kept on the geometry,
+    so the trigger and arrival draws of one epicentre share one pass."""
+
+    def test_one_pass_per_point(self):
+        positions = np.array([[3.0, 4.0], [0.0, 0.0], [-3.0, -4.0]])
+        geom = CellGeometry(20.0, positions)
+        first = geom.distances_to((0, 0))
+        assert geom.distances_to((0.0, 0.0)) is first
+        np.testing.assert_array_equal(first, [5.0, 0.0, 5.0])
+        np.testing.assert_array_equal(geom.distances_to((3.0, 4.0)), [0.0, 5.0, 10.0])
+        np.testing.assert_array_equal(geom.distances_to((0, 0)), first)
+        for kept in (first, geom.positions):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 1.0
+
+    def test_trigger_and_arrival_draws_share_one_pass(self, monkeypatch):
+        geom = place_stations(50, 100.0, seed=1)
+        calls = []
+        hypot = np.hypot
+        monkeypatch.setattr(np, "hypot", lambda *a: calls.append(1) or hypot(*a))
+        scenario = AlarmScenario((10.0, 0.0), 4000.0, 0.0, SqrtCapCorrelation(50.0))
+        for _ in range(3):
+            AlarmScenario((10.0, 0.0), 4000.0, 1.0).arrival_times(geom)
+            scenario.trigger_probs(geom)
+        assert len(calls) == 1
+
+
 class TestSpatialCorrelation:
     def test_unit_model_is_constant(self):
         assert UnitCorrelation().factor(500.0) == 1.0
