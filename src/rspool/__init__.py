@@ -11,8 +11,7 @@ from .config import CellConfig, ConfigError, load_experiment
 from .optimizer import (NaiveComparison, SweepBase, SweepGrid, SweepResult,
                         compare_naive, sweep)
 from .simulator import (AlarmProcess, InfeasibleConfigError, ScenarioStats,
-                        kc_chi_square, run_scenario, validate_deadline,
-                        worst_case_pool_duration)
+                        run_scenario, validate_deadline, worst_case_pool_duration)
 from .traffic import (ActivationCurve, AlarmScenario, BetaFit, CellGeometry,
                       Deadlines, ExpDecayCorrelation, RegularTrafficParams,
                       ReportKind, SqrtCapCorrelation, UnitCorrelation,

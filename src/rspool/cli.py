@@ -100,10 +100,8 @@ def cmd_traffic(args, exp: Experiment, out: Path) -> None:
     if not alarms:
         raise CommandError("no scenarios: define at least one [alarm.*] section",
                            "no-scenarios")
-    bin_width = exp.simulation().bin_width_s
     for child, (name, scenario) in enumerate(alarms, 1):
-        curve = traffic.activation_curve(geometry, scenario, bin_width,
-                                         child_seed(seed, child))
+        curve = traffic.activation_curve(geometry, scenario, child_seed(seed, child))
         rows = [(curve.start_s + i * curve.bin_width, int(c))
                 for i, c in enumerate(curve.counts)]
         _csv_dump(out / f"activation_{name}.csv", ["bin_start_s", "count"], rows)
@@ -173,15 +171,13 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     if simulator.pool_count(horizon, cell.protocol.t_r) < 1:
         raise ConfigError(f"a horizon of {horizon:g} s (simulation.horizon_s or --replications)"
                           f" covers no whole pool period of {cell.protocol.t_r:g} s")
-    if not horizon / sim.delay_bin_s < 2**53:
-        raise ConfigError(f"simulation.delay_bin_s is too narrow for a {horizon:g} s horizon")
 
     with contextlib.ExitStack() as files:
         trace = _FirstWriteOpens(out / "pool_trace.jsonl", files) if args.trace else None
         stats = simulator.run_scenario(_stations(exp, seed), protocol, cell.traffic,
                                        cell.deadlines, alarms, horizon,
-                                       child_seed(seed, 1), delay_bin=sim.delay_bin_s,
-                                       alarm_process=process, trace=trace)
+                                       child_seed(seed, 1), alarm_process=process,
+                                       trace=trace)
     _json_dump(out / "scenario_stats.json", stats.to_dict())
 
     hist = stats.delay_histogram

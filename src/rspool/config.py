@@ -46,9 +46,7 @@ class CellConfig:
 class SimulationOptions:
     horizon_s: float = 300.0
     mode: str = "adaptive"  # or "naive": the pool run at delta_c = 1
-    delay_bin_s: float = 0.05
     alarm_prob_per_pool: float = 0.0
-    bin_width_s: float = 0.005
 
 
 @dataclass(frozen=True)
@@ -188,18 +186,17 @@ class Experiment:
         return p
 
     def simulation(self) -> SimulationOptions:
-        mode = self._str("simulation", "mode", "adaptive").lower()
+        default = SimulationOptions()
+        mode = self._str("simulation", "mode", default.mode).lower()
         if mode not in ("adaptive", "naive"):
             raise ConfigError(f"invalid value for simulation.mode: {mode!r}")
         opts = SimulationOptions(
-            horizon_s=self._float("simulation", "horizon_s", 300.0),
+            horizon_s=self._float("simulation", "horizon_s", default.horizon_s),
             mode=mode,
-            delay_bin_s=self._float("simulation", "delay_bin_s", 0.05),
-            alarm_prob_per_pool=self._float("simulation", "alarm_prob_per_pool", 0.0),
-            bin_width_s=self._float("simulation", "bin_width_s", 0.005))
-        for key in ("horizon_s", "delay_bin_s", "bin_width_s"):
-            if not sys.float_info.min <= getattr(opts, key) < math.inf:
-                raise ConfigError(f"simulation.{key} must be a positive, finite, normal float")
+            alarm_prob_per_pool=self._float("simulation", "alarm_prob_per_pool",
+                                            default.alarm_prob_per_pool))
+        if not sys.float_info.min <= opts.horizon_s < math.inf:
+            raise ConfigError("simulation.horizon_s must be a positive, finite, normal float")
         if not 0 <= opts.alarm_prob_per_pool <= 1:
             raise ConfigError("simulation.alarm_prob_per_pool must lie in [0, 1]")
         return opts

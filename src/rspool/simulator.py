@@ -10,7 +10,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .analysis import (ProtocolParams, _binom_pmf, activity_prob_regular,
+from .analysis import (ProtocolParams, activity_prob_regular,
                        frame_chain_cost)
 from .traffic import (AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams,
                       ReportKind, child_seed)
@@ -131,10 +131,17 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
 
 @dataclass
 class DelayHistogram:
-    """Per-kind histogram of report identification delays."""
+    """Per-kind histogram of report identification delays, in bins of
+    tau_a / 100. A delay is at most t_r plus the worst-case pool duration,
+    which `validate_deadline` keeps below tau_a: each kind fills at most
+    100 bins."""
 
-    bin_width: float
+    tau_a: float
     counts: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def bin_width(self) -> float:
+        return self.tau_a / 100
 
     def add(self, kind: ReportKind, delays: np.ndarray) -> None:
         if delays.size == 0:
@@ -168,6 +175,7 @@ TRACE_LINE = '{"decision": "%s", "hypothesis": "%s", "k_c": %d, "total_rs": %d, 
 class ScenarioStats:
     """Aggregated results of a scenario run."""
 
+    delay_histogram: DelayHistogram
     pools_run: int = 0
     sum_rs: float = 0.0
     sum_rs_sq: float = 0.0
@@ -180,7 +188,6 @@ class ScenarioStats:
     dropped_reports: int = 0
     unresolved_active: int = 0
     max_delay_by_kind: dict[str, float] = field(default_factory=dict)
-    delay_histogram: DelayHistogram = field(default_factory=lambda: DelayHistogram(0.05))
     # pools per collided-slot count k_c, length pool_size + 1
     kc_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     # collided groups of regular-decision pools by their last frame, in GROUP_ENDS order
@@ -445,7 +452,6 @@ def pool_count(horizon: float, t_r: float) -> int:
 def run_scenario(geometry: CellGeometry, params: ProtocolParams,
                  traffic: RegularTrafficParams, deadlines: Deadlines,
                  alarms: list[AlarmScenario], horizon: float, seed,
-                 delay_bin: float = 0.05,
                  alarm_process: AlarmProcess | None = None,
                  trace: TextIO | None = None) -> ScenarioStats:
     """Simulate pools every t_r over the horizon with gated arrivals.
@@ -464,9 +470,8 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
 
     arrival_rng, contention_rng = (np.random.default_rng(child_seed(seed, i))
                                    for i in range(2))
-    stats = ScenarioStats(n_stations=params.n, t_r=params.t_r, t_ri=traffic.t_ri,
-                          rs_duration=params.rs_duration,
-                          delay_histogram=DelayHistogram(delay_bin),
+    stats = ScenarioStats(DelayHistogram(deadlines.tau_a), n_stations=params.n,
+                          t_r=params.t_r, t_ri=traffic.t_ri, rs_duration=params.rs_duration,
                           kc_counts=np.zeros(params.pool_size + 1, dtype=int))
     for arrivals in _arrivals(geometry, traffic, params.t_r, alarms,
                               alarm_process, n_pools, arrival_rng):
@@ -475,45 +480,3 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
         stats.add(arrivals, res, deadlines, trace)
     return stats
 
-
-def kc_chi_square(kc_counts, pool_size: int, p_c: float) -> tuple[float, float, int]:
-    """Goodness-of-fit of a collided-slot count histogram (entry k: pools that
-    saw k collided slots, as in `ScenarioStats.kc_counts`) against the
-    independent-slots binomial model.
-
-    Adjacent counts are pooled until every expected bin holds at least five
-    samples. Returns (statistic, p_value, degrees_of_freedom).
-    """
-    from scipy import stats  # imported here: no command path needs scipy.stats
-
-    counts = np.asarray(kc_counts, dtype=float)
-    observed = np.zeros(pool_size + 1)
-    observed[:counts.size] = counts  # a histogram longer than the pool raises
-    n = observed.sum()
-    if n < 2:
-        raise ValueError("need at least two pool samples")
-    expected = _binom_pmf(pool_size, p_c) * n
-
-    obs_bins: list[float] = []
-    exp_bins: list[float] = []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            obs_bins.append(acc_o)
-            exp_bins.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0 or acc_o > 0:
-        if exp_bins:
-            obs_bins[-1] += acc_o
-            exp_bins[-1] += acc_e
-        else:
-            obs_bins.append(acc_o)
-            exp_bins.append(acc_e)
-    if len(exp_bins) < 2:
-        raise ValueError("too few populated bins for a goodness-of-fit test")
-    obs_arr = np.asarray(obs_bins)
-    exp_arr = np.asarray(exp_bins) * obs_arr.sum() / sum(exp_bins)
-    stat, pvalue = stats.chisquare(obs_arr, exp_arr)
-    return float(stat), float(pvalue), len(exp_bins) - 1

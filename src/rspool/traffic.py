@@ -4,6 +4,7 @@ propagating alarm events, their spatial correlation and activation curves."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -94,8 +95,10 @@ class Deadlines:
     tau_p: float
 
     def __post_init__(self):
-        if not (0 < self.tau_a < self.tau_d <= self.tau_p):
-            raise ValueError("deadlines must satisfy tau_a < tau_d <= tau_p, all positive")
+        # a normal tau_a keeps the delay histogram's bin, tau_a / 100, above 0
+        if not (sys.float_info.min <= self.tau_a < self.tau_d <= self.tau_p):
+            raise ValueError("deadlines must satisfy tau_a < tau_d <= tau_p, all "
+                             "positive, tau_a not subnormal")
 
     def for_kind(self, kind: ReportKind) -> float:
         if kind is ReportKind.ALARM:
@@ -152,7 +155,8 @@ CorrelationModel = UnitCorrelation | ExpDecayCorrelation | SqrtCapCorrelation
 
 
 class AlarmTimeError(ValueError):
-    """An alarm front reaches a station at a non-finite time or past 2**53 histogram bins."""
+    """An alarm front reaches a station at a non-finite time, or its
+    activation histogram has no usable bin width or passes 2**53 bins."""
     category = "config-invalid"
 
 
@@ -251,17 +255,22 @@ def place_stations(n: int, r: float, seed) -> CellGeometry:
 
 
 def activation_curve(geometry: CellGeometry, scenario: AlarmScenario,
-                     bin_width: float, seed) -> ActivationCurve:
+                     seed) -> ActivationCurve:
     """Histogram of alarm activations over time for one event realisation.
 
     Each station is triggered with its spatial correlation probability at the
-    instant the event front passes it.
+    instant the event front passes it. A bin is 1/50 of the time the front
+    takes to cross the cell radius, so an epicentre inside the cell, at most
+    two radii from any station, spans at most 100 bins.
     """
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
-    rng = np.random.default_rng(seed)
     probs = scenario.trigger_probs(geometry)
     times = scenario.arrival_times(geometry)
+    bin_width = geometry.radius_m / (50 * scenario.v)
+    if not 0 < bin_width < math.inf:
+        raise AlarmTimeError(
+            f"the activation bin, 1/50 of the front's {geometry.radius_m:g} m / "
+            f"{scenario.v:g} m/s crossing time, is not a positive finite width")
+    rng = np.random.default_rng(seed)
     triggered = rng.random(geometry.n_stations) < probs
     t_hit = times[triggered]
     if t_hit.size == 0:
@@ -321,17 +330,24 @@ def fit_beta(curve: ActivationCurve) -> BetaFit:
     density = counts / (counts.sum() * w)
     weights = counts / counts.sum()
 
-    a0, b0 = _moment_guess(centers, weights, t_span)
+    # the fit works in seconds: a window whose square or normaliser
+    # t_span ** (alpha + beta - 1) overflows cannot be fitted
     try:
-        with warnings.catch_warnings():  # the covariance it warns about is discarded
-            warnings.simplefilter("ignore", optimize.OptimizeWarning)
-            popt, _ = optimize.curve_fit(
-                lambda t, a, b: beta_pdf(t, a, b, t_span),
-                centers, density, p0=(a0, b0),
-                bounds=((1e-3, 1e-3), (1e3, 1e3)), maxfev=20000)
-        alpha, beta = float(popt[0]), float(popt[1])
-    except RuntimeError:
-        alpha, beta = a0, b0
-    resid = float(np.sum((beta_pdf(centers, alpha, beta, t_span) - density) ** 2) * w)
+        with np.errstate(over="raise"):
+            a0, b0 = _moment_guess(centers, weights, t_span)
+            try:
+                with warnings.catch_warnings():  # the covariance it warns about is discarded
+                    warnings.simplefilter("ignore", optimize.OptimizeWarning)
+                    popt, _ = optimize.curve_fit(
+                        lambda t, a, b: beta_pdf(t, a, b, t_span),
+                        centers, density, p0=(a0, b0),
+                        bounds=((1e-3, 1e-3), (1e3, 1e3)), maxfev=20000)
+                alpha, beta = float(popt[0]), float(popt[1])
+            except RuntimeError:
+                alpha, beta = a0, b0
+            resid = float(np.sum((beta_pdf(centers, alpha, beta, t_span) - density) ** 2) * w)
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(f"the {t_span:g} s activation window overflows the fit; "
+                         "shape parameters cannot be fitted") from exc
     return BetaFit(alpha=alpha, beta=beta, t_span=t_span, residual=resid)
 

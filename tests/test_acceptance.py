@@ -15,8 +15,9 @@ from rspool import (ActivityProbs, AlarmProcess, AlarmScenario, Deadlines,
                     SweepBase, UnitCorrelation, activation_curve,
                     activity_prob_alarm, activity_prob_regular, collision_prob,
                     compare_naive, expected_costs, fit_beta,
-                    kc_chi_square, place_stations, resolve_prob, run_scenario)
+                    place_stations, resolve_prob, run_scenario)
 from rspool.traffic import ActivationCurve
+from tests.chi_square import kc_chi_square
 from tests.conftest import (DC_PCT, L1, L2, LAMBDA_D, N, OMEGA, P_H1, RADIUS,
                             RS_DURATION, T_R, T_RI, TAU_A, TAU_D, TAU_P,
                             read_trace)
@@ -302,7 +303,7 @@ class TestCriterion09TrafficModel:
     def test_activation_span_full_population(self, geometry):
         scenario = AlarmScenario((0.0, 0.0), v=4000.0, t_a=0.0,
                                  correlation=UnitCorrelation())
-        curve = activation_curve(geometry, scenario, bin_width=0.005, seed=55)
+        curve = activation_curve(geometry, scenario, seed=55)
         span = curve.nonzero_span()
         ok = abs(span - 0.25) <= 0.005
         report_line(9, "all-affected activation span 0.25 s (+/- one bin)", ok,

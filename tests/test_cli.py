@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rspool import activity_probs, load_experiment, place_stations
+from rspool import activation_curve, activity_probs, load_experiment, place_stations
 from rspool.cli import main
+from rspool.simulator import DelayHistogram
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,7 +50,6 @@ d_max_m = 500
 
 [simulation]
 horizon_s = 125
-bin_width_s = 0.005
 
 [sweep]
 omega_values = 1 5 10 20
@@ -105,6 +105,79 @@ class TestTrafficCommand:
         assert run_cli("traffic", "--config", str(tmp_path / "nope.ini"),
                        "--seed", "1", "--out", str(tmp_path)) == 1
         assert "error:config-missing" in capsys.readouterr().err
+
+
+def activation_config(tmp_path, radius_m="1000", **alarm) -> Path:
+    """configs/activation_curves.ini with the cell radius and the given keys
+    of every [alarm.*] section set."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(ROOT / "configs" / "activation_curves.ini", encoding="utf-8")
+    cp["cell"]["radius_m"] = radius_m
+    for section in cp.sections():
+        if section.startswith("alarm."):
+            cp[section].update(alarm)
+    cfg = tmp_path / "curves.ini"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return cfg
+
+
+def activation_bins(out: Path) -> dict[str, int]:
+    """The bin count of each activation curve written to `out`."""
+    return {path.stem.removeprefix("activation_"):
+            len(path.read_text(encoding="utf-8").splitlines()) - 1
+            for path in out.glob("activation_*.csv")}
+
+
+class TestActivationBins:
+    """The activation bin is 1/50 of the time the front takes to cross the
+    cell radius, so an epicentre inside the cell spans at most 100 bins."""
+
+    def test_slow_centred_front_gives_50_bins(self, tmp_path):
+        # 1000 m at 4 m/s: 5 s bins, and some of the 1000 stations lie
+        # within 20 m of the edge, so the all-affected front fills all 50
+        cfg = activation_config(tmp_path, speed_m_per_s="4")
+        out = tmp_path / "out"
+        assert run_cli("traffic", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 0
+        bins = activation_bins(out)
+        assert bins["all_affected"] == 50
+        assert max(bins.values()) == 50
+
+    @pytest.mark.parametrize("speed", ["4", "4000"])
+    def test_edge_epicentre_spans_at_most_101_bins(self, tmp_path, speed):
+        cfg = activation_config(tmp_path, speed_m_per_s=speed, epicenter_x_m="1000")
+        out = tmp_path / "out"
+        assert run_cli("traffic", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 0
+        bins = activation_bins(out)
+        assert len(bins) == 3 and max(bins.values()) <= 101
+
+    def test_tiny_speed_is_a_long_curve(self, tmp_path):
+        # bins of 2e301 s, 1/50 of the 1e303 s the front takes to cross the
+        # 1000 m radius; the window's square overflows the Beta fit
+        cfg = write_cell_with(tmp_path, "alarm.quake", "speed_m_per_s", "1e-300")
+        out = tmp_path / "out"
+        assert run_cli("traffic", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 0
+        assert 1 <= activation_bins(out)["quake"] <= 101
+        fit = json.loads((out / "fit_quake.json").read_text())
+        assert fit["alpha"] is None and "overflows the fit" in fit["unfittable"]
+
+    @pytest.mark.parametrize("epicenter_x_m", ["0", "1"],
+                             ids=["triggered", "none-triggered"])
+    def test_underflowing_width_is_one_error_line(self, tmp_path, capsys,
+                                                  epicenter_x_m):
+        # 1e-300 m / (50 * 1e300 m/s) underflows to 0; 1 m from the centre
+        # no station of the 1e-300 m cell is within the 0.5 m reach
+        cfg = activation_config(tmp_path, radius_m="1e-300", speed_m_per_s="1e300",
+                                correlation="sqrtcap", d_max_m="0.5",
+                                epicenter_x_m=epicenter_x_m)
+        out = tmp_path / "new" / "out"
+        assert run_cli("traffic", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 1
+        assert "activation bin" in config_invalid_line(capsys)
+        assert not (tmp_path / "new").exists()
 
 
 class TestAnalyzeCommand:
@@ -240,6 +313,42 @@ class TestSimulateCommand:
                        "--out", str(out), "--replications", str(n)) == 0
         stats = json.loads((out / "scenario_stats.json").read_text())
         assert stats["pools_run"] == n
+
+    def test_delay_bins_are_hundredths_of_tau_a(self, tmp_path):
+        # every delay is below t_r plus the worst-case pool duration (2.544 s
+        # here), which the deadline check keeps below tau_a = 2.6 s
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(SMALL_CELL)
+        cp["deadlines"]["tau_a_s"] = "2.6"
+        cp["simulation"]["alarm_prob_per_pool"] = "0.1"
+        cfg = tmp_path / "cell.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                       "--replications", "200", "--out", str(out)) == 0
+        rows = [line.split(",") for line in
+                (out / "delay_histogram.csv").read_text().splitlines()[1:]]
+        assert {kind for kind, _, _ in rows} >= {"alarm", "periodic"}
+        width = 2.6 / 100
+        for _, start, _ in rows:
+            i = round(float(start) / width)
+            assert float(start) == i * width and 0 <= i < 100
+
+    def test_subnormal_alarm_deadline_rejected(self, tmp_path, capsys):
+        # pools of 5e-324 s meet a 1e-322 s deadline, but the delay bin,
+        # tau_a / 100, would underflow to 0
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text("[cell]\nn_stations = 4\nradius_m = 1\n"
+                       "[traffic]\nt_ri_s = 300\n"
+                       "[protocol]\nomega = 1\ndelta_c_slots = 4\nl1 = 1\nl2 = 1\n"
+                       "t_r_s = 5e-324\nrs_duration_s = 5e-324\n"
+                       "[deadlines]\ntau_a_s = 1e-322\ntau_d_s = 1\n", encoding="utf-8")
+        out = tmp_path / "new" / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "1",
+                       "--replications", "1", "--out", str(out)) == 1
+        assert "tau_a not subnormal" in config_invalid_line(capsys)
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("n", ["0", "-4"])
     def test_replications_below_one_rejected(self, config_path, tmp_path, capsys, n):
@@ -481,13 +590,10 @@ def config_invalid_line(capsys) -> str:
 class TestSimulationSectionErrors:
     @pytest.mark.parametrize("key,value", [
         ("horizon_s", "0"), ("horizon_s", "-5"), ("horizon_s", "inf"),
-        ("delay_bin_s", "0"), ("delay_bin_s", "nan"), ("delay_bin_s", "-0.05"),
-        ("bin_width_s", "nan"), ("bin_width_s", "0"), ("bin_width_s", "-inf"),
-        ("bin_width_s", "5e-324"),
         ("alarm_prob_per_pool", "2"), ("alarm_prob_per_pool", "-0.1"),
         ("alarm_prob_per_pool", "nan"), ("mode", "bogus"),
     ])
-    @pytest.mark.parametrize("command", ["analyze", "simulate", "traffic"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_exits_config_invalid(self, tmp_path, capsys, key, value, command):
         cfg = write_cell_with(tmp_path, "simulation", key, value)
         assert run_cli(command, "--config", str(cfg), "--seed", "1",
@@ -558,9 +664,6 @@ class TestValuesCheckedWhereUsed:
         # two pool periods of 1e308 s overflow the horizon
         ("protocol", "t_r_s", "1e308", ["simulate", "--replications", "2"],
          "config-invalid"),
-        ("simulation", "delay_bin_s", "1e-300", ["simulate"], "config-invalid"),
-        ("simulation", "bin_width_s", "1e-300", ["traffic"], "config-invalid"),
-        ("alarm.quake", "speed_m_per_s", "1e-300", ["traffic"], "config-invalid"),
     ])
     def test_exits_with_one_error_line(self, tmp_path, capsys, section, key, value,
                                        command, category):
@@ -599,7 +702,7 @@ VALUES = st.sampled_from([
 OPTIONAL_KEYS = [("protocol", "delta_c_slots"), ("protocol", "l1"),
                  ("protocol", "l2"), ("deadlines", "tau_p_s"),
                  ("alarm.quake", "epicenter_x_m"), ("alarm.quake", "decay_per_m"),
-                 ("simulation", "delay_bin_s"), ("simulation", "alarm_prob_per_pool")]
+                 ("simulation", "alarm_prob_per_pool")]
 
 
 @st.composite
@@ -652,6 +755,15 @@ class TestErrorContract:
 
 
 class TestSampleConfigs:
+    def test_derived_widths_keep_the_former_values(self):
+        # tau_a / 100 and R / (50 v) reproduce the former fixed widths
+        ref = load_experiment(str(ROOT / "configs" / "reference_cell.ini"))
+        assert DelayHistogram(ref.cell().deadlines.tau_a).bin_width == 0.05
+        curves = load_experiment(str(ROOT / "configs" / "activation_curves.ini"))
+        geometry = place_stations(*curves.population(), seed=1)
+        for _, scenario in curves.alarms():
+            assert activation_curve(geometry, scenario, seed=1).bin_width == 0.005
+
     def test_reference_cell_analyzes(self, tmp_path):
         assert run_cli("analyze", "--config", "configs/reference_cell.ini",
                        "--seed", "1", "--out", str(tmp_path)) == 0
@@ -667,14 +779,9 @@ class TestSampleConfigs:
 
     @pytest.mark.parametrize("seed", ["1", "2", "3"])
     def test_small_cell_fit_prints_nothing(self, tmp_path, capsys, seed):
-        # in a 40 m cell the fronts cross in a few bins, and scipy cannot
-        # estimate the covariance of the fit, which fit_beta discards anyway
-        cp = configparser.ConfigParser(interpolation=None)
-        cp.read(ROOT / "configs" / "activation_curves.ini", encoding="utf-8")
-        cp["cell"]["radius_m"] = "40"
-        cfg = tmp_path / "small.ini"
-        with open(cfg, "w", encoding="utf-8") as fh:
-            cp.write(fh)
+        # scipy warns when it cannot estimate the covariance of a fit, as on
+        # a curve of few bins; fit_beta discards the covariance
+        cfg = activation_config(tmp_path, radius_m="40")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_cli("traffic", "--config", str(cfg), "--seed", seed,

@@ -11,11 +11,12 @@ from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Deadlines,
                     InfeasibleConfigError, ProtocolParams,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
                     activity_prob_regular, collision_prob, expected_costs,
-                    kc_chi_square, place_stations, run_scenario,
+                    place_stations, run_scenario,
                     validate_deadline, worst_case_pool_duration)
 from rspool.analysis import ActivityProbs
 from rspool.simulator import CHUNK_POOLS, _resolve_pools, meets_deadline
 from rspool.traffic import AlarmTimeError
+from tests.chi_square import kc_chi_square
 from tests.conftest import (L1, L2, LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A,
                             read_trace)
 
@@ -531,22 +532,3 @@ class TestCommonArrivals:
         # at delta_c = 1 no pool contends, so l1 and l2 go unread and only
         # the two omega = 40 designs cost the same there
         assert len(costs) == 5
-
-
-class TestKcGoodnessOfFit:
-    def test_chi_square_requires_two_samples(self):
-        with pytest.raises(ValueError, match="two pool samples"):
-            kc_chi_square(np.array([0, 1]), 200, 0.06)
-
-    def test_histogram_longer_than_pool_rejected(self):
-        with pytest.raises(ValueError):
-            kc_chi_square(np.ones(5), 3, 0.5)
-
-    def test_chi_square_rejects_wrong_model(self, rng):
-        samples = rng.binomial(200, 0.12, size=2000)
-        _, pvalue, _ = kc_chi_square(np.bincount(samples, minlength=201), 200, 0.0602)
-        assert pvalue < 1e-6
-
-    def test_chi_square_needs_spread(self):
-        with pytest.raises(ValueError):
-            kc_chi_square([100], 200, 0.0)

@@ -185,21 +185,33 @@ class TestAlarmScenario:
             warnings.simplefilter("error")
             with pytest.raises(AlarmTimeError, match="non-finite"):
                 scenario.arrival_times(geom)
-            with pytest.raises(AlarmTimeError):
-                activation_curve(geom, scenario, 0.005, seed=1)
+            # the arrival times are checked before the bin width they
+            # also make infinite (1000 m / (50 * 1e-310 m/s))
+            with pytest.raises(AlarmTimeError, match="non-finite"):
+                activation_curve(geom, scenario, seed=1)
+
+    @pytest.mark.parametrize("epicenter", [(0.0, 0.0), (1.0, 0.0)],
+                             ids=["triggered", "none-triggered"])
+    def test_underflowing_bin_width_rejected(self, epicenter):
+        # 1e-300 m / (50 * 1e300 m/s) underflows to 0; 1 m away no station
+        # is within the 0.5 m reach
+        geom = CellGeometry(1e-300, np.zeros((3, 2)))
+        scenario = AlarmScenario(epicenter, 1e300, 0.0, SqrtCapCorrelation(0.5))
+        with pytest.raises(AlarmTimeError, match="activation bin"):
+            activation_curve(geom, scenario, seed=1)
 
 
 class TestActivationCurves:
     def test_unit_model_total_and_span(self, ref_geometry):
         scenario = AlarmScenario(epicenter=(0, 0), v=4000.0, t_a=0.0)
-        curve = activation_curve(ref_geometry, scenario, bin_width=0.005, seed=11)
+        curve = activation_curve(ref_geometry, scenario, seed=11)
         assert curve.total == ref_geometry.n_stations
         assert abs(curve.nonzero_span() - 0.25) <= 0.005
 
     def test_sqrt_cap_total_matches_mc_integral(self, ref_geometry):
         scenario = AlarmScenario(epicenter=(0, 0), v=4000.0, t_a=0.0,
                                  correlation=SqrtCapCorrelation(d_max=500.0))
-        curve = activation_curve(ref_geometry, scenario, bin_width=0.005, seed=12)
+        curve = activation_curve(ref_geometry, scenario, seed=12)
         # independent Monte-Carlo integration of the expected trigger count
         mc = np.random.default_rng(99)
         d = 1000.0 * np.sqrt(mc.random(1_000_000))
@@ -212,16 +224,16 @@ class TestActivationCurves:
         geom = place_stations(1000, 1000.0, seed=44)
         sq = activation_curve(
             geom, AlarmScenario((0, 0), 4000.0, 0.0, SqrtCapCorrelation(500.0)),
-            bin_width=0.005, seed=13)
+            seed=13)
         ex = activation_curve(
             geom, AlarmScenario((0, 0), 4000.0, 0.0, ExpDecayCorrelation(0.005)),
-            bin_width=0.005, seed=14)
+            seed=14)
         assert sq.total > ex.total
         assert ex.nonzero_span() > sq.nonzero_span()
 
     def test_counts_bounded_by_population(self, ref_geometry):
         scenario = AlarmScenario(epicenter=(0, 0), v=4000.0, t_a=0.0)
-        curve = activation_curve(ref_geometry, scenario, bin_width=0.01, seed=15)
+        curve = activation_curve(ref_geometry, scenario, seed=15)
         assert curve.total <= ref_geometry.n_stations
 
 
@@ -252,9 +264,17 @@ class TestBetaModel:
 
     def test_propagating_event_span_far_below_standard_value(self, ref_geometry):
         scenario = AlarmScenario(epicenter=(0, 0), v=4000.0, t_a=0.0)
-        curve = activation_curve(ref_geometry, scenario, bin_width=0.005, seed=16)
+        curve = activation_curve(ref_geometry, scenario, seed=16)
         fit = fit_beta(curve)
         assert fit.t_span <= 1.0  # an order of magnitude under the 10 s default
+
+    def test_window_too_long_to_fit_reported_unfittable(self):
+        # a 5e300 s window: its square overflows, without a warning
+        curve = ActivationCurve(bin_width=1e300, counts=np.array([1, 3, 4, 2, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows the fit"):
+                fit_beta(curve)
 
     def test_degenerate_curve_reported_unfittable(self):
         curve = ActivationCurve(bin_width=0.005, counts=np.array([0, 500, 0]))
