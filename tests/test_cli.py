@@ -587,18 +587,55 @@ def config_invalid_line(capsys) -> str:
     return lines[0]
 
 
+def written_files(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+SIMULATION_ERRORS = [
+    ("horizon_s", "0"), ("horizon_s", "-5"), ("horizon_s", "inf"),
+    ("alarm_prob_per_pool", "2"), ("alarm_prob_per_pool", "-0.1"),
+    ("alarm_prob_per_pool", "nan"), ("mode", "bogus"),
+]
+# the widths these keys once set are derived from the cell, so no command
+# reads them, whatever they hold
+FORMER_WIDTH_KEYS = [
+    ("delay_bin_s", "0"), ("delay_bin_s", "nan"), ("delay_bin_s", "-0.05"),
+    ("bin_width_s", "nan"), ("bin_width_s", "0"), ("bin_width_s", "-inf"),
+    ("bin_width_s", "5e-324"),
+]
+
+
 class TestSimulationSectionErrors:
-    @pytest.mark.parametrize("key,value", [
-        ("horizon_s", "0"), ("horizon_s", "-5"), ("horizon_s", "inf"),
-        ("alarm_prob_per_pool", "2"), ("alarm_prob_per_pool", "-0.1"),
-        ("alarm_prob_per_pool", "nan"), ("mode", "bogus"),
-    ])
+    @pytest.mark.parametrize("key,value", SIMULATION_ERRORS)
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_exits_config_invalid(self, tmp_path, capsys, key, value, command):
         cfg = write_cell_with(tmp_path, "simulation", key, value)
         assert run_cli(command, "--config", str(cfg), "--seed", "1",
                        "--out", str(tmp_path / "o")) == 1
         assert f"simulation.{key}" in config_invalid_line(capsys)
+
+    @pytest.mark.parametrize("key,value", SIMULATION_ERRORS + FORMER_WIDTH_KEYS)
+    def test_traffic_does_not_read_the_section(self, config_path, tmp_path, capsys,
+                                               key, value):
+        cfg = write_cell_with(tmp_path / "bad", "simulation", key, value)
+        outs = [tmp_path / "plain", tmp_path / "bad" / "out"]
+        for path, out in zip([config_path, cfg], outs):
+            assert run_cli("traffic", "--config", str(path), "--seed", "1",
+                           "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert written_files(outs[1]) == written_files(outs[0])
+
+    @pytest.mark.parametrize("key,value", FORMER_WIDTH_KEYS)
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_former_width_keys_are_not_read(self, config_path, tmp_path, capsys,
+                                            key, value, command):
+        cfg = write_cell_with(tmp_path / "old", "simulation", key, value)
+        outs = [tmp_path / "plain", tmp_path / "old" / "out"]
+        for path, out in zip([config_path, cfg], outs):
+            assert run_cli(command, "--config", str(path), "--seed", "1",
+                           "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert written_files(outs[1]) == written_files(outs[0])
 
     @pytest.mark.parametrize("value", ["1.0", "2.4"])
     def test_horizon_short_of_one_pool_period(self, tmp_path, capsys, value):
