@@ -56,11 +56,6 @@ class ProtocolParams:
     def pool_size(self) -> int:
         return math.ceil(self.n / self.omega)
 
-    def group_slots(self, station_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Preallocated slot and in-group index of each station id: stations
-        are grouped by contiguous id, so station s holds slot s // omega."""
-        return np.divmod(np.asarray(station_ids), self.omega)
-
     @property
     def collidable_groups(self) -> int:
         """Groups with two or more members. Every group but the last holds

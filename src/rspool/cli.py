@@ -100,16 +100,10 @@ def cmd_traffic(args, exp: Experiment, out: Path) -> None:
     if not alarms:
         raise CommandError("no scenarios: define at least one [alarm.*] section",
                            "no-scenarios")
+    # every scenario's curve and fit first: a scenario that fails leaves no file
+    results = []
     for child, (name, scenario) in enumerate(alarms, 1):
         curve = traffic.activation_curve(geometry, scenario, child_seed(seed, child))
-        rows = [(curve.start_s + i * curve.bin_width, int(c))
-                for i, c in enumerate(curve.counts)]
-        _csv_dump(out / f"activation_{name}.csv", ["bin_start_s", "count"], rows)
-        psi = scenario.trigger_probs(geometry)
-        _csv_dump(out / f"station_correlation_{name}.csv",
-                  ["x_m", "y_m", "psi"],
-                  [(float(x), float(y), float(p))
-                   for (x, y), p in zip(geometry.positions, psi)])
         try:
             fit = traffic.fit_beta(curve)
             record = {"alpha": fit.alpha, "beta": fit.beta,
@@ -117,6 +111,15 @@ def cmd_traffic(args, exp: Experiment, out: Path) -> None:
         except ValueError as exc:
             record = {"alpha": None, "beta": None, "t_span_s": None,
                       "residual": None, "unfittable": str(exc)}
+        results.append((name, curve, scenario.trigger_probs(geometry), record))
+    for name, curve, psi, record in results:
+        rows = [(curve.start_s + i * curve.bin_width, int(c))
+                for i, c in enumerate(curve.counts)]
+        _csv_dump(out / f"activation_{name}.csv", ["bin_start_s", "count"], rows)
+        _csv_dump(out / f"station_correlation_{name}.csv",
+                  ["x_m", "y_m", "psi"],
+                  [(float(x), float(y), float(p))
+                   for (x, y), p in zip(geometry.positions, psi)])
         _json_dump(out / f"fit_{name}.json", record)
 
 

@@ -3,7 +3,6 @@ in the key names, mirrored onto the typed parameter objects."""
 
 from __future__ import annotations
 
-import configparser
 import math
 import sys
 from dataclasses import dataclass
@@ -61,24 +60,23 @@ class CompareOptions:
 
 
 class Experiment:
-    """Typed view over one parsed configuration file."""
+    """Typed view over one configuration file's {section: {key: value}}."""
 
-    def __init__(self, parser: configparser.ConfigParser):
-        self._cp = parser
+    def __init__(self, sections: dict[str, dict[str, str]]):
+        self._sections = sections
 
     # -- low-level typed getters ------------------------------------------
 
-    def _require(self, section: str) -> configparser.SectionProxy:
-        if not self._cp.has_section(section):
+    def _require(self, section: str) -> None:
+        if section not in self._sections:
             raise ConfigError(f"missing required section [{section}]")
-        return self._cp[section]
 
     def _get(self, section: str, key: str, conv, default=_REQUIRED):
-        if not self._cp.has_section(section) or key not in self._cp[section]:
+        raw = self._sections.get(section, {}).get(key)
+        if raw is None:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {section}.{key}")
             return default
-        raw = self._cp[section][key]
         try:
             return conv(raw)
         except (TypeError, ValueError) as exc:
@@ -121,7 +119,7 @@ class Experiment:
         t_r = self._float("protocol", "t_r_s")
         rs = self._float("protocol", "rs_duration_s")
         pool = math.ceil(n / omega) if omega >= 1 else 0
-        if self._cp.has_option("protocol", "delta_c_slots"):
+        if "delta_c_slots" in self._sections["protocol"]:
             delta_c = self._int("protocol", "delta_c_slots")
         else:
             pct = self._float("protocol", "delta_c_pct")
@@ -153,7 +151,7 @@ class Experiment:
 
     def alarms(self) -> list[tuple[str, AlarmScenario]]:
         out = []
-        for section in sorted(self._cp.sections()):
+        for section in sorted(self._sections):
             if not section.startswith("alarm."):
                 continue
             name = section.split(".", 1)[1]
@@ -227,19 +225,69 @@ class Experiment:
             raise ConfigError(f"invalid [compare] section: {exc}") from exc
 
 
+def _drop_comment(line: str) -> str:
+    """The line up to its comment: as the standard library's INI parser
+    does, try the k-th ';' and '#' together for k = 1, 2, ... and cut at
+    the first that opens the line or follows whitespace."""
+    at = {c: -1 for c in ";#" if c in line}
+    while at:
+        at = {c: i for c in at if (i := line.find(c, at[c] + 1)) >= 0}
+        starts = [i for i in at.values() if i == 0 or line[i - 1].isspace()]
+        if starts:
+            return line[:min(starts)]
+    return line
+
+
+def parse_ini(text: str) -> dict[str, dict[str, str]]:
+    """{section: {key: value}} of an INI text, read as the standard library's
+    parser reads it with ';' and '#' inline comments and no interpolation:
+    keys lower-cased and split from their stripped values at the first '='
+    or ':'. A line before any header, a repeated section or key, a line with
+    no key, a [DEFAULT] section and a continuation line (deeper than its
+    key's line) raise ValueError naming the line."""
+    sections: dict[str, dict[str, str]] = {}
+    section = None
+    key_indent = None  # a deeper line after a key line would continue its value
+
+    def bad(problem: str) -> ValueError:
+        return ValueError(f"line {lineno}: {problem}: {line.strip()!r}")
+
+    for lineno, line in enumerate(text.split("\n"), 1):
+        value = _drop_comment(line).strip()
+        if not value:
+            continue
+        if key_indent is not None and len(line) - len(line.lstrip()) > key_indent:
+            raise bad("a continuation line (each value fits on its key's line)")
+        end = value.rfind("]")
+        if value[0] == "[" and end >= 2:  # text after the last ']' is dropped
+            name = value[1:end]
+            if name == "DEFAULT" or name in sections:
+                raise bad("a [DEFAULT] section" if name == "DEFAULT" else "a repeated section")
+            section = sections[name] = {}
+            key_indent = None
+            continue
+        if section is None:
+            raise bad("a line before the first [section] header")
+        cut = len(value.split("=", 1)[0].split(":", 1)[0])  # at the first '=' or ':'
+        if cut in (0, len(value)):
+            raise bad("not a [section] header or a key = value line")
+        key = value[:cut].rstrip().lower()
+        if key in section:
+            raise bad(f"key {key!r} repeated")
+        section[key] = value[cut + 1:].strip()
+        key_indent = len(line) - len(line.lstrip())
+    return sections
+
+
 def load_experiment(path: str) -> Experiment:
-    # values are read literally: a '%' is data, not interpolation syntax
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                       interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+            return Experiment(parse_ini(fh.read()))
     except FileNotFoundError as exc:
         raise ConfigError(f"configuration file not found: {path}",
                           category="config-missing") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file {path}: {exc.strerror}",
                           category="config-unreadable") from exc
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, or not the INI dialect parse_ini reads
         raise ConfigError(f"cannot parse configuration file {path}: {exc}") from exc
-    return Experiment(parser)

@@ -78,25 +78,22 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
     dedicated frame at its in-group index.
     """
     g, omega, l1, l2 = params.pool_size, params.omega, params.l1, params.l2
-    m = station.size
-    # each report's preallocated slot, and its slot within the group's
-    # common-pool segment: the dedicated frame at its in-group index by default
-    group, rel = params.group_slots(station)
-    gkey = pool * g + group
-    first = np.ones(m, dtype=bool)
-    first[1:] = gkey[1:] != gkey[:-1]
-    run_start = np.flatnonzero(first)
-    run_of = np.cumsum(first) - 1  # occupied-group run of each report
-    collided = np.diff(np.append(run_start, m)) >= 2
-    cg_pool = pool[run_start[collided]]  # collided groups, in (pool, group) order
+    slot = station // omega  # preallocated: a singleton resolves there
+    gkey = pool * g + slot
+    # a group collides where two adjacent reports share its key
+    same = np.concatenate(([False], gkey[1:] == gkey[:-1], [False]))
+    members = np.flatnonzero(same[1:] | same[:-1])
+    opens = np.diff(gkey[members], prepend=-1) != 0  # a collided group's first member
+    cg_of = np.cumsum(opens) - 1  # each member's collided group
+    cg_pool = pool[members[opens]]  # collided groups, in (pool, group) order
     n_cg = cg_pool.size
     k_c = np.bincount(cg_pool, minlength=n_pools)
     alarm = k_c >= params.delta_c
     contends = ~alarm[cg_pool]
 
-    members = np.flatnonzero(collided[run_of])  # reports in collided groups
-    cg_of = (np.cumsum(collided) - 1)[run_of]  # their collided group
-    contenders = members[contends[cg_of[members]]]
+    # a member's common-pool slot: by default the dedicated one at its in-group index
+    rel = station[members] - omega * slot[members]
+    contenders = np.flatnonzero(contends[cg_of])  # indices into members
     escalated = []
     for base, length in ((0, l1), (l1, l2)):
         choice = rng.integers(0, length, size=contenders.size)
@@ -113,8 +110,7 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
     # common-pool slots used by the pools before each pool
     before = cum[np.searchsorted(cg_pool, np.arange(n_pools + 1))]
     seg_start = g + cum[:-1] - before[cg_pool]
-    slot = group.copy()  # a singleton resolves in its preallocated slot
-    slot[members] = seg_start[cg_of[members]] + rel[members]
+    slot[members] = seg_start[cg_of] + rel
 
     n_contended = int(contends.sum())
     n_l2, n_dedicated = int(to_l2.sum()), int(to_dedicated.sum())
@@ -142,14 +138,6 @@ class DelayHistogram:
     @property
     def bin_width(self) -> float:
         return self.tau_a / 100
-
-    def add(self, kind: ReportKind, delays: np.ndarray) -> None:
-        if delays.size == 0:
-            return
-        prev = self.counts.get(kind.value, np.zeros(0, dtype=int))
-        hist = np.bincount(np.floor(delays / self.bin_width).astype(int), minlength=prev.size)
-        hist[:prev.size] += prev
-        self.counts[kind.value] = hist
 
 
 @dataclass(frozen=True)
@@ -258,20 +246,32 @@ class ScenarioStats:
 
         kind = arrivals.kind
         deadline = np.array([deadlines.for_kind(k) for k in _KINDS])
-        delay = ((arrivals.w0 + arrivals.pool + 1) * self.t_r
-                 + (res.slot + 1) * self.rs_duration - arrivals.t_gen)
+        delay = np.multiply(arrivals.pool + (arrivals.w0 + 1), self.t_r)
+        delay += np.multiply(res.slot + 1, self.rs_duration)
+        delay -= arrivals.t_gen
         self.reports_total += kind.size
         self.unresolved_active += int((res.slot < 0).sum())
         self.dropped_reports += int((delay > deadline[kind]).sum())
+        # every kind's histogram from one count over (kind, bin)
+        hist = self.delay_histogram
+        bins = np.floor(delay / hist.bin_width).astype(int)
+        width = int(bins.max()) + 1 if bins.size else 0
+        bins += kind * width
+        by_kind = np.bincount(bins, minlength=len(_KINDS) * width).reshape(len(_KINDS), width)
+        longest = np.full(len(_KINDS), -np.inf)
+        np.maximum.at(longest, kind, delay)
         for k, report_kind in enumerate(_KINDS):
-            delays = delay[kind == k]
-            if delays.size == 0:
+            count = int(by_kind[k].sum())
+            if count == 0:
                 continue
             name = report_kind.value
-            self.reports_by_kind[name] = self.reports_by_kind.get(name, 0) + delays.size
-            self.delay_histogram.add(report_kind, delays)
+            self.reports_by_kind[name] = self.reports_by_kind.get(name, 0) + count
+            counts = hist.counts.get(name, by_kind[k, :0])
+            counts = np.pad(counts, (0, max(width - counts.size, 0)))
+            counts[:width] += by_kind[k]
+            hist.counts[name] = counts
             self.max_delay_by_kind[name] = max(
-                self.max_delay_by_kind.get(name, 0.0), float(delays.max()))
+                self.max_delay_by_kind.get(name, 0.0), float(longest[k]))
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -365,13 +365,14 @@ def _bernoulli_cells(rng, cells: int, p: float) -> np.ndarray:
     while last < cells - 1:
         # capping a gap past the end keeps the sums from overflowing and
         # changes no index below `cells`
-        gaps = np.minimum(rng.geometric(p, size=int(mean + 6 * math.sqrt(mean)) + 32),
-                          cells + 1)
-        pos = last + np.cumsum(gaps)
+        gaps = rng.geometric(p, size=int(mean + 6 * math.sqrt(mean)) + 32)
+        pos = np.cumsum(np.minimum(gaps, cells + 1, out=gaps), out=gaps)
+        pos += last
         parts.append(pos)
         last = int(pos[-1])
-    pos = np.concatenate(parts)
-    return pos[pos < cells]
+    # the indices rise, so those below `cells` are a prefix of the last part
+    parts[-1] = pos[:np.searchsorted(pos, cells)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # pools resolved together: enough to spread the fixed cost of the array
@@ -423,22 +424,31 @@ def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
         # regular arrivals over the (pool, station) grid, key pool * n + station:
         # the admitted (earliest) arrival's time and kind for each active cell
         key = _bernoulli_cells(rng, n_chunk * n, p_active)
-        u = rng.random(key.size)
+        pool = key // n
+        station = key - n * pool  # np.divmod takes longer than both
         # first-arrival time conditioned on >= 1 arrival in the window
-        t_gen = (w0 + key // n) * t_r + -np.log1p(-u * p_active) / rate
+        t_gen = rng.random(key.size)
+        np.log1p(np.multiply(t_gen, -p_active, out=t_gen), out=t_gen)
+        t_gen /= -rate
+        t_gen += (w0 + pool) * t_r
         kind = (rng.random(key.size) >= p_periodic).astype(np.int64)  # into _KINDS
 
         a_window, a_station, a_time, h1 = queue.pop(w0, w0 + n_chunk)
         if a_window.size:
-            key = np.concatenate((key, (a_window - w0) * n + a_station))
-            kind = np.concatenate((kind, np.full(a_window.size, _ALARM)))
-            t_gen = np.concatenate((t_gen, a_time))
             # keep the last report per cell: an alarm supersedes a regular
             # report, a later-scheduled alarm an earlier one
-            _, last = np.unique(key[::-1], return_index=True)
-            last = key.size - 1 - last
-            key, kind, t_gen = key[last], kind[last], t_gen[last]
-        yield _Arrivals(w0=w0, pool=key // n, station=key % n, kind=kind,
+            a_key, rev = np.unique(((a_window - w0) * n + a_station)[::-1],
+                                   return_index=True)
+            last = a_window.size - 1 - rev  # each cell's last-scheduled alarm
+            at = np.searchsorted(key, a_key)
+            superseded = at[np.searchsorted(key, a_key, side="right") > at]
+            at -= np.searchsorted(superseded, at)  # the places once those are gone
+            # each merged report's index into the regular reports, then the alarms
+            take = np.insert(np.delete(np.arange(key.size), superseded), at, key.size + last)
+            pool, station, kind, t_gen = (np.concatenate((x, y))[take] for x, y in (
+                (pool, a_window - w0), (station, a_station),
+                (kind, np.full(a_window.size, _ALARM)), (t_gen, a_time)))
+        yield _Arrivals(w0=w0, pool=pool, station=station, kind=kind,
                         t_gen=t_gen, h1=h1)
 
 

@@ -146,9 +146,8 @@ class SqrtCapCorrelation:
             raise ValueError("d_max must be positive, with a finite square")
 
     def factor(self, d):
-        d = np.asarray(d, dtype=float)
-        inside = self.d_max**2 - np.minimum(d, self.d_max) ** 2
-        return np.where(d <= self.d_max, np.sqrt(inside) / self.d_max, 0.0)
+        # fmin clamps a NaN distance to d_max too: 0 beyond the reach
+        return np.sqrt(self.d_max**2 - np.fmin(d, self.d_max) ** 2) / self.d_max
 
 
 CorrelationModel = UnitCorrelation | ExpDecayCorrelation | SqrtCapCorrelation
@@ -251,7 +250,10 @@ def place_stations(n: int, r: float, seed) -> CellGeometry:
     # uniform over the disk: radial CDF d^2/r^2
     d = r * np.sqrt(rng.random(n))
     phi = 2 * math.pi * rng.random(n)
-    return CellGeometry(radius_m=r, positions=np.column_stack((d * np.cos(phi), d * np.sin(phi))))
+    positions = np.empty((n, 2))
+    np.multiply(d, np.cos(phi), out=positions[:, 0])
+    np.multiply(d, np.sin(phi), out=positions[:, 1])
+    return CellGeometry(radius_m=r, positions=positions)
 
 
 def activation_curve(geometry: CellGeometry, scenario: AlarmScenario,

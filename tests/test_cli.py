@@ -101,6 +101,18 @@ class TestTrafficCommand:
                        "--out", str(tmp_path / "o")) == 1
         assert "error:no-scenarios" in capsys.readouterr().err
 
+    def test_failing_later_scenario_leaves_no_files(self, tmp_path, capsys):
+        # every curve and fit is built before the first file is written
+        cfg = tmp_path / "two.ini"
+        cfg.write_text(SMALL_CELL.replace("[alarm.quake]", "[alarm.a]")
+                       + "\n[alarm.b]\nspeed_m_per_s = 1e-310\ncorrelation = unit\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("traffic", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 1
+        assert error_lines(capsys) == ["error:config-invalid"]
+        assert not out.exists()
+
     def test_missing_config_error(self, tmp_path, capsys):
         assert run_cli("traffic", "--config", str(tmp_path / "nope.ini"),
                        "--seed", "1", "--out", str(tmp_path)) == 1
