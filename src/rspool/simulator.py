@@ -139,6 +139,14 @@ class DelayHistogram:
     def bin_width(self) -> float:
         return self.tau_a / 100
 
+    def add(self, kind: ReportKind, delays: np.ndarray) -> None:
+        if delays.size == 0:
+            return
+        prev = self.counts.get(kind.value, np.zeros(0, dtype=int))
+        hist = np.bincount(np.floor(delays / self.bin_width).astype(int), minlength=prev.size)
+        hist[:prev.size] += prev
+        self.counts[kind.value] = hist
+
 
 @dataclass(frozen=True)
 class _Arrivals:
@@ -252,26 +260,15 @@ class ScenarioStats:
         self.reports_total += kind.size
         self.unresolved_active += int((res.slot < 0).sum())
         self.dropped_reports += int((delay > deadline[kind]).sum())
-        # every kind's histogram from one count over (kind, bin)
-        hist = self.delay_histogram
-        bins = np.floor(delay / hist.bin_width).astype(int)
-        width = int(bins.max()) + 1 if bins.size else 0
-        bins += kind * width
-        by_kind = np.bincount(bins, minlength=len(_KINDS) * width).reshape(len(_KINDS), width)
-        longest = np.full(len(_KINDS), -np.inf)
-        np.maximum.at(longest, kind, delay)
         for k, report_kind in enumerate(_KINDS):
-            count = int(by_kind[k].sum())
-            if count == 0:
+            delays = delay[kind == k]
+            if delays.size == 0:
                 continue
             name = report_kind.value
-            self.reports_by_kind[name] = self.reports_by_kind.get(name, 0) + count
-            counts = hist.counts.get(name, by_kind[k, :0])
-            counts = np.pad(counts, (0, max(width - counts.size, 0)))
-            counts[:width] += by_kind[k]
-            hist.counts[name] = counts
+            self.reports_by_kind[name] = self.reports_by_kind.get(name, 0) + delays.size
+            self.delay_histogram.add(report_kind, delays)
             self.max_delay_by_kind[name] = max(
-                self.max_delay_by_kind.get(name, 0.0), float(longest[k]))
+                self.max_delay_by_kind.get(name, 0.0), float(delays.max()))
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -365,14 +362,13 @@ def _bernoulli_cells(rng, cells: int, p: float) -> np.ndarray:
     while last < cells - 1:
         # capping a gap past the end keeps the sums from overflowing and
         # changes no index below `cells`
-        gaps = rng.geometric(p, size=int(mean + 6 * math.sqrt(mean)) + 32)
-        pos = np.cumsum(np.minimum(gaps, cells + 1, out=gaps), out=gaps)
-        pos += last
+        gaps = np.minimum(rng.geometric(p, size=int(mean + 6 * math.sqrt(mean)) + 32),
+                          cells + 1)
+        pos = last + np.cumsum(gaps)
         parts.append(pos)
         last = int(pos[-1])
-    # the indices rise, so those below `cells` are a prefix of the last part
-    parts[-1] = pos[:np.searchsorted(pos, cells)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    pos = np.concatenate(parts)
+    return pos[pos < cells]
 
 
 # pools resolved together: enough to spread the fixed cost of the array
@@ -435,18 +431,14 @@ def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
 
         a_window, a_station, a_time, h1 = queue.pop(w0, w0 + n_chunk)
         if a_window.size:
+            a_pool = a_window - w0
+            key = np.concatenate((key, a_pool * n + a_station))
             # keep the last report per cell: an alarm supersedes a regular
             # report, a later-scheduled alarm an earlier one
-            a_key, rev = np.unique(((a_window - w0) * n + a_station)[::-1],
-                                   return_index=True)
-            last = a_window.size - 1 - rev  # each cell's last-scheduled alarm
-            at = np.searchsorted(key, a_key)
-            superseded = at[np.searchsorted(key, a_key, side="right") > at]
-            at -= np.searchsorted(superseded, at)  # the places once those are gone
-            # each merged report's index into the regular reports, then the alarms
-            take = np.insert(np.delete(np.arange(key.size), superseded), at, key.size + last)
-            pool, station, kind, t_gen = (np.concatenate((x, y))[take] for x, y in (
-                (pool, a_window - w0), (station, a_station),
+            _, last = np.unique(key[::-1], return_index=True)
+            last = key.size - 1 - last
+            pool, station, kind, t_gen = (np.concatenate((x, y))[last] for x, y in (
+                (pool, a_pool), (station, a_station),
                 (kind, np.full(a_window.size, _ALARM)), (t_gen, a_time)))
         yield _Arrivals(w0=w0, pool=pool, station=station, kind=kind,
                         t_gen=t_gen, h1=h1)
