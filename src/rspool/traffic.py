@@ -33,16 +33,17 @@ class CellGeometry:
         pos.flags.writeable = False  # a read-only view: the kept distances stay valid
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError("positions must be a non-empty (n, 2) array")
-        # |p| > r (1 + 1e-12), compared squared in units of r: no square
+        # |p| <= r (1 + 1e-12), compared squared in units of r: no square
         # root, and no radius too large or small to square; a station far
-        # enough out to overflow the square is outside all the same
-        u = pos / self.radius_m
+        # enough out to overflow the square is outside all the same, and a
+        # NaN coordinate fails the test without being outside
         with np.errstate(over="ignore"):
-            outside = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] > (1 + 1e-12) ** 2
-        if np.any(outside):
-            raise ValueError("all stations must lie inside the cell radius")
-        # an infinite coordinate is outside; a NaN one compares as neither
-        if not np.isfinite(pos).all():
+            u = pos / self.radius_m
+            np.square(u, out=u)
+        norm2 = np.add(u[:, 0], u[:, 1], out=u[:, 0])
+        if not np.all(norm2 <= (1 + 1e-12) ** 2):
+            if np.any(norm2 > (1 + 1e-12) ** 2):
+                raise ValueError("all stations must lie inside the cell radius")
             raise ValueError("station positions must be finite")
         object.__setattr__(self, "positions", pos)
 
@@ -55,7 +56,24 @@ class CellGeometry:
         point: every caller for one epicentre shares one pass."""
         p = tuple(np.asarray(point, dtype=float).tolist())
         if self._distances[0] != p:
-            d = np.hypot(self.positions[:, 0] - p[0], self.positions[:, 1] - p[1])
+            # sqrt(dx^2 + dy^2), each difference scaled by 2**-k first, with
+            # the point and the cell within 2**(k - 1) of the origin; k is
+            # clamped so that 2**k and 2**-k are normal. No scaled
+            # difference reaches 8, so no square overflows, and a distance
+            # above 2**(k - 500) squares to a normal number. A power of two
+            # changes no digit of the result
+            k = min(max(math.frexp(max(abs(p[0]), abs(p[1]), self.radius_m))[1] + 1,
+                        -1022), 1022)
+            scale = 2.0 ** -k
+            d = np.subtract(self.positions[:, 0], p[0])
+            dy = np.subtract(self.positions[:, 1], p[1])
+            d *= scale
+            dy *= scale
+            np.square(d, out=d)
+            np.square(dy, out=dy)
+            d += dy
+            np.sqrt(d, out=d)
+            d *= 2.0 ** k
             d.flags.writeable = False
             object.__setattr__(self, "_distances", (p, d))
         return self._distances[1]
@@ -248,11 +266,27 @@ def place_stations(n: int, r: float, seed) -> CellGeometry:
         raise ValueError("cell radius must be positive and finite")
     rng = np.random.default_rng(seed)
     # uniform over the disk: radial CDF d^2/r^2
-    d = r * np.sqrt(rng.random(n))
-    phi = 2 * math.pi * rng.random(n)
-    positions = np.empty((n, 2))
-    np.multiply(d, np.cos(phi), out=positions[:, 0])
-    np.multiply(d, np.sin(phi), out=positions[:, 1])
+    d = np.sqrt(rng.random(n))
+    d *= r
+    # the angle 2 pi u through its half-angle tangent t = tan(pi u):
+    # cos = (1 - t^2) / (1 + t^2) and sin = 2t / (1 + t^2); numpy's tan is
+    # vectorised where its cos and sin call libm once per station. |t| is
+    # largest at u = 1/2, where it is tan(math.pi / 2) = 1.6e16, so t^2 is
+    # finite. Both quotients are at most 1 in magnitude before d multiplies
+    # them: no product overflows, and none underflows for a tiny radius
+    t = rng.random(n)
+    t *= math.pi
+    np.tan(t, out=t)
+    positions = np.empty((n, 2), order="F")  # contiguous columns
+    x, y = positions[:, 0], positions[:, 1]
+    np.square(t, out=x)
+    w = x + 1.0
+    np.subtract(1.0, x, out=x)
+    x /= w
+    x *= d
+    np.multiply(t, 2.0, out=y)
+    y /= w
+    y *= d
     return CellGeometry(radius_m=r, positions=positions)
 
 
@@ -292,10 +326,11 @@ def beta_pdf(t, alpha: float, beta: float, t_span: float):
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = (t >= 0) & (t <= t_span)
-    ti = t[inside]
-    norm = t_span ** (alpha + beta - 1) * special.beta(alpha, beta)
+    # in normalised time x = t / t_span: no power of t_span, so a window
+    # longer than a second and large shapes give a finite density
+    x = t[inside] / t_span
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = ti ** (alpha - 1) * (t_span - ti) ** (beta - 1) / norm
+        vals = x ** (alpha - 1) * (1 - x) ** (beta - 1) / (t_span * special.beta(alpha, beta))
     out[inside] = np.nan_to_num(vals, nan=0.0, posinf=0.0)
     return out
 
@@ -332,8 +367,8 @@ def fit_beta(curve: ActivationCurve) -> BetaFit:
     density = counts / (counts.sum() * w)
     weights = counts / counts.sum()
 
-    # the fit works in seconds: a window whose square or normaliser
-    # t_span ** (alpha + beta - 1) overflows cannot be fitted
+    # the fit works in seconds: a window whose square overflows cannot be
+    # fitted
     try:
         with np.errstate(over="raise"):
             a0, b0 = _moment_guess(centers, weights, t_span)

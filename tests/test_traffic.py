@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from rspool import (ActivationCurve, AlarmScenario, CellGeometry,
                     ExpDecayCorrelation,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
                     activation_curve, beta_pdf, fit_beta, place_stations)
+from rspool import traffic
 from rspool.traffic import AlarmTimeError, child_seed
 
 
@@ -40,6 +41,64 @@ class TestPlacement:
     def test_rejects_degenerate_cells(self, n, r):
         with pytest.raises(ValueError):
             place_stations(n, r, seed=1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_uniform_over_sectors_and_rings(self, seed):
+        # 16 equal sectors by 10 equal-area rings: 160 cells of equal
+        # probability, 125 stations expected in each
+        r = 1000.0
+        geom = place_stations(20_000, r, seed)
+        x, y = geom.positions[:, 0], geom.positions[:, 1]
+        sector = np.floor(np.mod(np.arctan2(y, x), 2 * math.pi) / (2 * math.pi) * 16)
+        ring = np.floor(10 * (np.hypot(x, y) / r) ** 2)
+        cells = np.bincount((np.minimum(ring, 9) * 16 + np.minimum(sector, 15)).astype(int),
+                            minlength=160)
+        assert cells.size == 160
+        assert stats.chisquare(cells).pvalue > 1e-3
+
+    @pytest.mark.parametrize("r", [1e-300, 1.0, 1e3, 1e300])
+    def test_every_station_inside(self, r):
+        for seed in range(5):
+            p = place_stations(20_000, r, seed).positions / r
+            assert np.all(p[:, 0] ** 2 + p[:, 1] ** 2 <= 1.0)
+
+    @staticmethod
+    def _reference(r, u_radius, u_angle):
+        d = r * np.sqrt(u_radius)
+        phi = 2 * math.pi * u_angle
+        return d * np.cos(phi), d * np.sin(phi)
+
+    @pytest.mark.parametrize("r", [1e-300, 1.0, 1e3, 1e300])
+    def test_positions_match_cos_sin_of_the_stream(self, r):
+        rng = np.random.default_rng(17)
+        u_radius, u_angle = rng.random(20_000), rng.random(20_000)
+        x, y = self._reference(r, u_radius, u_angle)
+        geom = place_stations(20_000, r, 17)
+        tol = 4 * np.spacing(r)
+        assert np.max(np.abs(geom.positions[:, 0] - x)) <= tol
+        assert np.max(np.abs(geom.positions[:, 1] - y)) <= tol
+
+    @pytest.mark.parametrize("r", [1e-300, 1.0, 1e3, 1e300])
+    def test_positions_near_the_axes(self, r, monkeypatch):
+        # angles at and one or two ulps either side of 0, pi/2, pi and 3pi/2,
+        # where cos or sin is tiny and tan(pi u) is 0, 1 or huge
+        eps = 2.0**-53
+        quarters = [q + k * eps for q in (0.25, 0.5, 0.75) for k in (-2, -1, 0, 1, 2)]
+        u_angle = np.array([0.0, eps, 2 * eps, 1e-9, 1 - eps, 1 - 2 * eps] + quarters)
+        u_radius = np.resize([1 - eps, 0.5, 1e-6, 0.0, 1.0], u_angle.size)
+
+        class Stream:
+            draws = [u_radius, u_angle]
+
+            def random(self, n):
+                return self.draws.pop(0).copy()
+
+        monkeypatch.setattr(traffic.np.random, "default_rng", lambda seed: Stream())
+        geom = place_stations(u_angle.size, r, seed=0)
+        x, y = self._reference(r, u_radius, u_angle)
+        tol = 4 * np.spacing(r)
+        assert np.all(np.abs(geom.positions[:, 0] - x) <= tol)
+        assert np.all(np.abs(geom.positions[:, 1] - y) <= tol)
 
 
 class TestChildSeed:
@@ -87,6 +146,16 @@ class TestCellRadiusCheck:
         with pytest.raises(ValueError, match="finite"):
             CellGeometry(r, np.array(positions))
 
+    @pytest.mark.parametrize("positions,message", [
+        ([[math.nan, 0.0], [2.0, 0.0]], "inside the cell radius"),
+        ([[2.0, 0.0], [0.0, math.nan]], "inside the cell radius"),
+        ([[math.inf, 0.0]], "inside the cell radius"),
+        ([[math.inf, math.nan]], "finite"),
+        ([[0.5, 0.5], [-math.inf, math.nan]], "finite")])
+    def test_outside_reported_before_non_finite(self, positions, message):
+        with pytest.raises(ValueError, match=message):
+            CellGeometry(1.0, np.array(positions))
+
 
 class TestDistances:
     """The distances to the last point asked for are kept on the geometry,
@@ -105,15 +174,42 @@ class TestDistances:
                 kept[0] = 1.0
 
     def test_trigger_and_arrival_draws_share_one_pass(self, monkeypatch):
+        # each distance pass picks its power-of-two scale with one frexp
         geom = place_stations(50, 100.0, seed=1)
         calls = []
-        hypot = np.hypot
-        monkeypatch.setattr(np, "hypot", lambda *a: calls.append(1) or hypot(*a))
+        frexp = math.frexp
+        monkeypatch.setattr(traffic.math, "frexp", lambda x: calls.append(1) or frexp(x))
         scenario = AlarmScenario((10.0, 0.0), 4000.0, 0.0, SqrtCapCorrelation(50.0))
         for _ in range(3):
             AlarmScenario((10.0, 0.0), 4000.0, 1.0).arrival_times(geom)
             scenario.trigger_probs(geom)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("r", [1e-300, 1.0, 1e3, 1e300])
+    @pytest.mark.parametrize("x,y,unit", [
+        (0.0, 0.0, "r"), (0.3, -0.4, "r"), (1.0, 1.0, "r"), (-2.0, 0.5, "r"),
+        (1e300, -1e300, "m"), (-1e300, 3.0, "m"), (7e299, 1e-300, "m"), (5e-324, 0.0, "m")])
+    def test_within_two_ulp_of_hypot(self, r, x, y, unit):
+        geom = place_stations(2000, r, seed=5)
+        p = (x * r, y * r) if unit == "r" else (x, y)
+        d = geom.distances_to(p)
+        h = np.hypot(geom.positions[:, 0] - p[0], geom.positions[:, 1] - p[1])
+        assert np.all(np.isfinite(d)) and np.all(np.isfinite(h))
+        assert np.all(np.abs(d - h) <= 2 * np.spacing(h))
+
+    @pytest.mark.parametrize("r,p", [(1e300, (1.7e308, 0.0)), (1e300, (-1.2e308, 1.2e308)),
+                                     (1.7e308, (0.0, 0.0)), (1e-310, (0.0, 1e-310)),
+                                     (1e-320, (1e-320, -1e-320))])
+    def test_finite_wherever_hypot_is(self, r, p):
+        positions = np.array([[0.0, 0.0], [r, 0.0], [0.0, -r], [-0.6 * r, 0.8 * r]])
+        geom = CellGeometry(r, positions)
+        with np.errstate(over="ignore"):
+            h = np.hypot(positions[:, 0] - p[0], positions[:, 1] - p[1])
+            d = geom.distances_to(p)
+        finite = np.isfinite(h)
+        assert finite.any()
+        assert np.all(np.isfinite(d[finite]))
+        assert np.all(np.abs(d[finite] - h[finite]) <= 2 * np.spacing(h[finite]))
 
 
 class TestSpatialCorrelation:
@@ -244,6 +340,14 @@ class TestBetaModel:
         val, _ = integrate.quad(lambda t: beta_pdf(t, alpha, beta, t_span),
                                 0.0, t_span, limit=200)
         assert abs(val - 1.0) < 1e-6
+
+    def test_large_shapes_over_a_long_window_stay_finite(self):
+        # 10 ** 999 overflows; in normalised time the density is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = beta_pdf([5.0], 500.0, 500.0, 10.0)
+        assert np.isfinite(val).all()
+        assert val[0] == pytest.approx(stats.beta(500.0, 500.0).pdf(0.5) / 10.0, rel=1e-9)
 
     def test_round_trip_recovers_shape_parameters(self):
         rng = np.random.default_rng(2024)
