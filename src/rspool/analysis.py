@@ -359,46 +359,85 @@ def _weighted(p: float, c):
     return 0.0 if p == 0.0 else p * c
 
 
-def expected_costs(params: ProtocolParams, activity: ActivityProbs,
-                   p_h1: float, frames=None) -> AnalysisReport:
-    """The full expected-cost report for one configuration (slots per pool).
+@dataclass(frozen=True)
+class FrameFigures:
+    """Frame pairs with the figures they alone set at a group size and
+    regular activity: the resolution probabilities r1, r2 and the expected
+    frame cost E[S] of a regular-regime collided slot, NaN where no such
+    slot has a contender distribution. Scalars for one pair, equal-length
+    arrays for several."""
+
+    l1: object
+    l2: object
+    r1: object
+    r2: object
+    e_s: object
+
+    def take(self, index) -> FrameFigures:
+        """The pairs at `index` (a mask or a position) of array figures."""
+        return FrameFigures(*(x[index] for x in
+                              (self.l1, self.l2, self.r1, self.r2, self.e_s)))
+
+
+def frame_figures(omega: int, l1, l2, p_a0: float) -> FrameFigures:
+    """The threshold-independent part of `expected_costs`: r1, r2 and E[S]
+    of the pair (l1, l2), or of equal-length integer arrays of pairs in one
+    `resolution_probs` pass. They exist only where a regular-regime
+    collided slot has a contender distribution (NaN elsewhere, in an array
+    of the pairs' shape for array frames)."""
+    if omega >= 2 and 0 < p_a0 < 1 and collision_prob(p_a0, omega) > 0.0:
+        r1, r2 = resolution_probs(omega, l1, l2, p_a0)
+        e_s = expected_frame_cost(omega, l1, l2, r1, r2)
+    else:
+        r1 = r2 = e_s = np.full(np.shape(l1), np.nan) if np.ndim(l1) else float("nan")
+    return FrameFigures(l1, l2, r1, r2, e_s)
+
+
+def cost_mix(params: ProtocolParams, activity: ActivityProbs, p_h1: float,
+             figures: FrameFigures) -> AnalysisReport:
+    """The report of `expected_costs` from the `frame_figures` of its frames:
+    the threshold masses and conditional means of both hypotheses, the cost
+    of each branch and their mix (slots per pool).
 
     With K the conditional collided-slot count of a (hypothesis, decision)
     branch: contention-based resolution costs K*E[S] on top of the
     preallocated pool; a missed alarm escalates through both contention
     frames before the dedicated frame; a declared alarm expands every
-    collided slot into a dedicated omega-slot frame. `frames` = (l1, l2)
-    replaces the params' own frames; equal-length integer arrays of
-    candidate pairs give an array for each figure the frames change (r1,
-    r2, e_s, e_c_00, e_c_01 and e_c), as in `worst_case_pool_duration`.
-    """
+    collided slot into a dedicated omega-slot frame. Array figures give an
+    array for each figure the frames change (r1, r2, e_s, e_c_00, e_c_01
+    and e_c)."""
     if not 0 <= p_h1 <= 1:
         raise ValueError("alarm prior must lie in [0, 1]")
-    l1, l2 = (params.l1, params.l2) if frames is None else frames
+    l1, l2, r1, r2, e_s = figures.l1, figures.l2, figures.r1, figures.r2, figures.e_s
     pool, omega = params.pool_size, params.omega
     p_c_h0 = collision_prob(activity.p_a0, omega)
     p_c_h1 = collision_prob(activity.p_a1, omega)
     p00, ek00, p10, ek10 = _conditional_collision_means(pool, p_c_h0, params.delta_c)
     p01, ek01, p11, ek11 = _conditional_collision_means(pool, p_c_h1, params.delta_c)
-    # r1, r2 and E[S] exist only where a regular-regime collided slot has a
-    # contender distribution
-    if omega >= 2 and 0 < activity.p_a0 < 1 and p_c_h0 > 0.0:
-        r1, r2 = resolution_probs(omega, l1, l2, activity.p_a0)
-        e_s = expected_frame_cost(omega, l1, l2, r1, r2)
-    else:
-        r1 = r2 = e_s = float("nan")
     e_c_00 = _branch_cost(pool, ek00, e_s)
     e_c_10 = _branch_cost(pool, ek10, omega)
     e_c_01 = _branch_cost(pool, ek01, frame_chain_cost(omega, l1, l2, 1, 1))
     e_c_11 = _branch_cost(pool, ek11, omega)
     e_c = (1.0 - p_h1) * (_weighted(p00, e_c_00) + _weighted(p10, e_c_10)) \
         + p_h1 * (_weighted(p01, e_c_01) + _weighted(p11, e_c_11))
-    if np.ndim(l1):
-        r1, r2, e_s, e_c_00, e_c_01, e_c = (np.broadcast_to(x, np.shape(l1)) for x in
-                                            (r1, r2, e_s, e_c_00, e_c_01, e_c))
+    if np.ndim(l1):  # a branch without a frame term (E[K] zero or NaN) costs one number
+        e_c_00, e_c_01, e_c = (x if np.ndim(x) else np.broadcast_to(x, np.shape(l1))
+                               for x in (e_c_00, e_c_01, e_c))
     return AnalysisReport(
         p_c_h0=p_c_h0, p_c_h1=p_c_h1, p_00=p00, p_10=p10, p_01=p01, p_11=p11,
         e_k_00=ek00, e_k_10=ek10, e_k_01=ek01, e_k_11=ek11,
         e_c_00=e_c_00, e_c_10=e_c_10, e_c_01=e_c_01, e_c_11=e_c_11,
         e_c=e_c, p_h1=p_h1, r1=r1, r2=r2, e_s=e_s)
 
+
+def expected_costs(params: ProtocolParams, activity: ActivityProbs,
+                   p_h1: float, frames=None) -> AnalysisReport:
+    """The full expected-cost report for one configuration (slots per pool):
+    `cost_mix` over the `frame_figures` of the frames. `frames` = (l1, l2)
+    replaces the params' own frames; equal-length integer arrays of
+    candidate pairs give an array for each figure the frames change (r1,
+    r2, e_s, e_c_00, e_c_01 and e_c), as in `worst_case_pool_duration`.
+    """
+    l1, l2 = (params.l1, params.l2) if frames is None else frames
+    return cost_mix(params, activity, p_h1,
+                    frame_figures(params.omega, l1, l2, activity.p_a0))

@@ -99,18 +99,36 @@ class SweepResult:
     simulated: bool = False
 
 
+def _default_frames(omega: int, l1_frac: float | str,
+                    l2_frac: float | str) -> tuple[int, int]:
+    """The pair the fixed fractions give, or the FRAME_SPLIT pair when the
+    fractions are searched."""
+    return frames_for(omega, *(FRAME_SPLIT if l1_frac == "search" else (l1_frac, l2_frac)))
+
+
 @functools.lru_cache(maxsize=256)
-def _frame_pairs(omega: int) -> np.ndarray:
-    """The distinct (l1, l2) that the fractions FRACTION_STEPS reach at
-    group size omega, with the second fraction never above the first, as
-    the columns of a read-only (2, k) array in the order the grid first
+def _frame_table(omega: int, l1_frac: float | str, l2_frac: float | str,
+                 p_a0: float) -> tuple[analysis.FrameFigures, int]:
+    """The candidate frame pairs of a group size with their r1, r2 and E[S]
+    (`analysis.frame_figures`, one pass) as read-only arrays, and the
+    position of the default pair among them.
+
+    The candidates are the pair the fixed fractions give or, with both
+    fractions searched, the distinct (l1, l2) that FRACTION_STEPS reach,
+    the second fraction never above the first, in the order the grid first
     reaches them: fraction pairs that round to the same frames cost the
-    same. Cached per omega."""
-    pairs = dict.fromkeys(frames_for(omega, f1, f2) for f1 in FRACTION_STEPS
-                          for f2 in FRACTION_STEPS if f2 <= f1)
-    table = np.array(list(pairs)).T.copy()
-    table.setflags(write=False)
-    return table
+    same. No figure depends on the threshold, so one table serves every
+    delta_c of the group size. Cached per argument tuple."""
+    default = _default_frames(omega, l1_frac, l2_frac)
+    pairs = [default]
+    if l1_frac == "search":
+        pairs = list(dict.fromkeys(frames_for(omega, f1, f2) for f1 in FRACTION_STEPS
+                                   for f2 in FRACTION_STEPS if f2 <= f1))
+    l1, l2 = np.array(pairs).T.copy()
+    table = analysis.frame_figures(omega, l1, l2, p_a0)
+    for figure in vars(table).values():
+        figure.setflags(write=False)
+    return table, pairs.index(default)
 
 
 def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
@@ -118,19 +136,14 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
                     ) -> tuple[SweepRow, ProtocolParams | None]:
     """The analytical row of one grid point, at its cheapest frame pair.
 
-    The candidates are the pair the fixed fractions give or, with both
-    fractions searched, the pairs `_frame_pairs` lists. One deadline mask
-    and one `expected_costs` call over the deadline-feasible pairs score
-    them; the first pair of least defined cost wins. With none, the row
-    keeps its default pair (the fixed pair, or the FRAME_SPLIT pair when
-    searching), feasible by the mask or not, at that pair's own cost.
-    Also returns the point's parameters, at the default frames, or None
-    when the point has none."""
-    if l1_frac == "search":
-        default, (l1, l2) = frames_for(omega, *FRAME_SPLIT), _frame_pairs(omega)
-    else:
-        default = frames_for(omega, l1_frac, l2_frac)
-        l1, l2 = np.array(default).reshape(2, 1)
+    The candidates are the pairs of the group size's `_frame_table`. The
+    point's deadline mask keeps the feasible ones, and one
+    `analysis.cost_mix` with their figures scores them; the first pair of
+    least defined cost wins. With none, the row keeps its default pair (the
+    fixed pair, or the FRAME_SPLIT pair when searching), feasible by the
+    mask or not, at that pair's own cost. Also returns the point's
+    parameters, at the default frames, or None when the point has none."""
+    default = _default_frames(omega, l1_frac, l2_frac)
     row = SweepRow(omega=omega, delta_c_pct=delta_c_pct, l1=default[0],
                    l2=default[1], feasible=False)
     n = base.geometry.n_stations
@@ -141,22 +154,21 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
             rs_duration=base.rs_duration)
     except ValueError:
         return row, None
-    worst = simulator.worst_case_pool_duration(params, (l1, l2))
+    table, at = _frame_table(omega, l1_frac, l2_frac, base.activity().p_a0)
+    worst = simulator.worst_case_pool_duration(params, (table.l1, table.l2))
     feasible = simulator.meets_deadline(params, base.deadlines, worst)
     if not feasible.any():
         return row, params
-    l1, l2 = l1[feasible], l2[feasible]
-    report = analysis.expected_costs(params, base.activity(), base.p_h1,
-                                     frames=(l1, l2))
+    figures = table.take(feasible)
+    report = analysis.cost_mix(params, base.activity(), base.p_h1, figures)
     # a NaN cost read as infinite: it never wins
     e_c = np.fmin(report.e_c, math.inf)
     best = int(np.argmin(e_c))
     if e_c[best] == math.inf:
-        at = np.flatnonzero((l1 == default[0]) & (l2 == default[1]))
-        if not at.size:
+        if not feasible[at]:
             return row, params
-        best = int(at[0])
-    row.l1, row.l2, row.feasible = int(l1[best]), int(l2[best]), True
+        best = int(np.count_nonzero(feasible[:at]))
+    row.l1, row.l2, row.feasible = int(figures.l1[best]), int(figures.l2[best]), True
     row.e_c_analytical = float(report.e_c[best])
     row.p11, row.p10 = report.p_11, report.p_10
     return row, params
@@ -225,16 +237,18 @@ def compare_naive(base: SweepBase, omega_values=DEFAULT_OMEGAS,
     The adaptive side runs at the frames a searched sweep picks at the same
     (omega, delta_c), so each row's adaptive cost is that sweep row's cost;
     group sizes the sweep flags infeasible get no row. The naive cost is the
-    cost at delta_c = 1, where every collided slot takes a dedicated frame."""
+    cost at delta_c = 1, where every collided slot takes a dedicated frame,
+    mixed from the default pair's figures in the same frame table."""
     activity = base.activity()
     rows: list[NaiveComparisonRow] = []
     for omega in sorted(omega_values):
         row, params = _evaluate_point(base, omega, delta_c_pct, "search", "search")
         if row.feasible:
-            naive = dataclasses.replace(params, delta_c=1)
+            table, at = _frame_table(omega, "search", "search", activity.p_a0)
+            naive = analysis.cost_mix(dataclasses.replace(params, delta_c=1),
+                                      activity, base.p_h1, table.take(at))
             rows.append(NaiveComparisonRow(
-                omega=omega, e_c_adaptive=row.e_c_analytical,
-                e_c_naive=analysis.expected_costs(naive, activity, base.p_h1).e_c))
+                omega=omega, e_c_adaptive=row.e_c_analytical, e_c_naive=naive.e_c))
     if not rows:
         raise InfeasibleConfigError("every group size is infeasible")
     return NaiveComparison(rows=rows,

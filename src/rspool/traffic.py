@@ -195,6 +195,8 @@ class AlarmScenario:
             raise ValueError("propagation speed must be positive and finite")
         if not math.isfinite(self.t_a):
             raise ValueError("event time must be finite")
+        if not all(map(math.isfinite, self.epicenter)):
+            raise ValueError("epicenter coordinates must be finite")
 
     def arrival_times(self, geometry: CellGeometry) -> np.ndarray:
         """Instant at which the event front reaches each station."""

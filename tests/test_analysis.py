@@ -17,7 +17,7 @@ from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
                     resolve_prob, truncated_active_dist)
 from rspool.analysis import (_TAIL_EPS, _assoc_stirling, _binom_pmf,
                              _no_singleton_counts)
-from rspool.optimizer import DEFAULT_DELTA_C_PCTS, DEFAULT_OMEGAS, _frame_pairs
+from rspool.optimizer import DEFAULT_DELTA_C_PCTS, DEFAULT_OMEGAS, _frame_table
 from tests.conftest import DC_PCT, L1, L2, N, OMEGA, P_H1, RS_DURATION, T_R
 
 P_A0 = 1 - math.exp(-0.01)  # reference regular activity per pool
@@ -304,8 +304,10 @@ class TestResolutionProbs:
         for omega in DEFAULT_OMEGAS:
             if omega < 2:
                 continue
-            l1, l2 = _frame_pairs(omega)
+            table, _ = _frame_table(omega, "search", "search", p_a)
+            l1, l2 = table.l1, table.l2
             r1, r2 = resolution_probs(omega, l1, l2, p_a)
+            assert np.array_equal(table.r1, r1) and np.array_equal(table.r2, r2)
             for i, (a, b) in enumerate(zip(l1.tolist(), l2.tolist())):
                 want1, want2 = per_pair_resolution_probs(omega, a, b, p_a)
                 assert r1[i] == pytest.approx(want1, rel=1e-14, abs=0), (omega, a, b)

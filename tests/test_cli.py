@@ -580,6 +580,20 @@ class TestAlarmSectionErrors:
                        "--out", str(tmp_path / "o")) == 1
         assert error_lines(capsys) == ["error:config-invalid"]
 
+    @pytest.mark.parametrize("key,value", [("epicenter_x_m", "nan"),
+                                           ("epicenter_x_m", "inf"),
+                                           ("epicenter_y_m", "-inf")])
+    @pytest.mark.parametrize("command", ["traffic", "analyze", "simulate", "sweep",
+                                         "compare-naive"])
+    def test_non_finite_epicenter_rejected(self, tmp_path, capsys, key, value, command):
+        # a NaN distance would clamp to the sqrtcap reach: no station
+        # triggered, and p_a1 read as the regular activity
+        cfg = write_cell_with(tmp_path, "alarm.quake", key, value)
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 1
+        assert "[alarm.quake]" in config_invalid_line(capsys)
+        assert not out.exists()
+
 
 def write_cell_with(tmp_path, section, key, value) -> Path:
     """The small cell with one key of one section set to `value`."""

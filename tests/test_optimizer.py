@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -7,10 +8,10 @@ import pytest
 from rspool import analysis, simulator
 from rspool import (AlarmScenario, Deadlines, InfeasibleConfigError,
                     ProtocolParams, RegularTrafficParams, SqrtCapCorrelation,
-                    SweepBase, SweepGrid, compare_naive, expected_costs,
-                    frames_for, sweep)
+                    SweepBase, SweepGrid, compare_naive, delta_c_from_pct,
+                    expected_costs, frames_for, sweep)
 from rspool.optimizer import (DEFAULT_DELTA_C_PCTS, DEFAULT_OMEGAS, FRACTION_STEPS,
-                              _evaluate_point, _frame_pairs)
+                              _evaluate_point, _frame_table)
 from tests.conftest import N, P_H1, RS_DURATION, T_R
 
 FRACTION_PAIRS = [(f1, f2) for f1 in FRACTION_STEPS for f2 in FRACTION_STEPS
@@ -230,29 +231,127 @@ class TestFrameFractionSearch:
 
 @pytest.fixture
 def costed(monkeypatch):
-    """The (params, frames) of every expected_costs call."""
+    """The (params, figures) of every cost_mix call."""
     calls = []
-    full_report = analysis.expected_costs
+    cost_mix = analysis.cost_mix
 
-    def counted(params, activity, p_h1, frames=None):
-        calls.append((params, frames))
-        return full_report(params, activity, p_h1, frames=frames)
+    def counted(params, activity, p_h1, figures):
+        calls.append((params, figures))
+        return cost_mix(params, activity, p_h1, figures)
 
-    monkeypatch.setattr(analysis, "expected_costs", counted)
+    monkeypatch.setattr(analysis, "cost_mix", counted)
     return calls
 
 
+@pytest.fixture
+def resolved(monkeypatch):
+    """The group size of every resolution_probs call, from a cleared frame
+    table cache."""
+    calls = []
+    resolution_probs = analysis.resolution_probs
+
+    def counted(omega, l1, l2, p_a):
+        calls.append(omega)
+        return resolution_probs(omega, l1, l2, p_a)
+
+    monkeypatch.setattr(analysis, "resolution_probs", counted)
+    _frame_table.cache_clear()
+    return calls
+
+
+@pytest.fixture(params=["reference", "heavy", "tight"])
+def search_base(request, base, ref_geometry, ref_traffic):
+    """The reference base; the same at heavy load (t_ri = 30 s, on-demand
+    every 300 s); and, without the alarm, under a 5.5 s alarm deadline."""
+    if request.param == "heavy":
+        return dataclasses.replace(base, traffic=RegularTrafficParams(30.0, 1 / 300))
+    if request.param == "tight":
+        return tight_base(ref_geometry, ref_traffic, 5.5)
+    return base
+
+
+def per_point_reference(base, omega, pct):
+    """A searched grid point scored on its own: the distinct pairs of the
+    fraction grid, the deadline mask over them, one expected_costs call over
+    the feasible ones, and the first least cost. Returns the row's fields
+    and whether the mask dropped some pairs but not all."""
+    default = frames_for(omega, 0.6, 0.4)
+    pairs = list(dict.fromkeys(frames_for(omega, *f) for f in FRACTION_PAIRS))
+    l1, l2 = (np.array(v) for v in zip(*pairs))
+    params = ProtocolParams(n=N, omega=omega, l1=default[0], l2=default[1], t_r=T_R,
+                            delta_c=delta_c_from_pct(pct, math.ceil(N / omega)),
+                            rs_duration=RS_DURATION)
+    worst = simulator.worst_case_pool_duration(params, (l1, l2))
+    f = simulator.meets_deadline(params, base.deadlines, worst)
+    assert f.any()
+    report = expected_costs(params, base.activity(), base.p_h1, frames=(l1[f], l2[f]))
+    best = int(np.argmin(report.e_c))
+    assert report.e_c[best] < math.inf
+    row = (int(l1[f][best]), int(l2[f][best]), True, float(report.e_c[best]),
+           report.p_11, report.p_10)
+    return row, 0 < f.sum() < f.size
+
+
+def row_fields(row):
+    return (row.l1, row.l2, row.feasible, row.e_c_analytical, row.p11, row.p10)
+
+
+def same_floats(got, want):
+    """Equal field by field, NaN equal to NaN."""
+    return len(got) == len(want) and all(
+        a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+        for a, b in zip(got, want))
+
+
 class TestSearchCost:
-    def test_searched_sweep_costs_each_point_once(self, base, costed):
-        # one expected_costs call per grid point scores every candidate
-        # pair at once; the row reads its cost from that call
+    def test_searched_sweep_builds_one_table_per_group_size(self, search_base, resolved):
+        # one resolution pass per group size with a collision serves all
+        # its thresholds; every row is the row the point scored on its own
+        # gives, to the bit
+        rows = sweep(SweepGrid(l1_frac="search", l2_frac="search"), search_base).rows
+        assert resolved == [omega for omega in DEFAULT_OMEGAS if omega >= 2]
+        assert [(r.omega, r.delta_c_pct) for r in rows] == \
+            [(o, p) for o in DEFAULT_OMEGAS for p in DEFAULT_DELTA_C_PCTS]
+        masked = 0
+        for row in rows:
+            want, partial = per_point_reference(search_base, row.omega, row.delta_c_pct)
+            assert row_fields(row) == want, (row.omega, row.delta_c_pct)
+            masked += partial
+        # the deadline mask drops some pairs, not all, at 20 of the 55 points
+        assert masked == 20
+
+    def test_rows_do_not_depend_on_cache_state_or_order(self, search_base):
         grid = SweepGrid(l1_frac="search", l2_frac="search")
-        rows = sweep(grid, base).rows
-        assert all(r.feasible for r in rows)
-        assert len(costed) == len(rows) == len(DEFAULT_OMEGAS) * len(DEFAULT_DELTA_C_PCTS)
-        for (params, (l1, l2)), row in zip(costed, rows):
-            assert params.omega == row.omega
-            assert (row.l1, row.l2) in set(zip(l1.tolist(), l2.tolist()))
+        _frame_table.cache_clear()
+        whole = [row_fields(r) for r in sweep(grid, search_base).rows]
+        points = [(o, p) for o in DEFAULT_OMEGAS for p in DEFAULT_DELTA_C_PCTS]
+        cold = []
+        for omega, pct in points:
+            _frame_table.cache_clear()
+            cold.append(row_fields(searched_row(search_base, omega, pct)))
+        # tables of another activity in the cache must not leak into these rows
+        sweep(grid, dataclasses.replace(search_base, traffic=RegularTrafficParams(60.0, 0.0)))
+        warm_reversed = [row_fields(searched_row(search_base, o, p))
+                         for o, p in reversed(points)][::-1]
+        for got, cold_row, warm_row in zip(whole, cold, warm_reversed):
+            assert same_floats(got, cold_row) and same_floats(got, warm_row)
+
+    def test_naive_side_is_the_delta_c_one_report(self, search_base):
+        omegas = (1, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100)
+        result = compare_naive(search_base, omega_values=omegas)
+        assert [r.omega for r in result.rows] == list(omegas)
+        for row in result.rows:
+            params = _evaluate_point(search_base, row.omega, 50.0, "search", "search")[1]
+            naive = dataclasses.replace(params, delta_c=1)
+            want = expected_costs(naive, search_base.activity(), search_base.p_h1).e_c
+            assert row.e_c_naive == want
+
+    def test_frame_table_is_read_only(self, base):
+        table, at = _frame_table(40, "search", "search", base.activity().p_a0)
+        assert (table.l1[at], table.l2[at]) == frames_for(40, 0.6, 0.4)
+        for figure in (table.l1, table.l2, table.r1, table.r2, table.e_s):
+            with pytest.raises(ValueError):
+                figure[0] = 0
 
     def test_search_costs_only_deadline_feasible_pairs(self, ref_geometry,
                                                        ref_traffic, costed):
@@ -260,10 +359,12 @@ class TestSearchCost:
         # and 3 s of slack after the period admits only the shorter pairs
         base = tight_base(ref_geometry, ref_traffic, 5.5)
         row = searched_row(base, 40, 90.0)
-        [(params, (l1, l2))] = costed
+        [(params, figures)] = costed
+        l1, l2 = figures.l1, figures.l2
         worst = simulator.worst_case_pool_duration(params, (l1, l2))
         assert simulator.meets_deadline(params, base.deadlines, worst).all()
-        assert 0 < l1.size < _frame_pairs(40).shape[1]
+        table, _ = _frame_table(40, "search", "search", base.activity().p_a0)
+        assert 0 < l1.size < table.l1.size
         assert row.feasible and (row.l1, row.l2) in set(zip(l1.tolist(), l2.tolist()))
 
     def test_searched_simulated_sweep_runs_the_row_frames(self, base, monkeypatch):

@@ -271,6 +271,12 @@ class TestAlarmScenario:
         with pytest.raises(ValueError):
             AlarmScenario((0, 0), v, t_a)
 
+    @pytest.mark.parametrize("epicenter", [(float("nan"), 0.0), (0.0, float("inf")),
+                                           (float("-inf"), float("nan"))])
+    def test_rejects_non_finite_epicenter(self, epicenter):
+        with pytest.raises(ValueError, match="epicenter"):
+            AlarmScenario(epicenter, 4000.0, 0.0)
+
     @pytest.mark.parametrize("v,t_a", [(1e-310, 0.0), (1e-304, 1.7e308)])
     def test_front_beyond_float_range_rejected_without_warnings(self, v, t_a):
         # both values are finite, the arrival instants are not: d / v
