@@ -367,11 +367,11 @@ class FrameFigures:
     slot has a contender distribution. Scalars for one pair, equal-length
     arrays for several."""
 
-    l1: object
-    l2: object
-    r1: object
-    r2: object
-    e_s: object
+    l1: int | np.ndarray
+    l2: int | np.ndarray
+    r1: float | np.ndarray
+    r2: float | np.ndarray
+    e_s: float | np.ndarray
 
     def take(self, index) -> FrameFigures:
         """The pairs at `index` (a mask or a position) of array figures."""

@@ -325,14 +325,19 @@ class TestSearchCost:
         _frame_table.cache_clear()
         whole = [row_fields(r) for r in sweep(grid, search_base).rows]
         points = [(o, p) for o in DEFAULT_OMEGAS for p in DEFAULT_DELTA_C_PCTS]
+
+        def one_point(omega, pct):
+            point = dataclasses.replace(grid, omega_values=(omega,), delta_c_pcts=(pct,))
+            [row] = sweep(point, search_base).rows
+            return row_fields(row)
+
         cold = []
         for omega, pct in points:
             _frame_table.cache_clear()
-            cold.append(row_fields(searched_row(search_base, omega, pct)))
+            cold.append(one_point(omega, pct))
         # tables of another activity in the cache must not leak into these rows
         sweep(grid, dataclasses.replace(search_base, traffic=RegularTrafficParams(60.0, 0.0)))
-        warm_reversed = [row_fields(searched_row(search_base, o, p))
-                         for o, p in reversed(points)][::-1]
+        warm_reversed = [one_point(o, p) for o, p in reversed(points)][::-1]
         for got, cold_row, warm_row in zip(whole, cold, warm_reversed):
             assert same_floats(got, cold_row) and same_floats(got, warm_row)
 
