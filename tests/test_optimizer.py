@@ -296,13 +296,6 @@ def row_fields(row):
     return (row.l1, row.l2, row.feasible, row.e_c_analytical, row.p11, row.p10)
 
 
-def same_floats(got, want):
-    """Equal field by field, NaN equal to NaN."""
-    return len(got) == len(want) and all(
-        a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
-        for a, b in zip(got, want))
-
-
 class TestSearchCost:
     def test_searched_sweep_builds_one_table_per_group_size(self, search_base, resolved):
         # one resolution pass per group size with a collision serves all
@@ -338,8 +331,7 @@ class TestSearchCost:
         # tables of another activity in the cache must not leak into these rows
         sweep(grid, dataclasses.replace(search_base, traffic=RegularTrafficParams(60.0, 0.0)))
         warm_reversed = [one_point(o, p) for o, p in reversed(points)][::-1]
-        for got, cold_row, warm_row in zip(whole, cold, warm_reversed):
-            assert same_floats(got, cold_row) and same_floats(got, warm_row)
+        assert whole == cold == warm_reversed
 
     def test_naive_side_is_the_delta_c_one_report(self, search_base):
         omegas = (1, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100)
