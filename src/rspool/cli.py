@@ -80,10 +80,31 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _stations(exp: Experiment, seed) -> CellGeometry:
-    """The cell's stations, placed from child 0 of the seed: one seed, one cell."""
-    n, r = exp.population()
-    return traffic.place_stations(n, r, child_seed(seed, 0))
+class _LastCell:
+    """The last cell this process placed, keyed by (n_stations, radius_m,
+    seed), with the sweep base last built on it. The int seed fixes child 0
+    and with it every position, so repeated `main` calls on one cell place
+    it once. One entry: the next cell's placement first drops this one."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.key = self.geometry = self.base_inputs = self.base = None
+
+
+_last_cell = _LastCell()
+
+
+def _stations(exp: Experiment, seed: int) -> CellGeometry:
+    """The cell's stations, placed from child 0 of the seed: one seed, one
+    cell. A call on the last cell places none."""
+    key = (*exp.population(), seed)
+    if _last_cell.key != key:
+        _last_cell.clear()
+        _last_cell.geometry = traffic.place_stations(*key[:2], child_seed(seed, 0))
+        _last_cell.key = key
+    return _last_cell.geometry
 
 
 def _protocol(exp: Experiment, cell) -> analysis.ProtocolParams:
@@ -128,15 +149,14 @@ def cmd_analyze(args, exp: Experiment, out: Path) -> None:
     protocol = _protocol(exp, cell)
     alarms = exp.alarms()
     p_h1 = exp.p_h1()
-    alarm = geometry = None
     if alarms:
         if args.seed is None:
             raise CommandError(
                 "alarm scenarios make the station placement matter: pass --seed",
                 "seed-required")
-        alarm = alarms[0][1]
-        geometry = _stations(exp, args.seed)
-    activity = analysis.activity_probs(cell.traffic, protocol.t_r, alarm, geometry)
+        activity = _sweep_base(exp, args.seed).activity()
+    else:
+        activity = analysis.activity_probs(cell.traffic, protocol.t_r)
     simulator.validate_deadline(protocol, cell.deadlines)
     report = analysis.expected_costs(protocol, activity, p_h1)
     record = report.to_dict()
@@ -189,19 +209,27 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     _csv_dump(out / "delay_histogram.csv", ["kind", "bin_start_s", "count"], rows)
 
 
-def _sweep_base(exp: Experiment, seed) -> optimizer.SweepBase:
+def _sweep_base(exp: Experiment, seed: int) -> optimizer.SweepBase:
+    """The sweep context on the seed's cell. The last cell keeps it, and with
+    it the alarm activity, while its other inputs stay equal."""
     cell = exp.cell()
     alarms = exp.alarms()
-    return optimizer.SweepBase(
-        geometry=_stations(exp, seed), traffic=cell.traffic, deadlines=cell.deadlines,
-        t_r=cell.protocol.t_r, rs_duration=cell.protocol.rs_duration,
-        p_h1=exp.p_h1(), alarm=alarms[0][1] if alarms else None)
+    # SweepBase's fields after the geometry, in order
+    inputs = (cell.traffic, cell.deadlines, cell.protocol.t_r,
+              cell.protocol.rs_duration, exp.p_h1(), alarms[0][1] if alarms else None)
+    geometry = _stations(exp, seed)
+    if _last_cell.base_inputs != inputs:
+        _last_cell.base = optimizer.SweepBase(geometry, *inputs)
+        _last_cell.base_inputs = inputs
+    return _last_cell.base
 
 
 def cmd_sweep(args, exp: Experiment, out: Path) -> None:
     seed = _require_seed(args)
     grid = exp.sweep_options()
-    result = optimizer.sweep(grid, _sweep_base(exp, seed), seed=child_seed(seed, 1))
+    # only simulated points draw arrivals
+    result = optimizer.sweep(grid, _sweep_base(exp, seed),
+                             seed=child_seed(seed, 1) if grid.simulate_pools else None)
 
     header = ["omega", "delta_c_pct", "l1", "l2", "feasible", "e_c_analytical",
               "e_c_simulated", "e_c_simulated_stderr", "p11", "p10"]

@@ -7,6 +7,7 @@ import pytest
 
 from rspool import (Deadlines, ProtocolParams, RegularTrafficParams,
                     place_stations)
+from rspool import cli
 
 # reference cell: 8000 smart meters, 1 km radius, 5-min reporting interval,
 # demanding on-demand rate, 2.5 s pool period, 200 us slots
@@ -24,6 +25,13 @@ TAU_A = 5.0
 TAU_D = 60.0
 TAU_P = 300.0
 P_H1 = 5e-3
+
+
+@pytest.fixture(autouse=True)
+def cold_cell():
+    """Each test starts with no cell kept by `rspool.cli`: a test that stands
+    in for `place_stations` must see its commands place their cell."""
+    cli._last_cell.clear()
 
 
 @pytest.fixture(scope="session")

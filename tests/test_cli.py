@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import gc
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rspool import activation_curve, activity_probs, load_experiment, place_stations
+from rspool import analysis, cli, traffic
 from rspool.cli import main
 from rspool.simulator import DelayHistogram
 
@@ -543,6 +546,85 @@ class TestParserReuse:
                        "--out", str(out)) == 0
         assert capsys.readouterr().err == ""
         assert (out / "analysis.json").exists()
+
+
+LAST_CELL_COMMANDS = (["traffic"], ["analyze"],
+                      ["simulate", "--replications", "20", "--trace"],
+                      ["sweep"], ["compare-naive"])
+
+
+def reference_copy(tmp_path, name: str, section: str = "cell", **keys) -> Path:
+    """configs/reference_cell.ini with searched frame fractions and the given
+    keys of `section` set."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(ROOT / "configs" / "reference_cell.ini", encoding="utf-8")
+    cp["sweep"]["l1_frac"] = cp["sweep"]["l2_frac"] = "search"
+    cp[section].update(keys)
+    cfg = tmp_path / name
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return cfg
+
+
+def output_bytes(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestLastCell:
+    """`main` keeps the last cell it placed, with its alarm activity; no
+    output may depend on which cell it holds."""
+
+    def run_commands(self, cfg: Path, seed: str, out: Path, cold: bool) -> None:
+        for argv in LAST_CELL_COMMANDS:
+            if cold:
+                cli._last_cell.clear()
+            assert run_cli(*argv, "--config", str(cfg), "--seed", seed,
+                           "--out", str(out)) == 0, argv
+
+    def test_outputs_do_not_depend_on_the_kept_cell(self, tmp_path, monkeypatch):
+        searched = reference_copy(tmp_path, "searched.ini")
+        smaller = reference_copy(tmp_path, "smaller.ini", n_stations="6000")
+        # the last run's cell, with another reporting interval
+        lighter = reference_copy(tmp_path, "lighter.ini", "traffic", t_ri_s="600")
+        order = [(searched, "1"), (searched, "2"), (smaller, "1"), (searched, "1"),
+                 (lighter, "1")]
+        expected = {}
+        for cfg, seed in dict.fromkeys(order):
+            out = tmp_path / "cold" / f"{cfg.stem}-{seed}"
+            self.run_commands(cfg, seed, out, cold=True)
+            expected[cfg, seed] = output_bytes(out)
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args: calls.append(name) or fn(*args))
+
+        counted(traffic, "place_stations")
+        counted(analysis, "activity_prob_alarm")
+        cli._last_cell.clear()
+        cells = []
+        for i, (cfg, seed) in enumerate(order):
+            out = tmp_path / f"warm-{i}"
+            self.run_commands(cfg, seed, out, cold=False)
+            assert output_bytes(out) == expected[cfg, seed], (cfg.name, seed)
+            kept = cli._last_cell
+            assert kept.base.geometry is kept.geometry
+            cells.append(weakref.ref(kept.geometry))
+        # each run of five commands averaged its alarm activity once, and
+        # placed its cell once unless the run before had placed it; only the
+        # last cell is still alive
+        assert calls == (["place_stations", "activity_prob_alarm"] * 4
+                         + ["activity_prob_alarm"])
+        gc.collect()
+        geometry = cells[-1]()
+        assert [cell() for cell in cells] == [None, None, None, geometry, geometry]
+        epicenter = load_experiment(str(searched)).alarms()[0][1].epicenter
+        for array in (geometry.positions, geometry.distances_to(epicenter)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestSeedArgument:

@@ -46,8 +46,20 @@ COMMENTS = st.sampled_from(["", "", " ; c", "\t# c", ";x", "#x", " # a ; b",
                             " ;", "x ;y #z", "a;b ;c #d", "; [s]"])
 
 
+# every strategy that `header` and `lines` draw from, built once: hypothesis
+# spends more time building a strategy than drawing from it
+TAILS = st.sampled_from(["", "", "x", "]", " z"])
+FORMS = st.sampled_from(["header"] + ["key"] * 8 + ["blank", "comment"] * 2
+                        + ["continuation", "junk", "fuzz"])
+AROUND = st.sampled_from(["", " ", "\t"])
+DELIMITERS = st.sampled_from(["=", ":"])
+COMMENT_MARKS = st.sampled_from([";", "#"])
+JUNK = st.sampled_from(["junk", "=x", ":", "[", "[]", "k", "]"])
+FUZZ = st.text(alphabet=" \t[]=:;#aK.\r\x0c ", max_size=12)
+
+
 def header(draw, indent):
-    tail = draw(st.sampled_from(["", "", "x", "]", " z"]))
+    tail = draw(TAILS)
     return f"{indent}[{draw(NAMES)}]{tail}{draw(COMMENTS)}"
 
 
@@ -56,34 +68,38 @@ def lines(draw):
     """One line: mostly keys, with blank and comment lines, headers, and
     now and then a continuation, junk or fuzzed line."""
     indent = draw(INDENTS)
-    form = draw(st.sampled_from(["header"] + ["key"] * 8 + ["blank", "comment"] * 2
-                                + ["continuation", "junk", "fuzz"]))
+    form = draw(FORMS)
     if form == "header":
         return header(draw, indent)
     if form == "key":
-        around = draw(st.sampled_from(["", " ", "\t"]))
-        delimiter = draw(st.sampled_from(["=", ":"]))
+        around = draw(AROUND)
+        delimiter = draw(DELIMITERS)
         return (f"{indent}{draw(KEYS)}{around}{delimiter}{around}"
                 f"{draw(WORDS)}{draw(COMMENTS)}")
     if form == "blank":
         return indent
     if form == "comment":
-        return f"{indent}{draw(st.sampled_from([';', '#']))}{draw(WORDS)}"
+        return f"{indent}{draw(COMMENT_MARKS)}{draw(WORDS)}"
     if form == "continuation":
         return f"{indent}    {draw(WORDS)}"
     if form == "junk":
-        return indent + draw(st.sampled_from(["junk", "=x", ":", "[", "[]", "k", "]"]))
-    return draw(st.text(alphabet=" \t[]=:;#aK.\r\x0c ", max_size=12))
+        return indent + draw(JUNK)
+    return draw(FUZZ)
+
+
+LEADING = st.lists(lines(), max_size=2)
+SECTIONS = st.integers(0, 4)
+BODIES = st.lists(lines(), max_size=6)
 
 
 @st.composite
 def texts(draw):
     """Sections of lines, each opened by a header, after a few lines that
     may come before any header."""
-    out = draw(st.lists(lines(), max_size=2))
-    for _ in range(draw(st.integers(0, 4))):
+    out = draw(LEADING)
+    for _ in range(draw(SECTIONS)):
         out.append(header(draw, draw(INDENTS)))
-        out += draw(st.lists(lines(), max_size=6))
+        out += draw(BODIES)
     return "\n".join(out)
 
 
