@@ -97,7 +97,7 @@ class ActivityProbs:
 @dataclass(frozen=True)
 class AnalysisReport:
     """All closed-form figures for one configuration (costs in slots). Given
-    frame arrays, `expected_costs` fills the frame-dependent figures with
+    array `FrameFigures`, `cost_mix` fills the frame-dependent figures with
     arrays."""
 
     p_c_h0: float
@@ -116,9 +116,9 @@ class AnalysisReport:
     e_c_11: float
     e_c: float
     p_h1: float
-    r1: float = float("nan")
-    r2: float = float("nan")
-    e_s: float = float("nan")
+    r1: float
+    r2: float
+    e_s: float
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -136,23 +136,16 @@ def activity_prob_regular(lambda_p: float, lambda_d: float, t_r: float) -> float
 
 
 def activity_prob_alarm(scenario: AlarmScenario, geometry: CellGeometry,
-                        traffic: RegularTrafficParams, t_r: float,
-                        window: tuple[float, float] | None = None) -> float:
+                        traffic: RegularTrafficParams, t_r: float) -> float:
     """Population-average per-pool activity while an alarm event is in progress.
 
     Each station's arrival rate over the pool period covering the event is its
     regular rate plus the one-off excitation equal to its trigger probability;
-    the activity probabilities are averaged over the cell. With an explicit
-    `window` only stations whose trigger instant falls inside it contribute
-    their excitation (a window without the event reduces to regular activity).
+    the activity probabilities are averaged over the cell.
     """
     if t_r <= 0:
         raise ValueError("pool period must be positive")
     psi = scenario.trigger_probs(geometry)
-    if window is not None:
-        lo, hi = window
-        hit = scenario.arrival_times(geometry)
-        psi = np.where((hit >= lo) & (hit < hi), psi, 0.0)
     lam = traffic.total_rate * t_r + psi
     return float(np.mean(1.0 - np.exp(-lam)))
 
@@ -233,18 +226,6 @@ def _survivor_table(l: int, top: int) -> np.ndarray:
     return table
 
 
-def resolve_prob(h: int, m: int, l: int) -> float:
-    """Probability that exactly h of m contenders pick a singleton slot when
-    each chooses one of l slots uniformly at random."""
-    if l < 1:
-        raise ValueError("frame length must be at least 1")
-    if h < 0 or m < 0:
-        raise ValueError("counts must be non-negative")
-    if h > m or h > l:
-        raise ValueError("cannot resolve more users than contend or than slots exist")
-    return float(_survivor_table(l, m)[m, m - h])
-
-
 def _binom_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) probabilities of 0..n successes.
 
@@ -312,17 +293,6 @@ def frame_chain_cost(omega: int, l1: int, l2: int, reach_l2, reach_dedicated):
     return l1 + l2 * reach_l2 + omega * reach_dedicated
 
 
-def expected_frame_cost(omega: int, l1, l2, r1, r2):
-    """Expected slots spent resolving one collided slot: the second frame is
-    reached only if the first fails, the dedicated frame only if both fail.
-    Takes one frame pair or equal-length arrays of pairs, as
-    `frame_chain_cost` does."""
-    if not np.all((0 <= r1) & (r1 <= 1) & (0 <= r2) & (r2 <= 1)
-                  & (r1 + r2 <= 1 + 1e-12)):
-        raise ValueError("resolution probabilities must be in [0,1] with r1+r2 <= 1")
-    return frame_chain_cost(omega, l1, l2, 1.0 - r1, 1.0 - (r1 + r2))
-
-
 @functools.lru_cache(maxsize=1024)
 def _conditional_collision_means(pool: int, p_c: float, delta_c: int,
                                  ) -> tuple[float, float, float, float]:
@@ -381,13 +351,17 @@ class FrameFigures:
 
 def frame_figures(omega: int, l1, l2, p_a0: float) -> FrameFigures:
     """The threshold-independent part of `expected_costs`: r1, r2 and E[S]
-    of the pair (l1, l2), or of equal-length integer arrays of pairs in one
-    `resolution_probs` pass. They exist only where a regular-regime
-    collided slot has a contender distribution (NaN elsewhere, in an array
-    of the pairs' shape for array frames)."""
+    (slots spent on one collided slot, each frame reached only if the ones
+    before it fail) of the pair (l1, l2), or of equal-length integer arrays
+    of pairs in one `resolution_probs` pass. They exist only where a
+    regular-regime collided slot has a contender distribution (NaN
+    elsewhere, in an array of the pairs' shape for array frames)."""
     if omega >= 2 and 0 < p_a0 < 1 and collision_prob(p_a0, omega) > 0.0:
         r1, r2 = resolution_probs(omega, l1, l2, p_a0)
-        e_s = expected_frame_cost(omega, l1, l2, r1, r2)
+        if not np.all((0 <= r1) & (r1 <= 1) & (0 <= r2) & (r2 <= 1)
+                      & (r1 + r2 <= 1 + 1e-12)):
+            raise ValueError("resolution probabilities must be in [0,1] with r1+r2 <= 1")
+        e_s = frame_chain_cost(omega, l1, l2, 1.0 - r1, 1.0 - (r1 + r2))
     else:
         r1 = r2 = e_s = np.full(np.shape(l1), np.nan) if np.ndim(l1) else float("nan")
     return FrameFigures(l1, l2, r1, r2, e_s)
@@ -431,13 +405,10 @@ def cost_mix(params: ProtocolParams, activity: ActivityProbs, p_h1: float,
 
 
 def expected_costs(params: ProtocolParams, activity: ActivityProbs,
-                   p_h1: float, frames=None) -> AnalysisReport:
+                   p_h1: float) -> AnalysisReport:
     """The full expected-cost report for one configuration (slots per pool):
-    `cost_mix` over the `frame_figures` of the frames. `frames` = (l1, l2)
-    replaces the params' own frames; equal-length integer arrays of
-    candidate pairs give an array for each figure the frames change (r1,
-    r2, e_s, e_c_00, e_c_01 and e_c), as in `worst_case_pool_duration`.
-    """
-    l1, l2 = (params.l1, params.l2) if frames is None else frames
+    `cost_mix` over the `frame_figures` of the params' own frames. Arrays
+    of candidate pairs go through `frame_figures` and `cost_mix` directly,
+    as the optimizer's frame table does."""
     return cost_mix(params, activity, p_h1,
-                    frame_figures(params.omega, l1, l2, activity.p_a0))
+                    frame_figures(params.omega, params.l1, params.l2, activity.p_a0))

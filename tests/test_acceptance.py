@@ -15,7 +15,8 @@ from rspool import (ActivityProbs, AlarmProcess, AlarmScenario, Deadlines,
                     SweepBase, UnitCorrelation, activation_curve,
                     activity_prob_alarm, activity_prob_regular, collision_prob,
                     compare_naive, expected_costs, fit_beta,
-                    place_stations, resolve_prob, run_scenario)
+                    place_stations, run_scenario)
+from rspool.analysis import _survivor_table
 from rspool.traffic import ActivationCurve
 from tests.chi_square import kc_chi_square
 from tests.conftest import (DC_PCT, L1, L2, LAMBDA_D, N, OMEGA, P_H1, RADIUS,
@@ -272,15 +273,17 @@ class TestCriterion08CombinatorialOracle:
             m = 1
             while l**m <= 1_000_000 and m <= 20:
                 oracle = enumerated_resolution_dist(m, l)
+                table = _survivor_table(l, m)
                 for h in range(min(m, l) + 1):
-                    worst = max(worst, abs(resolve_prob(h, m, l) - oracle[h]))
+                    worst = max(worst, abs(table[m, m - h] - oracle[h]))
                 pairs += 1
                 m += 1
         # a couple of wide-frame pair cases beyond the dense grid
         for l in (500, 1000):
             oracle = enumerated_resolution_dist(2, l)
+            table = _survivor_table(l, 2)
             for h in (0, 2):
-                worst = max(worst, abs(resolve_prob(h, 2, l) - oracle[h]))
+                worst = max(worst, abs(table[2, 2 - h] - oracle[h]))
             pairs += 1
         ok = worst <= 1e-10
         report_line(8, "resolution probabilities match enumeration", ok,
@@ -291,7 +294,8 @@ class TestCriterion08CombinatorialOracle:
         worst = 0.0
         for m in range(1, 9):
             for l in range(1, 9):
-                total = sum(resolve_prob(h, m, l) for h in range(min(m, l) + 1))
+                table = _survivor_table(l, m)
+                total = sum(table[m, m - h] for h in range(min(m, l) + 1))
                 worst = max(worst, abs(total - 1.0))
         ok = worst <= 1e-10
         report_line(8, "resolution distributions sum to one (m, L <= 8)", ok,

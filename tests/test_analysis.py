@@ -13,10 +13,10 @@ from rspool import (ActivityProbs, AlarmScenario, ProtocolParams,
                     SqrtCapCorrelation, SweepBase, UnitCorrelation,
                     activity_prob_alarm, activity_prob_regular, collision_prob,
                     compare_naive, delta_c_from_pct, expected_costs,
-                    expected_frame_cost, frames_for, resolution_probs,
-                    resolve_prob, truncated_active_dist)
+                    frames_for, resolution_probs, truncated_active_dist)
 from rspool.analysis import (_TAIL_EPS, _assoc_stirling, _binom_pmf,
-                             _no_singleton_counts)
+                             _no_singleton_counts, _survivor_table, cost_mix,
+                             frame_chain_cost, frame_figures)
 from rspool.optimizer import DEFAULT_DELTA_C_PCTS, DEFAULT_OMEGAS, _frame_table
 from tests.conftest import DC_PCT, L1, L2, N, OMEGA, P_H1, RS_DURATION, T_R
 
@@ -72,7 +72,8 @@ def per_pair_resolution_probs(omega: int, l1: int, l2: int, p_a: float):
 
 
 def brute_force_resolution_dist(m: int, l: int) -> np.ndarray:
-    """Exhaustive enumeration of slot assignments; oracle for resolve_prob."""
+    """Exhaustive enumeration of slot assignments; oracle for the survivor
+    table."""
     counts = np.zeros(min(m, l) + 1)
     for assign in itertools.product(range(l), repeat=m):
         occ = [0] * l
@@ -100,14 +101,6 @@ class TestActivityProbs:
             activity_prob_regular(-1.0, 0.0, 2.5)
         with pytest.raises(ValueError):
             activity_prob_regular(1.0, 0.0, 0.0)
-
-    def test_alarm_window_without_event_reduces_to_regular(self, ref_geometry, ref_traffic):
-        scenario = AlarmScenario((0, 0), 4000.0, t_a=100.0,
-                                 correlation=UnitCorrelation())
-        p = activity_prob_alarm(scenario, ref_geometry, ref_traffic, T_R,
-                                window=(0.0, T_R))
-        assert p == pytest.approx(activity_prob_regular(
-            ref_traffic.lambda_p, ref_traffic.lambda_d, T_R), rel=1e-12)
 
     def test_alarm_activity_unit_model(self, ref_geometry, ref_traffic):
         scenario = AlarmScenario((0, 0), 4000.0, t_a=0.0,
@@ -177,42 +170,42 @@ class TestCollisionProb:
 
 
 class TestResolveProb:
+    """R(h|m,l), the probability that h of m contenders pick a singleton of
+    l slots, read from the survivor table as _survivor_table(l, m)[m, m - h]."""
+
     @pytest.mark.parametrize("l", [1, 2, 5, 40])
     def test_lone_transmitter_always_succeeds(self, l):
-        assert resolve_prob(1, 1, l) == 1.0
+        assert _survivor_table(l, 1)[1, 0] == 1.0
 
     def test_two_users_two_slots(self):
-        assert resolve_prob(2, 2, 2) == 0.5
+        assert _survivor_table(2, 2)[2, 0] == 0.5
 
     def test_two_users_one_slot_never_resolve(self):
-        assert resolve_prob(0, 2, 1) == 1.0
-
-    def test_rejects_impossible_counts(self):
-        with pytest.raises(ValueError):
-            resolve_prob(3, 2, 5)
-        with pytest.raises(ValueError):
-            resolve_prob(3, 5, 2)
+        assert _survivor_table(1, 2)[2, 2] == 1.0
 
     @pytest.mark.parametrize("m,l", [(2, 3), (3, 3), (4, 3), (5, 2), (3, 6), (6, 4)])
     def test_matches_exhaustive_enumeration(self, m, l):
         oracle = brute_force_resolution_dist(m, l)
+        table = _survivor_table(l, m)
         for h in range(min(m, l) + 1):
-            assert resolve_prob(h, m, l) == pytest.approx(oracle[h], abs=1e-12)
+            assert table[m, m - h] == pytest.approx(oracle[h], abs=1e-12)
 
     def test_distribution_sums_to_one_small_grid(self):
         for m in range(1, 9):
             for l in range(1, 9):
-                total = sum(resolve_prob(h, m, l) for h in range(min(m, l) + 1))
+                table = _survivor_table(l, m)
+                total = sum(table[m, m - h] for h in range(min(m, l) + 1))
                 assert abs(total - 1.0) < 1e-10
 
     def test_equals_exact_fraction_reference(self):
         # one exact Fraction per value, rounded once to float
         for l in range(1, 25):
             for m in range(25):
+                table = _survivor_table(l, m)
                 for h in range(min(m, l) + 1):
                     num = (math.comb(l, h) * math.perm(m, h)
                            * no_singleton_placements(l - h, m - h))
-                    assert resolve_prob(h, m, l) == float(Fraction(num, l**m))
+                    assert table[m, m - h] == float(Fraction(num, l**m))
 
     def test_placement_count_is_exact_integer(self):
         # 2 users, one shared slot out of u: u placements with no singleton
@@ -330,22 +323,24 @@ class TestResolutionProbs:
 
 
 class TestFrameCost:
-    def test_always_first_frame(self):
-        assert expected_frame_cost(40, 24, 16, 1.0, 0.0) == 24
+    """E[S] as `frame_figures` forms it: frame_chain_cost at reach
+    (1 - r1, 1 - (r1 + r2))."""
 
-    def test_full_escalation(self):
-        assert expected_frame_cost(40, 24, 16, 0.0, 0.0) == 24 + 16 + 40
+    def test_always_first_frame(self):  # r1 = 1, r2 = 0
+        assert frame_chain_cost(40, 24, 16, 0.0, 0.0) == 24
+
+    def test_full_escalation(self):  # r1 = r2 = 0
+        assert frame_chain_cost(40, 24, 16, 1.0, 1.0) == 24 + 16 + 40
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_bounded_by_escalation_extremes(self, r1, scale):
         r2 = (1 - r1) * scale
-        cost = expected_frame_cost(40, 24, 16, r1, r2)
+        cost = frame_chain_cost(40, 24, 16, 1 - r1, 1 - (r1 + r2))
         assert 24 - 1e-9 <= cost <= 24 + 16 + 40 + 1e-9
 
     def test_reference_cost_matches_simulated_per_collision_cost(self):
-        r1, r2 = resolution_probs(OMEGA, L1, L2, P_A0)
-        expected = expected_frame_cost(OMEGA, L1, L2, r1, r2)
+        expected = frame_figures(OMEGA, L1, L2, P_A0).e_s
         _, _, cost = simulate_collision_resolutions(OMEGA, L1, L2, P_A0,
                                                     reps=200_000, seed=9)
         assert abs(cost.mean() - expected) / expected < 0.02
@@ -533,7 +528,7 @@ class TestExpectedCosts:
         l1, l2 = (np.array(v) for v in zip(*((a, b) for a in range(1, omega, step)
                                             for b in range(1, a + 1, step))))
         params = self.make_params(omega=omega, delta_c=3, l1=1, l2=1)
-        costs = expected_costs(params, activity, P_H1, frames=(l1, l2))
+        costs = cost_mix(params, activity, P_H1, frame_figures(omega, l1, l2, p_a0))
         per_pair = {"r1", "r2", "e_s", "e_c_00", "e_c_01", "e_c"}
         for name, value in costs.__dict__.items():
             assert np.shape(value) == (l1.shape if name in per_pair else ()), name

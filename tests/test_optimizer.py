@@ -272,9 +272,9 @@ def search_base(request, base, ref_geometry, ref_traffic):
 
 def per_point_reference(base, omega, pct):
     """A searched grid point scored on its own: the distinct pairs of the
-    fraction grid, the deadline mask over them, one expected_costs call over
-    the feasible ones, and the first least cost. Returns the row's fields
-    and whether the mask dropped some pairs but not all."""
+    fraction grid, the deadline mask over them, one cost_mix call over the
+    frame figures of the feasible ones, and the first least cost. Returns
+    the row's fields and whether the mask dropped some pairs but not all."""
     default = frames_for(omega, 0.6, 0.4)
     pairs = list(dict.fromkeys(frames_for(omega, *f) for f in FRACTION_PAIRS))
     l1, l2 = (np.array(v) for v in zip(*pairs))
@@ -284,7 +284,9 @@ def per_point_reference(base, omega, pct):
     worst = simulator.worst_case_pool_duration(params, (l1, l2))
     f = simulator.meets_deadline(params, base.deadlines, worst)
     assert f.any()
-    report = expected_costs(params, base.activity(), base.p_h1, frames=(l1[f], l2[f]))
+    activity = base.activity()
+    report = analysis.cost_mix(params, activity, base.p_h1,
+                               analysis.frame_figures(omega, l1[f], l2[f], activity.p_a0))
     best = int(np.argmin(report.e_c))
     assert report.e_c[best] < math.inf
     row = (int(l1[f][best]), int(l2[f][best]), True, float(report.e_c[best]),
