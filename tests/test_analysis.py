@@ -18,7 +18,8 @@ from rspool.analysis import (_TAIL_EPS, _assoc_stirling, _binom_pmf,
                              _no_singleton_counts, _survivor_table, cost_mix,
                              frame_chain_cost, frame_figures)
 from rspool.optimizer import DEFAULT_DELTA_C_PCTS, DEFAULT_OMEGAS, _frame_table
-from tests.conftest import DC_PCT, L1, L2, N, OMEGA, P_H1, RS_DURATION, T_R
+from tests.conftest import (DC_PCT, L1, L2, N, OMEGA, P_H1, RADIUS,
+                           RS_DURATION, T_R)
 
 P_A0 = 1 - math.exp(-0.01)  # reference regular activity per pool
 # heavy load: t_ri = 30 s, lambda_d = 1/300 per second, over one pool period
@@ -102,6 +103,15 @@ class TestActivityProbs:
         with pytest.raises(ValueError):
             activity_prob_regular(1.0, 0.0, 0.0)
 
+    def test_alarm_window_without_event_reduces_to_regular(self, ref_geometry, ref_traffic):
+        # the event's reach ends a cell radius short of the nearest station
+        scenario = AlarmScenario((3 * RADIUS, 0), 4000.0, t_a=0.0,
+                                 correlation=SqrtCapCorrelation(RADIUS))
+        assert not scenario.trigger_probs(ref_geometry).any()
+        p = activity_prob_alarm(scenario, ref_geometry, ref_traffic, T_R)
+        assert p == pytest.approx(activity_prob_regular(
+            ref_traffic.lambda_p, ref_traffic.lambda_d, T_R), rel=1e-12)
+
     def test_alarm_activity_unit_model(self, ref_geometry, ref_traffic):
         scenario = AlarmScenario((0, 0), 4000.0, t_a=0.0,
                                  correlation=UnitCorrelation())
@@ -182,6 +192,16 @@ class TestResolveProb:
 
     def test_two_users_one_slot_never_resolve(self):
         assert _survivor_table(1, 2)[2, 2] == 1.0
+
+    def test_rejects_impossible_counts(self):
+        # no mass on resolving more users than contend (s > m) or than
+        # slots exist (m - s > l)
+        for l in range(1, 9):
+            table = _survivor_table(l, 12)
+            for m in range(13):
+                assert not table[m, m + 1:].any()
+                assert not table[m, :max(m - l, 0)].any()
+                assert table[m, max(m - l, 0):m + 1].sum() == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("m,l", [(2, 3), (3, 3), (4, 3), (5, 2), (3, 6), (6, 4)])
     def test_matches_exhaustive_enumeration(self, m, l):
