@@ -244,14 +244,13 @@ def _binom_pmf(n: int, p: float) -> np.ndarray:
                   + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
-@functools.lru_cache(maxsize=256)
 def truncated_active_dist(omega: int, p_a: float) -> np.ndarray:
     """Distribution of the number of contenders in a collided slot.
 
     Entry m holds P(m active | >= 2 active) for the omega stations sharing the
     slot; entries 0 and 1 are zero. The array ends at the first m whose
     remaining mass, which never rises with m, is below _TAIL_EPS (at omega at
-    the latest). It is cached per argument pair and read-only.
+    the latest).
     """
     if omega < 2:
         raise ValueError("omega must be at least 2 for a collision to exist")
@@ -263,9 +262,7 @@ def truncated_active_dist(omega: int, p_a: float) -> np.ndarray:
     if z <= 0:
         raise ValueError("collision probability underflows to zero")
     dist = pmf / z
-    dist = dist[:min(omega, int(np.count_nonzero(1.0 - np.cumsum(dist) >= _TAIL_EPS))) + 1]
-    dist.setflags(write=False)
-    return dist
+    return dist[:min(omega, int(np.count_nonzero(1.0 - np.cumsum(dist) >= _TAIL_EPS))) + 1]
 
 
 def resolution_probs(omega: int, l1, l2, p_a: float):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -107,13 +106,6 @@ def _stations(exp: Experiment, seed: int) -> CellGeometry:
     return _last_cell.geometry
 
 
-def _protocol(exp: Experiment, cell) -> analysis.ProtocolParams:
-    """The configured protocol or, under `[simulation] mode = naive`, the one
-    at delta_c = 1, where every collided slot takes its dedicated frame."""
-    naive = exp.simulation().mode == "naive"
-    return dataclasses.replace(cell.protocol, delta_c=1) if naive else cell.protocol
-
-
 def cmd_traffic(args, exp: Experiment, out: Path) -> None:
     seed = _require_seed(args)
     geometry = _stations(exp, seed)
@@ -146,7 +138,7 @@ def cmd_traffic(args, exp: Experiment, out: Path) -> None:
 
 def cmd_analyze(args, exp: Experiment, out: Path) -> None:
     cell = exp.cell()
-    protocol = _protocol(exp, cell)
+    protocol = cell.protocol
     alarms = exp.alarms()
     p_h1 = exp.p_h1()
     if alarms:
@@ -177,7 +169,6 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     cell = exp.cell()
     alarms = [scenario for _, scenario in exp.alarms()]
     sim = exp.simulation()
-    protocol = _protocol(exp, cell)
 
     process = None
     if sim.alarm_prob_per_pool > 0:
@@ -197,7 +188,7 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
 
     with contextlib.ExitStack() as files:
         trace = _FirstWriteOpens(out / "pool_trace.jsonl", files) if args.trace else None
-        stats = simulator.run_scenario(_stations(exp, seed), protocol, cell.traffic,
+        stats = simulator.run_scenario(_stations(exp, seed), cell.protocol, cell.traffic,
                                        cell.deadlines, alarms, horizon,
                                        child_seed(seed, 1), alarm_process=process,
                                        trace=trace)

@@ -44,7 +44,6 @@ class CellConfig:
 @dataclass(frozen=True)
 class SimulationOptions:
     horizon_s: float = 300.0
-    mode: str = "adaptive"  # or "naive": the pool run at delta_c = 1
     alarm_prob_per_pool: float = 0.0
 
 
@@ -107,6 +106,9 @@ class Experiment:
         n, r = self.population()
         self._require("traffic")
         self._require("protocol")
+        if "mode" in self._sections.get("simulation", {}):
+            raise ConfigError("simulation.mode is no longer read: the naive scheme "
+                              "is [protocol] delta_c_slots = 1")
 
         t_ri = self._float("traffic", "t_ri_s")
         lambda_d = self._float("traffic", "lambda_d_per_s", 0.0)
@@ -119,6 +121,9 @@ class Experiment:
         t_r = self._float("protocol", "t_r_s")
         rs = self._float("protocol", "rs_duration_s")
         pool = math.ceil(n / omega) if omega >= 1 else 0
+        if {"delta_c_slots", "delta_c_pct"} <= self._sections["protocol"].keys():
+            raise ConfigError("protocol.delta_c_slots and protocol.delta_c_pct "
+                              "both set the threshold: keep one")
         if "delta_c_slots" in self._sections["protocol"]:
             delta_c = self._int("protocol", "delta_c_slots")
         else:
@@ -185,12 +190,8 @@ class Experiment:
 
     def simulation(self) -> SimulationOptions:
         default = SimulationOptions()
-        mode = self._str("simulation", "mode", default.mode).lower()
-        if mode not in ("adaptive", "naive"):
-            raise ConfigError(f"invalid value for simulation.mode: {mode!r}")
         opts = SimulationOptions(
             horizon_s=self._float("simulation", "horizon_s", default.horizon_s),
-            mode=mode,
             alarm_prob_per_pool=self._float("simulation", "alarm_prob_per_pool",
                                             default.alarm_prob_per_pool))
         if not sys.float_info.min <= opts.horizon_s < math.inf:

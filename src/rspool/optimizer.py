@@ -88,9 +88,6 @@ class SweepRow:
     p11: float = float("nan")
     p10: float = float("nan")
 
-    def selected_cost(self, simulated: bool) -> float:
-        return self.e_c_simulated if simulated else self.e_c_analytical
-
 
 @dataclass
 class SweepResult:
@@ -139,10 +136,10 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
     The candidates are the pairs of the group size's `_frame_table`. The
     point's deadline mask keeps the feasible ones, and one
     `analysis.cost_mix` with their figures scores them; the first pair of
-    least defined cost wins. With none, the row keeps its default pair (the
-    fixed pair, or the FRAME_SPLIT pair when searching), feasible by the
-    mask or not, at that pair's own cost. Also returns the point's
-    parameters, at the default frames, or None when the point has none."""
+    least cost wins. With none, the row keeps its default pair (the fixed
+    pair, or the FRAME_SPLIT pair when searching), infeasible. Also returns
+    the point's parameters, at the default frames, or None when the point
+    has none."""
     default = _default_frames(omega, l1_frac, l2_frac)
     row = SweepRow(omega=omega, delta_c_pct=delta_c_pct, l1=default[0],
                    l2=default[1], feasible=False)
@@ -154,20 +151,14 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
             rs_duration=base.rs_duration)
     except ValueError:
         return row, None
-    table, at = _frame_table(omega, l1_frac, l2_frac, base.activity().p_a0)
+    table, _ = _frame_table(omega, l1_frac, l2_frac, base.activity().p_a0)
     worst = simulator.worst_case_pool_duration(params, (table.l1, table.l2))
     feasible = simulator.meets_deadline(params, base.deadlines, worst)
     if not feasible.any():
         return row, params
     figures = table.take(feasible)
     report = analysis.cost_mix(params, base.activity(), base.p_h1, figures)
-    # a NaN cost read as infinite: it never wins
-    e_c = np.fmin(report.e_c, math.inf)
-    best = int(np.argmin(e_c))
-    if e_c[best] == math.inf:
-        if not feasible[at]:
-            return row, params
-        best = int(np.count_nonzero(feasible[:at]))
+    best = int(np.argmin(report.e_c))
     row.l1, row.l2, row.feasible = int(figures.l1[best]), int(figures.l2[best]), True
     row.e_c_analytical = float(report.e_c[best])
     row.p11, row.p10 = report.p_11, report.p_10
@@ -184,6 +175,9 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
     if simulated and seed is None:
         raise ValueError("simulated sweeps need a seed")
 
+    process = None
+    if base.alarm is not None and base.p_h1 > 0:
+        process = AlarmProcess(prob_per_pool=base.p_h1, template=base.alarm)
     rows: list[SweepRow] = []
     for omega in sorted(grid.omega_values):
         for pct in sorted(grid.delta_c_pcts):
@@ -191,9 +185,6 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
             rows.append(row)
             if not (simulated and row.feasible):
                 continue
-            process = None
-            if base.alarm is not None and base.p_h1 > 0:
-                process = AlarmProcess(prob_per_pool=base.p_h1, template=base.alarm)
             stats = simulator.run_scenario(
                 base.geometry, dataclasses.replace(params, l1=row.l1, l2=row.l2),
                 base.traffic, base.deadlines, alarms=[],
@@ -202,12 +193,11 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
             row.e_c_simulated = stats.mean_rs_per_pool
             row.e_c_simulated_stderr = stats.stderr_rs_per_pool
 
-    feasible = [r for r in rows if r.feasible
-                and not math.isnan(r.selected_cost(simulated))]
+    feasible = [r for r in rows if r.feasible]
     if not feasible:
         raise InfeasibleConfigError("every grid point is infeasible")
-    argmin = min(feasible,
-                 key=lambda r: (r.selected_cost(simulated), r.omega, r.delta_c_pct))
+    argmin = min(feasible, key=lambda r: (
+        r.e_c_simulated if simulated else r.e_c_analytical, r.omega, r.delta_c_pct))
     return SweepResult(rows=rows, argmin=argmin, simulated=simulated)
 
 

@@ -5,7 +5,7 @@ threshold decision and collision resolution in the common pool."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TextIO
 
 import numpy as np
@@ -413,9 +413,7 @@ def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
             tpl = alarm_process.template
             hits = rng.random(n_chunk) < alarm_process.prob_per_pool
             for w in (w0 + np.flatnonzero(hits)).tolist():
-                queue.schedule(AlarmScenario(epicenter=tpl.epicenter, v=tpl.v,
-                                             t_a=w * t_r + rng.random() * t_r,
-                                             correlation=tpl.correlation), rng)
+                queue.schedule(replace(tpl, t_a=w * t_r + rng.random() * t_r), rng)
 
         # regular arrivals over the (pool, station) grid, key pool * n + station:
         # the admitted (earliest) arrival's time and kind for each active cell

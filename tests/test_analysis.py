@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -24,6 +24,8 @@ from tests.conftest import (DC_PCT, L1, L2, N, OMEGA, P_H1, RADIUS,
 P_A0 = 1 - math.exp(-0.01)  # reference regular activity per pool
 # heavy load: t_ri = 30 s, lambda_d = 1/300 per second, over one pool period
 P_A0_HEAVY = 1 - math.exp(-(1 / 30 + 1 / 300) * T_R)
+# activities at and next to the ends of [0, 1], or anywhere in it
+EDGE_PROBS = st.sampled_from([0.0, 2.0**-53, 1 - 2.0**-53, 1.0]) | st.floats(0.0, 1.0)
 
 
 def no_singleton_placements(u: int, v: int) -> int:
@@ -591,11 +593,31 @@ class TestExpectedCosts:
         first = expected_costs(params, activity, P_H1).to_dict()
         assert expected_costs(params, activity, P_H1).to_dict() == first
 
-    def test_cached_distribution_is_read_only(self):
-        dist = truncated_active_dist(OMEGA, P_A0)
-        with pytest.raises(ValueError):
-            dist[2] = 0.0
-        assert truncated_active_dist(OMEGA, P_A0)[2] > 0.0
+    @settings(max_examples=40, deadline=None)
+    @given(omega=st.integers(1, 60), n=st.integers(1, 8000),
+           delta_c=st.sampled_from([1, math.inf]) | st.integers(1, 8000),
+           p_a0=EDGE_PROBS, p_a1=EDGE_PROBS,
+           p_h1=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           draws=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+                          min_size=1, max_size=4))
+    @example(omega=1, n=8000, delta_c=1, p_a0=1.0, p_a1=1.0, p_h1=1.0, draws=[(0, 0)])
+    @example(omega=40, n=8000, delta_c=math.inf, p_a0=1 - 2.0**-53, p_a1=1.0,
+             p_h1=0.0, draws=[(0, 0), (38, 38)])
+    @example(omega=40, n=8000, delta_c=1, p_a0=2.0**-53, p_a1=0.0, p_h1=1.0,
+             draws=[(23, 15)])
+    def test_every_accepted_input_has_a_finite_cost(self, omega, n, delta_c, p_a0,
+                                                    p_a1, p_h1, draws):
+        # the sweep takes the cheapest pair by e_c, so no pair may be undefined;
+        # delta_c = inf stands for the pool size
+        n = max(n, omega)
+        params = ProtocolParams(n=n, omega=omega, delta_c=min(delta_c, math.ceil(n / omega)),
+                                l1=1, l2=1, t_r=T_R, rs_duration=RS_DURATION)
+        l1 = np.array([1 + i % max(omega - 1, 1) for i, _ in draws])
+        l2 = np.array([1 + j % a for (_, j), a in zip(draws, l1.tolist())])
+        report = cost_mix(params, ActivityProbs(p_a0, p_a1), p_h1,
+                          frame_figures(omega, l1, l2, p_a0))
+        assert np.shape(report.e_c) == l1.shape
+        assert np.all(np.isfinite(report.e_c)), report.e_c
 
     @pytest.mark.parametrize("p_h1", [0.0, P_H1])
     def test_naive_cost_reference(self, ref_geometry, ref_traffic, ref_deadlines,

@@ -234,12 +234,12 @@ class TestAnalyzeCommand:
         assert error_lines(capsys) == ["error:config-invalid"]
 
     def test_naive_mode_is_analyzed_at_delta_c_1(self, tmp_path):
-        # analyze reads the mode as simulate does, and reports the threshold
-        # it analysed
+        # the naive scheme is delta_c_slots = 1, the threshold a percentage
+        # of one pool slot rounds up to; analyze reports the one it analysed
         outs = []
-        for name, section, key, value in (("naive", "simulation", "mode", "naive"),
-                                          ("one", "protocol", "delta_c_slots", "1")):
-            cfg = write_cell_with(tmp_path / name, section, key, value)
+        for name, cfg in (("naive", write_naive_cell(tmp_path / "naive")),
+                          ("pct", write_cell_with(tmp_path / "pct", "protocol",
+                                                  "delta_c_pct", "1"))):
             outs.append(tmp_path / name / "out" / "analysis.json")
             assert run_cli("analyze", "--config", str(cfg), "--seed", "3",
                            "--out", str(outs[-1].parent)) == 0
@@ -249,10 +249,10 @@ class TestAnalyzeCommand:
     def test_naive_cost_is_compare_naives(self, tmp_path):
         # the reference cell at omega = 40, the configured 24/16 frames
         text = (ROOT / "configs" / "reference_cell.ini").read_text(encoding="utf-8")
-        assert "\nmode = adaptive\n" in text
+        assert "\ndelta_c_pct = 50\nl1 = 24\n" in text
         cfg = tmp_path / "naive.ini"
-        cfg.write_text(text.replace("\nmode = adaptive\n", "\nmode = naive\n"),
-                       encoding="utf-8")
+        cfg.write_text(text.replace("\ndelta_c_pct = 50\nl1 = 24\n",
+                                    "\ndelta_c_slots = 1\nl1 = 24\n"), encoding="utf-8")
         for command in ("analyze", "compare-naive"):
             assert run_cli(command, "--config", str(cfg), "--seed", "1",
                            "--format", "json", "--out", str(tmp_path / "o")) == 0
@@ -384,9 +384,9 @@ class TestSimulateCommand:
         # the naive baseline is the threshold test at delta_c = 1, so both
         # configurations write the same bytes, the per-pool trace included
         outs = []
-        for name, section, key, value in (("naive", "simulation", "mode", "naive"),
-                                          ("one", "protocol", "delta_c_slots", "1")):
-            cfg = write_cell_with(tmp_path / name, section, key, value)
+        for name, cfg in (("naive", write_naive_cell(tmp_path / "naive")),
+                          ("pct", write_cell_with(tmp_path / "pct", "protocol",
+                                                  "delta_c_pct", "1"))):
             outs.append(tmp_path / name / "out")
             assert run_cli("simulate", "--config", str(cfg), "--seed", seed,
                            "--out", str(outs[-1]), "--trace") == 0
@@ -677,16 +677,25 @@ class TestAlarmSectionErrors:
         assert not out.exists()
 
 
-def write_cell_with(tmp_path, section, key, value) -> Path:
-    """The small cell with one key of one section set to `value`."""
+def write_cell_with(tmp_path, section, key, value, drop=None) -> Path:
+    """The small cell with one key of one section set to `value`, and the
+    key `drop` of that section removed."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(SMALL_CELL)
     cp[section][key] = value
+    if drop is not None:
+        del cp[section][drop]
     tmp_path.mkdir(parents=True, exist_ok=True)
     cfg = tmp_path / "cell.ini"
     with open(cfg, "w", encoding="utf-8") as fh:
         cp.write(fh)
     return cfg
+
+
+def write_naive_cell(tmp_path) -> Path:
+    """The small cell at the naive scheme's delta_c_slots = 1, in place of
+    its delta_c_pct."""
+    return write_cell_with(tmp_path, "protocol", "delta_c_slots", "1", drop="delta_c_pct")
 
 
 def config_invalid_line(capsys) -> str:
@@ -702,7 +711,7 @@ def written_files(out: Path) -> dict[str, bytes]:
 SIMULATION_ERRORS = [
     ("horizon_s", "0"), ("horizon_s", "-5"), ("horizon_s", "inf"),
     ("alarm_prob_per_pool", "2"), ("alarm_prob_per_pool", "-0.1"),
-    ("alarm_prob_per_pool", "nan"), ("mode", "bogus"),
+    ("alarm_prob_per_pool", "nan"),
 ]
 # the widths these keys once set are derived from the cell, so no command
 # reads them, whatever they hold
@@ -715,7 +724,7 @@ FORMER_WIDTH_KEYS = [
 
 class TestSimulationSectionErrors:
     @pytest.mark.parametrize("key,value", SIMULATION_ERRORS)
-    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("command", ["simulate"])  # the one reader of the section
     def test_exits_config_invalid(self, tmp_path, capsys, key, value, command):
         cfg = write_cell_with(tmp_path, "simulation", key, value)
         assert run_cli(command, "--config", str(cfg), "--seed", "1",
@@ -723,12 +732,13 @@ class TestSimulationSectionErrors:
         assert f"simulation.{key}" in config_invalid_line(capsys)
 
     @pytest.mark.parametrize("key,value", SIMULATION_ERRORS + FORMER_WIDTH_KEYS)
-    def test_traffic_does_not_read_the_section(self, config_path, tmp_path, capsys,
-                                               key, value):
+    @pytest.mark.parametrize("command", ["traffic", "analyze"])
+    def test_does_not_read_the_section(self, config_path, tmp_path, capsys,
+                                       key, value, command):
         cfg = write_cell_with(tmp_path / "bad", "simulation", key, value)
         outs = [tmp_path / "plain", tmp_path / "bad" / "out"]
         for path, out in zip([config_path, cfg], outs):
-            assert run_cli("traffic", "--config", str(path), "--seed", "1",
+            assert run_cli(command, "--config", str(path), "--seed", "1",
                            "--out", str(out)) == 0
         assert capsys.readouterr().err == ""
         assert written_files(outs[1]) == written_files(outs[0])
@@ -744,6 +754,17 @@ class TestSimulationSectionErrors:
                            "--out", str(out)) == 0
         assert capsys.readouterr().err == ""
         assert written_files(outs[1]) == written_files(outs[0])
+
+    @pytest.mark.parametrize("value", ["naive", "adaptive"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "compare-naive"])
+    def test_removed_mode_key_is_refused(self, tmp_path, capsys, value, command):
+        # ignored, mode = naive would run the adaptive scheme
+        cfg = write_cell_with(tmp_path, "simulation", "mode", value)
+        assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        line = config_invalid_line(capsys)
+        assert "simulation.mode" in line and "delta_c_slots = 1" in line
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["1.0", "2.4"])
     def test_horizon_short_of_one_pool_period(self, tmp_path, capsys, value):
@@ -793,6 +814,18 @@ class TestCellSectionErrors:
         assert run_cli(command, "--config", str(cfg), "--seed", "1",
                        "--out", str(tmp_path / "o")) == 1
         assert f"cell.{key}" in config_invalid_line(capsys)
+
+
+class TestThresholdKeys:
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "compare-naive"])
+    def test_both_threshold_keys_exit_config_invalid(self, tmp_path, capsys, command):
+        # the small cell sets delta_c_pct; neither key may silently win
+        cfg = write_cell_with(tmp_path, "protocol", "delta_c_slots", "1")
+        assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 1
+        line = config_invalid_line(capsys)
+        assert "protocol.delta_c_slots" in line and "protocol.delta_c_pct" in line
+        assert not (tmp_path / "o").exists()
 
 
 class TestValuesCheckedWhereUsed:
@@ -866,6 +899,9 @@ def ini_texts(draw) -> str:
             sections[section].pop(key, None)
         else:
             sections[section][key] = draw(VALUES)
+            if key == "delta_c_slots" and draw(st.booleans()):
+                # the slot count alone, so its own checks are reached too
+                sections[section].pop("delta_c_pct", None)
     if draw(st.integers(0, 9)) == 0:
         del sections[draw(st.sampled_from(sorted(sections)))]
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())

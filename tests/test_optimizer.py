@@ -190,20 +190,6 @@ class TestFrameFractionSearch:
         row = searched_row(base, 40, 50.0)
         assert not row.feasible and (row.l1, row.l2) == (24, 16)
 
-    def test_undefined_costs_keep_default_split(self, base, monkeypatch):
-        # a regular-regime branch with mass but no defined mean leaves every
-        # pair's cost NaN; the 60/40 split is deadline-feasible, so the row
-        # stays feasible there, at its own (NaN) cost
-        nan = float("nan")
-        monkeypatch.setattr(analysis, "_conditional_collision_means",
-                            lambda pool, p_c, delta_c: (1.0, nan, 0.0, nan))
-        fixed = fixed_row(base, 40, 50.0, 0.1, 0.1)
-        assert fixed.feasible and (fixed.l1, fixed.l2) == (4, 4)
-        assert math.isnan(fixed.e_c_analytical)
-        row = searched_row(base, 40, 50.0)
-        assert row.feasible and (row.l1, row.l2) == (24, 16)
-        assert math.isnan(row.e_c_analytical)
-
     def test_equal_costs_keep_first_pair_in_grid_order(self, ref_geometry,
                                                         ref_deadlines):
         # activity rounds to zero: no slot ever collides, and every pair
