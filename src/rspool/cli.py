@@ -194,9 +194,9 @@ def cmd_simulate(args, exp: Experiment, out: Path) -> None:
                                        trace=trace)
     _json_dump(out / "scenario_stats.json", stats.to_dict())
 
-    hist = stats.delay_histogram
-    rows = [(kind, i * hist.bin_width, int(c)) for kind in sorted(hist.counts)
-            for i, c in enumerate(hist.counts[kind]) if c]
+    counts = stats.delay_counts
+    rows = [(kind, i * stats.delay_bin_s, int(c)) for kind in sorted(counts)
+            for i, c in enumerate(counts[kind]) if c]
     _csv_dump(out / "delay_histogram.csv", ["kind", "bin_start_s", "count"], rows)
 
 

@@ -105,10 +105,9 @@ def _default_frames(omega: int, l1_frac: float | str,
 
 @functools.lru_cache(maxsize=256)
 def _frame_table(omega: int, l1_frac: float | str, l2_frac: float | str,
-                 p_a0: float) -> tuple[analysis.FrameFigures, int]:
+                 p_a0: float) -> analysis.FrameFigures:
     """The candidate frame pairs of a group size with their r1, r2 and E[S]
-    (`analysis.frame_figures`, one pass) as read-only arrays, and the
-    position of the default pair among them.
+    (`analysis.frame_figures`, one pass) as read-only arrays.
 
     The candidates are the pair the fixed fractions give or, with both
     fractions searched, the distinct (l1, l2) that FRACTION_STEPS reach,
@@ -116,8 +115,7 @@ def _frame_table(omega: int, l1_frac: float | str, l2_frac: float | str,
     reaches them: fraction pairs that round to the same frames cost the
     same. No figure depends on the threshold, so one table serves every
     delta_c of the group size. Cached per argument tuple."""
-    default = _default_frames(omega, l1_frac, l2_frac)
-    pairs = [default]
+    pairs = [_default_frames(omega, l1_frac, l2_frac)]
     if l1_frac == "search":
         pairs = list(dict.fromkeys(frames_for(omega, f1, f2) for f1 in FRACTION_STEPS
                                    for f2 in FRACTION_STEPS if f2 <= f1))
@@ -125,7 +123,7 @@ def _frame_table(omega: int, l1_frac: float | str, l2_frac: float | str,
     table = analysis.frame_figures(omega, l1, l2, p_a0)
     for figure in vars(table).values():
         figure.setflags(write=False)
-    return table, pairs.index(default)
+    return table
 
 
 def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
@@ -151,7 +149,7 @@ def _evaluate_point(base: SweepBase, omega: int, delta_c_pct: float,
             rs_duration=base.rs_duration)
     except ValueError:
         return row, None
-    table, _ = _frame_table(omega, l1_frac, l2_frac, base.activity().p_a0)
+    table = _frame_table(omega, l1_frac, l2_frac, base.activity().p_a0)
     worst = simulator.worst_case_pool_duration(params, (table.l1, table.l2))
     feasible = simulator.meets_deadline(params, base.deadlines, worst)
     if not feasible.any():
@@ -227,16 +225,17 @@ def compare_naive(base: SweepBase, omega_values=DEFAULT_OMEGAS,
     The adaptive side runs at the frames a searched sweep picks at the same
     (omega, delta_c), so each row's adaptive cost is that sweep row's cost;
     group sizes the sweep flags infeasible get no row. The naive cost is the
-    cost at delta_c = 1, where every collided slot takes a dedicated frame,
-    mixed from the default pair's figures in the same frame table."""
+    cost at delta_c = 1, where every collided slot takes a dedicated frame.
+    No collided slot then lies below the threshold, so no frame figure
+    carries weight: the mix reads the table's first pair."""
     activity = base.activity()
     rows: list[NaiveComparisonRow] = []
     for omega in sorted(omega_values):
         row, params = _evaluate_point(base, omega, delta_c_pct, "search", "search")
         if row.feasible:
-            table, at = _frame_table(omega, "search", "search", activity.p_a0)
+            table = _frame_table(omega, "search", "search", activity.p_a0)
             naive = analysis.cost_mix(dataclasses.replace(params, delta_c=1),
-                                      activity, base.p_h1, table.take(at))
+                                      activity, base.p_h1, table.take(0))
             rows.append(NaiveComparisonRow(
                 omega=omega, e_c_adaptive=row.e_c_analytical, e_c_naive=naive.e_c))
     if not rows:

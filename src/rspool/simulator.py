@@ -13,7 +13,7 @@ import numpy as np
 from .analysis import (ProtocolParams, activity_prob_regular,
                        frame_chain_cost)
 from .traffic import (AlarmScenario, CellGeometry, Deadlines, RegularTrafficParams,
-                      ReportKind, child_seed)
+                      child_seed)
 
 
 class InfeasibleConfigError(ValueError):
@@ -125,29 +125,6 @@ def _resolve_pools(pool: np.ndarray, station: np.ndarray, n_pools: int,
 # scenario-level driving
 
 
-@dataclass
-class DelayHistogram:
-    """Per-kind histogram of report identification delays, in bins of
-    tau_a / 100. A delay is at most t_r plus the worst-case pool duration,
-    which `validate_deadline` keeps below tau_a: each kind fills at most
-    100 bins."""
-
-    tau_a: float
-    counts: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def bin_width(self) -> float:
-        return self.tau_a / 100
-
-    def add(self, kind: ReportKind, delays: np.ndarray) -> None:
-        if delays.size == 0:
-            return
-        prev = self.counts.get(kind.value, np.zeros(0, dtype=int))
-        hist = np.bincount(np.floor(delays / self.bin_width).astype(int), minlength=prev.size)
-        hist[:prev.size] += prev
-        self.counts[kind.value] = hist
-
-
 @dataclass(frozen=True)
 class _Arrivals:
     """The admitted reports of a chunk of consecutive pools, sorted by
@@ -156,11 +133,13 @@ class _Arrivals:
     w0: int                # window of the chunk's first pool
     pool: np.ndarray       # per report: its pool, counted from the chunk's first
     station: np.ndarray    # per report: the station holding it
-    kind: np.ndarray       # per report: index into _KINDS
+    kind: np.ndarray       # per report: index into KINDS
     t_gen: np.ndarray      # per report: generation time (s)
     h1: np.ndarray         # per pool: an alarm front passes through its window
 
 
+# report kinds, in the order of `_Arrivals.kind` and of the deadline array
+KINDS = ("periodic", "on_demand", "alarm")
 GROUP_ENDS = ("l1", "l2", "dedicated")
 POOL_PARTS = ("preallocated", "l1", "l2", "dedicated")
 # one pool of the trace: the bytes of json.dumps(entry, sort_keys=True) + "\n"
@@ -169,9 +148,11 @@ TRACE_LINE = '{"decision": "%s", "hypothesis": "%s", "k_c": %d, "total_rs": %d, 
 
 @dataclass
 class ScenarioStats:
-    """Aggregated results of a scenario run."""
+    """Aggregated results of a run of `params` under `traffic` and `deadlines`."""
 
-    delay_histogram: DelayHistogram
+    params: ProtocolParams
+    traffic: RegularTrafficParams
+    deadlines: Deadlines
     pools_run: int = 0
     sum_rs: float = 0.0
     sum_rs_sq: float = 0.0
@@ -184,16 +165,24 @@ class ScenarioStats:
     dropped_reports: int = 0
     unresolved_active: int = 0
     max_delay_by_kind: dict[str, float] = field(default_factory=dict)
+    # per kind: report delays counted in bins of delay_bin_s
+    delay_counts: dict[str, np.ndarray] = field(default_factory=dict)
     # pools per collided-slot count k_c, length pool_size + 1
-    kc_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    kc_counts: np.ndarray = field(init=False)
     # collided groups of regular-decision pools by their last frame, in GROUP_ENDS order
     groups_ended: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=int))
     # slots spent on each part of the pool, in POOL_PARTS order
     slots_by_part: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=int))
-    n_stations: int = 0
-    t_r: float = 0.0
-    t_ri: float = 0.0
-    rs_duration: float = 0.0
+
+    def __post_init__(self):
+        self.kc_counts = np.zeros(self.params.pool_size + 1, dtype=int)
+
+    @property
+    def delay_bin_s(self) -> float:
+        """The delay-count bin, tau_a / 100. A delay is at most t_r plus the
+        worst-case pool duration, which `validate_deadline` keeps below
+        tau_a, so each kind fills at most 100 bins."""
+        return self.deadlines.tau_a / 100
 
     @property
     def mean_rs_per_pool(self) -> float:
@@ -212,7 +201,7 @@ class ScenarioStats:
 
     @property
     def mean_pool_duration(self) -> float:
-        return self.mean_rs_per_pool * self.rs_duration
+        return self.mean_rs_per_pool * self.params.rs_duration
 
     @property
     def p_alarm_given_h0(self) -> float:
@@ -225,12 +214,10 @@ class ScenarioStats:
     @property
     def rs_per_station_per_ri(self) -> float:
         """Average slots spent per station over one periodic reporting interval."""
-        if not self.pools_run or not self.n_stations or not self.t_r or not self.t_ri:
-            return float("nan")
-        pools_per_ri = self.t_ri / self.t_r
-        return self.mean_rs_per_pool * pools_per_ri / self.n_stations
+        pools_per_ri = self.traffic.t_ri / self.params.t_r
+        return self.mean_rs_per_pool * pools_per_ri / self.params.n
 
-    def add(self, arrivals: _Arrivals, res: _Resolved, deadlines: Deadlines,
+    def add(self, arrivals: _Arrivals, res: _Resolved,
             trace: TextIO | None = None) -> None:
         """Account a chunk of pools and its reports as resolved by `res`;
         a `trace` text sink gets one JSON line per pool (`TRACE_LINE`)."""
@@ -253,20 +240,24 @@ class ScenarioStats:
                 range(arrivals.w0, arrivals.w0 + h1.size)))))
 
         kind = arrivals.kind
-        deadline = np.array([deadlines.for_kind(k) for k in _KINDS])
-        delay = np.multiply(arrivals.pool + (arrivals.w0 + 1), self.t_r)
-        delay += np.multiply(res.slot + 1, self.rs_duration)
+        d = self.deadlines
+        deadline = np.array([d.tau_p, d.tau_d, d.tau_a])  # in KINDS order
+        delay = np.multiply(arrivals.pool + (arrivals.w0 + 1), self.params.t_r)
+        delay += np.multiply(res.slot + 1, self.params.rs_duration)
         delay -= arrivals.t_gen
         self.reports_total += kind.size
         self.unresolved_active += int((res.slot < 0).sum())
         self.dropped_reports += int((delay > deadline[kind]).sum())
-        for k, report_kind in enumerate(_KINDS):
+        for k, name in enumerate(KINDS):
             delays = delay[kind == k]
             if delays.size == 0:
                 continue
-            name = report_kind.value
             self.reports_by_kind[name] = self.reports_by_kind.get(name, 0) + delays.size
-            self.delay_histogram.add(report_kind, delays)
+            prev = self.delay_counts.get(name, np.zeros(0, dtype=int))
+            counts = np.bincount(np.floor(delays / self.delay_bin_s).astype(int),
+                                 minlength=prev.size)
+            counts[:prev.size] += prev
+            self.delay_counts[name] = counts
             self.max_delay_by_kind[name] = max(
                 self.max_delay_by_kind.get(name, 0.0), float(delays.max()))
 
@@ -376,9 +367,6 @@ def _bernoulli_cells(rng, cells: int, p: float) -> np.ndarray:
 # to keep the working set at a few MB however busy the cell
 CHUNK_POOLS = 256
 CHUNK_REPORTS = 1 << 16
-# report kinds as small ints, in the order of the deadline array
-_KINDS = (ReportKind.PERIODIC, ReportKind.ON_DEMAND, ReportKind.ALARM)
-_ALARM = 2
 
 
 def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
@@ -425,7 +413,7 @@ def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
         np.log1p(np.multiply(t_gen, -p_active, out=t_gen), out=t_gen)
         t_gen /= -rate
         t_gen += (w0 + pool) * t_r
-        kind = (rng.random(key.size) >= p_periodic).astype(np.int64)  # into _KINDS
+        kind = (rng.random(key.size) >= p_periodic).astype(np.int64)  # into KINDS
 
         a_window, a_station, a_time, h1 = queue.pop(w0, w0 + n_chunk)
         if a_window.size:
@@ -437,7 +425,8 @@ def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
             last = key.size - 1 - last
             pool, station, kind, t_gen = (np.concatenate((x, y))[last] for x, y in (
                 (pool, a_pool), (station, a_station),
-                (kind, np.full(a_window.size, _ALARM)), (t_gen, a_time)))
+                (kind, np.full(a_window.size, KINDS.index("alarm"))),
+                (t_gen, a_time)))
         yield _Arrivals(w0=w0, pool=pool, station=station, kind=kind,
                         t_gen=t_gen, h1=h1)
 
@@ -470,13 +459,11 @@ def run_scenario(geometry: CellGeometry, params: ProtocolParams,
 
     arrival_rng, contention_rng = (np.random.default_rng(child_seed(seed, i))
                                    for i in range(2))
-    stats = ScenarioStats(DelayHistogram(deadlines.tau_a), n_stations=params.n,
-                          t_r=params.t_r, t_ri=traffic.t_ri, rs_duration=params.rs_duration,
-                          kc_counts=np.zeros(params.pool_size + 1, dtype=int))
+    stats = ScenarioStats(params, traffic, deadlines)
     for arrivals in _arrivals(geometry, traffic, params.t_r, alarms,
                               alarm_process, n_pools, arrival_rng):
         res = _resolve_pools(arrivals.pool, arrivals.station, arrivals.h1.size,
                              params, contention_rng)
-        stats.add(arrivals, res, deadlines, trace)
+        stats.add(arrivals, res, trace)
     return stats
 

@@ -7,15 +7,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
-
-
-class ReportKind(Enum):
-    PERIODIC = "periodic"
-    ON_DEMAND = "on_demand"
-    ALARM = "alarm"
 
 
 @dataclass(frozen=True)
@@ -113,17 +106,10 @@ class Deadlines:
     tau_p: float
 
     def __post_init__(self):
-        # a normal tau_a keeps the delay histogram's bin, tau_a / 100, above 0
+        # a normal tau_a keeps the delay bin, tau_a / 100, above 0
         if not (sys.float_info.min <= self.tau_a < self.tau_d <= self.tau_p):
             raise ValueError("deadlines must satisfy tau_a < tau_d <= tau_p, all "
                              "positive, tau_a not subnormal")
-
-    def for_kind(self, kind: ReportKind) -> float:
-        if kind is ReportKind.ALARM:
-            return self.tau_a
-        if kind is ReportKind.ON_DEMAND:
-            return self.tau_d
-        return self.tau_p
 
 
 @dataclass(frozen=True)
@@ -141,8 +127,8 @@ class ExpDecayCorrelation:
     a: float  # 1/m
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("decay constant must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError("decay constant must be positive and finite")
 
     def factor(self, d):
         with np.errstate(over="ignore"):  # a * d past the float range: exp gives 0
@@ -222,8 +208,8 @@ class ActivationCurve:
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=int)
-        if self.bin_width <= 0:
-            raise ValueError("bin width must be positive")
+        if not 0 < self.bin_width < math.inf:
+            raise ValueError("bin width must be positive and finite")
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", c)

@@ -319,7 +319,7 @@ class TestResolutionProbs:
         for omega in DEFAULT_OMEGAS:
             if omega < 2:
                 continue
-            table, _ = _frame_table(omega, "search", "search", p_a)
+            table = _frame_table(omega, "search", "search", p_a)
             l1, l2 = table.l1, table.l2
             r1, r2 = resolution_probs(omega, l1, l2, p_a)
             assert np.array_equal(table.r1, r1) and np.array_equal(table.r2, r2)

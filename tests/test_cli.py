@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from rspool import activation_curve, activity_probs, load_experiment, place_stations
 from rspool import analysis, cli, traffic
 from rspool.cli import main
-from rspool.simulator import DelayHistogram
+from rspool.simulator import ScenarioStats
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -676,6 +676,21 @@ class TestAlarmSectionErrors:
         assert "[alarm.quake]" in config_invalid_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["traffic", "analyze", "simulate", "sweep",
+                                         "compare-naive"])
+    def test_non_finite_decay_constant_rejected(self, tmp_path, capsys, value, command):
+        # a NaN constant gives every station psi = nan: no station triggered
+        # in traffic and simulate, an activity outside [0, 1] in the analysis
+        cfg = tmp_path / "cell.ini"
+        cfg.write_text(SMALL_CELL.replace(
+            "correlation = sqrtcap", f"correlation = expdecay\ndecay_per_m = {value}"),
+            encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 1
+        assert "[alarm.quake]" in config_invalid_line(capsys)
+        assert not out.exists()
+
 
 def write_cell_with(tmp_path, section, key, value, drop=None) -> Path:
     """The small cell with one key of one section set to `value`, and the
@@ -939,7 +954,8 @@ class TestSampleConfigs:
     def test_derived_widths_keep_the_former_values(self):
         # tau_a / 100 and R / (50 v) reproduce the former fixed widths
         ref = load_experiment(str(ROOT / "configs" / "reference_cell.ini"))
-        assert DelayHistogram(ref.cell().deadlines.tau_a).bin_width == 0.05
+        cell = ref.cell()
+        assert ScenarioStats(cell.protocol, cell.traffic, cell.deadlines).delay_bin_s == 0.05
         curves = load_experiment(str(ROOT / "configs" / "activation_curves.ini"))
         geometry = place_stations(*curves.population(), seed=1)
         for _, scenario in curves.alarms():

@@ -17,9 +17,8 @@ from rspool import (AlarmProcess, AlarmScenario, Deadlines, ProtocolParams,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
                     place_stations)
 from rspool.analysis import activity_prob_regular, frame_chain_cost
-from rspool.simulator import (_ALARM, _KINDS, CHUNK_POOLS, CHUNK_REPORTS,
-                              DelayHistogram, ScenarioStats, _AlarmQueue,
-                              _Arrivals, _arrivals, _bernoulli_cells,
+from rspool.simulator import (CHUNK_POOLS, CHUNK_REPORTS, KINDS, ScenarioStats,
+                              _AlarmQueue, _Arrivals, _arrivals, _bernoulli_cells,
                               _resolve_pools, _Resolved)
 
 
@@ -94,7 +93,7 @@ def reference_arrivals(geometry, traffic, t_r, alarms, alarm_process, n_pools, r
         a_window, a_station, a_time, h1 = queue.pop(w0, w0 + n_chunk)
         if a_window.size:
             key = np.concatenate((key, (a_window - w0) * n + a_station))
-            kind = np.concatenate((kind, np.full(a_window.size, _ALARM)))
+            kind = np.concatenate((kind, np.full(a_window.size, KINDS.index("alarm"))))
             t_gen = np.concatenate((t_gen, a_time))
             _, last = np.unique(key[::-1], return_index=True)
             last = key.size - 1 - last
@@ -103,28 +102,29 @@ def reference_arrivals(geometry, traffic, t_r, alarms, alarm_process, n_pools, r
                         t_gen=t_gen, h1=h1)
 
 
-def reference_delays(stats, arrivals, res, deadlines):
+def reference_delays(stats, arrivals, res):
     """The per-kind delay accounting of `ScenarioStats.add`, with the delays
     computed out of place."""
     kind = arrivals.kind
-    deadline = np.array([deadlines.for_kind(k) for k in _KINDS])
-    delay = ((arrivals.w0 + arrivals.pool + 1) * stats.t_r
-             + (res.slot + 1) * stats.rs_duration - arrivals.t_gen)
+    deadlines = stats.deadlines
+    by_kind = {"periodic": deadlines.tau_p, "on_demand": deadlines.tau_d,
+               "alarm": deadlines.tau_a}
+    deadline = np.array([by_kind[k] for k in KINDS])
+    delay = ((arrivals.w0 + arrivals.pool + 1) * stats.params.t_r
+             + (res.slot + 1) * stats.params.rs_duration - arrivals.t_gen)
     stats.reports_total += kind.size
     stats.unresolved_active += int((res.slot < 0).sum())
     stats.dropped_reports += int((delay > deadline[kind]).sum())
-    hist = stats.delay_histogram
-    for k, report_kind in enumerate(_KINDS):
+    for k, name in enumerate(KINDS):
         delays = delay[kind == k]
         if delays.size == 0:
             continue
-        name = report_kind.value
         stats.reports_by_kind[name] = stats.reports_by_kind.get(name, 0) + delays.size
-        prev = hist.counts.get(name, np.zeros(0, dtype=int))
-        counts = np.bincount(np.floor(delays / hist.bin_width).astype(int),
+        prev = stats.delay_counts.get(name, np.zeros(0, dtype=int))
+        counts = np.bincount(np.floor(delays / (deadlines.tau_a / 100)).astype(int),
                              minlength=prev.size)
         counts[:prev.size] += prev
-        hist.counts[name] = counts
+        stats.delay_counts[name] = counts
         stats.max_delay_by_kind[name] = max(stats.max_delay_by_kind.get(name, 0.0),
                                             float(delays.max()))
 
@@ -175,9 +175,7 @@ def test_engine_keeps_the_reference_results(cell):
     rng, ref_rng = (np.random.default_rng(cell["seed"]) for _ in range(2))
     res_rng, ref_res_rng = (np.random.default_rng(cell["seed"] + 1) for _ in range(2))
     deadlines = Deadlines(tau_a=5.0, tau_d=60.0, tau_p=300.0)
-    stats, ref_stats = (ScenarioStats(DelayHistogram(deadlines.tau_a), t_r=params.t_r,
-                                      rs_duration=params.rs_duration,
-                                      kc_counts=np.zeros(params.pool_size + 1, dtype=int))
+    stats, ref_stats = (ScenarioStats(params, cell["traffic"], deadlines)
                         for _ in range(2))
     for got, expected in zip(_arrivals(*args, rng), reference_arrivals(*args, ref_rng),
                              strict=True):
@@ -187,13 +185,13 @@ def test_engine_keeps_the_reference_results(cell):
                                       expected.h1.size, params, ref_res_rng)
         assert_same_fields(res, ref)
         assert res_rng.bit_generator.state == ref_res_rng.bit_generator.state
-        stats.add(got, res, deadlines)
-        reference_delays(ref_stats, expected, ref, deadlines)
+        stats.add(got, res)
+        reference_delays(ref_stats, expected, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     for name in ("reports_total", "unresolved_active", "dropped_reports",
                  "reports_by_kind", "max_delay_by_kind"):
         assert getattr(stats, name) == getattr(ref_stats, name), name
-    counts, ref_counts = stats.delay_histogram.counts, ref_stats.delay_histogram.counts
+    counts, ref_counts = stats.delay_counts, ref_stats.delay_counts
     assert counts.keys() == ref_counts.keys()
     for name, c in counts.items():
         assert c.dtype == ref_counts[name].dtype and np.array_equal(c, ref_counts[name]), name

@@ -246,6 +246,24 @@ class TestRunScenario:
         for kind, worst in h0_run.max_delay_by_kind.items():
             assert worst <= bound
 
+    def test_every_kind_fills_at_most_100_delay_bins(self, ref_geometry, ref_params,
+                                                     ref_traffic):
+        # the delay bin is tau_a / 100 because validate_deadline keeps every
+        # delay below tau_a; at delta_c = 1 with an alarm deadline just above
+        # t_r plus the worst-case pool, the alarm reports come close to it
+        params = dataclasses.replace(ref_params, delta_c=1)
+        tau_a = T_R + worst_case_pool_duration(params) + 0.01
+        assert tau_a == pytest.approx(4.15)
+        deadlines = Deadlines(tau_a=tau_a, tau_d=60.0, tau_p=300.0)
+        quake = AlarmScenario((0.0, 0.0), 4000.0, 0.0, SqrtCapCorrelation(500.0))
+        stats = run_scenario(ref_geometry, params, ref_traffic, deadlines, alarms=[],
+                             horizon=2000 * T_R, seed=2024,
+                             alarm_process=AlarmProcess(0.05, quake))
+        assert sorted(stats.delay_counts) == ["alarm", "on_demand", "periodic"]
+        for kind, counts in stats.delay_counts.items():
+            assert 0 < counts.size <= 100, kind
+        assert stats.dropped_reports == 0
+
     @pytest.mark.parametrize("delta_c", [8, 12, 16])
     def test_branch_figures_match_closed_form(self, h0_run, ref_params, delta_c):
         # p_10 and E[K] on each side of the threshold, read off the k_c

@@ -246,6 +246,11 @@ class TestSpatialCorrelation:
             assert ExpDecayCorrelation(a=1e300).factor(1e300) == 0.0
             assert SqrtCapCorrelation(d_max=500.0).factor(1e300) == 0.0
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, float("nan"), float("inf")])
+    def test_decay_constant_must_be_positive_and_finite(self, a):
+        with pytest.raises(ValueError, match="decay constant"):
+            ExpDecayCorrelation(a=a)
+
     @pytest.mark.parametrize("d_max", [0.0, float("nan"), float("inf"), 1e308])
     def test_sqrt_cap_reach_needs_a_finite_square(self, d_max):
         with pytest.raises(ValueError):
@@ -337,6 +342,11 @@ class TestActivationCurves:
         scenario = AlarmScenario(epicenter=(0, 0), v=4000.0, t_a=0.0)
         curve = activation_curve(ref_geometry, scenario, seed=15)
         assert curve.total <= ref_geometry.n_stations
+
+    @pytest.mark.parametrize("bin_width", [0.0, -0.005, float("nan"), float("inf")])
+    def test_bin_width_must_be_positive_and_finite(self, bin_width):
+        with pytest.raises(ValueError, match="bin width"):
+            ActivationCurve(bin_width=bin_width, counts=np.array([1, 2]))
 
 
 class TestBetaModel:
