@@ -120,11 +120,6 @@ class AnalysisReport:
     r2: float
     e_s: float
 
-    def to_dict(self) -> dict:
-        def clean(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
-        return {k: clean(v) for k, v in self.__dict__.items()}
-
 
 def activity_prob_regular(lambda_p: float, lambda_d: float, t_r: float) -> float:
     """Probability of at least one regular report arriving within one pool period."""

@@ -50,9 +50,20 @@ class _FirstWriteOpens:
         self.fh.write(text)
 
 
+def _undefined_is_null(obj):
+    """`obj` with every NaN, at any depth, as None."""
+    if isinstance(obj, dict):
+        return {k: _undefined_is_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_undefined_is_null, obj))
+    return None if isinstance(obj, float) and math.isnan(obj) else obj
+
+
 def _json_dump(path: Path, obj) -> None:
+    """`obj` as strict JSON: NaN (undefined) is null, and ±inf raises ValueError."""
+    text = json.dumps(_undefined_is_null(obj), indent=2, sort_keys=True, allow_nan=False)
     with _open_output(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _csv_dump(path: Path, header: list[str], rows) -> None:
@@ -65,12 +76,12 @@ def _csv_dump(path: Path, header: list[str], rows) -> None:
 def _table_dump(out: Path, stem: str, fmt: str, header: list[str], rows) -> None:
     """A table as `<stem>.csv` or as `<stem>.json`, one record per row; an
     undefined (NaN) value is an empty cell or null."""
-    rows = [[None if isinstance(v, float) and math.isnan(v) else v for v in row]
-            for row in rows]
     if fmt == "json":
         _json_dump(out / f"{stem}.json", [dict(zip(header, row)) for row in rows])
     else:
-        _csv_dump(out / f"{stem}.csv", header, rows)
+        _csv_dump(out / f"{stem}.csv", header,
+                  ([None if isinstance(v, float) and math.isnan(v) else v for v in row]
+                   for row in rows))
 
 
 def _require_seed(args) -> int:
@@ -151,7 +162,7 @@ def cmd_analyze(args, exp: Experiment, out: Path) -> None:
         activity = analysis.activity_probs(cell.traffic, protocol.t_r)
     simulator.validate_deadline(protocol, cell.deadlines)
     report = analysis.expected_costs(protocol, activity, p_h1)
-    record = report.to_dict()
+    record = dict(vars(report))
     record["params"] = {
         "n": protocol.n, "omega": protocol.omega, "delta_c": protocol.delta_c,
         "l1": protocol.l1, "l2": protocol.l2, "t_r_s": protocol.t_r,
@@ -234,7 +245,7 @@ def cmd_sweep(args, exp: Experiment, out: Path) -> None:
         "omega": best.omega, "delta_c_pct": best.delta_c_pct,
         "l1": best.l1, "l2": best.l2,
         "e_c_analytical": best.e_c_analytical,
-        "e_c_simulated": None if math.isnan(best.e_c_simulated) else best.e_c_simulated,
+        "e_c_simulated": best.e_c_simulated,
         "evaluation": "simulated" if result.simulated else "analytical",
     })
 

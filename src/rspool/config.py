@@ -144,10 +144,8 @@ class Experiment:
             raise ConfigError(f"invalid [protocol] section: {exc}") from exc
 
         tau_a = self._float("deadlines", "tau_a_s")
-        tau_d = self._float("deadlines", "tau_d_s")
-        tau_p = self._float("deadlines", "tau_p_s", t_ri)
         try:
-            deadlines = Deadlines(tau_a=tau_a, tau_d=tau_d, tau_p=tau_p)
+            deadlines = Deadlines(tau_a=tau_a)
         except ValueError as exc:
             raise ConfigError(f"invalid [deadlines] section: {exc}") from exc
 

@@ -138,7 +138,7 @@ class _Arrivals:
     h1: np.ndarray         # per pool: an alarm front passes through its window
 
 
-# report kinds, in the order of `_Arrivals.kind` and of the deadline array
+# report kinds, in the order of `_Arrivals.kind`
 KINDS = ("periodic", "on_demand", "alarm")
 GROUP_ENDS = ("l1", "l2", "dedicated")
 POOL_PARTS = ("preallocated", "l1", "l2", "dedicated")
@@ -240,14 +240,12 @@ class ScenarioStats:
                 range(arrivals.w0, arrivals.w0 + h1.size)))))
 
         kind = arrivals.kind
-        d = self.deadlines
-        deadline = np.array([d.tau_p, d.tau_d, d.tau_a])  # in KINDS order
         delay = np.multiply(arrivals.pool + (arrivals.w0 + 1), self.params.t_r)
         delay += np.multiply(res.slot + 1, self.params.rs_duration)
         delay -= arrivals.t_gen
         self.reports_total += kind.size
         self.unresolved_active += int((res.slot < 0).sum())
-        self.dropped_reports += int((delay > deadline[kind]).sum())
+        self.dropped_reports += int((delay > self.deadlines.tau_a).sum())
         for k, name in enumerate(KINDS):
             delays = delay[kind == k]
             if delays.size == 0:
@@ -262,23 +260,21 @@ class ScenarioStats:
                 self.max_delay_by_kind.get(name, 0.0), float(delays.max()))
 
     def to_dict(self) -> dict:
-        def clean(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
         return {
             "pools_run": self.pools_run,
-            "mean_rs_per_pool": clean(self.mean_rs_per_pool),
-            "std_rs_per_pool": clean(self.std_rs_per_pool),
-            "mean_pool_duration_s": clean(self.mean_pool_duration),
+            "mean_rs_per_pool": self.mean_rs_per_pool,
+            "std_rs_per_pool": self.std_rs_per_pool,
+            "mean_pool_duration_s": self.mean_pool_duration,
             "pools_h0": self.pools_h0,
             "pools_h1": self.pools_h1,
-            "p_alarm_given_h0": clean(self.p_alarm_given_h0),
-            "p_alarm_given_h1": clean(self.p_alarm_given_h1),
+            "p_alarm_given_h0": self.p_alarm_given_h0,
+            "p_alarm_given_h1": self.p_alarm_given_h1,
             "reports_total": self.reports_total,
             "reports_by_kind": dict(sorted(self.reports_by_kind.items())),
             "dropped_reports": self.dropped_reports,
             "unresolved_active": self.unresolved_active,
-            "max_delay_by_kind_s": {k: clean(v) for k, v in sorted(self.max_delay_by_kind.items())},
-            "rs_per_station_per_ri": clean(self.rs_per_station_per_ri),
+            "max_delay_by_kind_s": dict(sorted(self.max_delay_by_kind.items())),
+            "rs_per_station_per_ri": self.rs_per_station_per_ri,
             "contended_groups_by_end": dict(zip(GROUP_ENDS, self.groups_ended.tolist())),
             "slots_by_part": dict(zip(POOL_PARTS, self.slots_by_part.tolist())),
         }

@@ -84,8 +84,9 @@ class RegularTrafficParams:
         if not (0 < self.t_ri < math.inf and 1.0 / self.t_ri < math.inf):
             raise ValueError("periodic reporting interval must be positive and "
                              "finite, with a finite rate")
-        if not self.lambda_d >= 0:
-            raise ValueError("on-demand rate must be non-negative")
+        # an infinite rate, or a finite pair whose sum overflows, saturates every pool
+        if not (self.lambda_d >= 0 and self.total_rate < math.inf):
+            raise ValueError("on-demand rate must be non-negative, with a finite total rate")
 
     @property
     def lambda_p(self) -> float:
@@ -99,17 +100,15 @@ class RegularTrafficParams:
 
 @dataclass(frozen=True)
 class Deadlines:
-    """Maximum tolerated report age per kind; reports older than this are dropped."""
+    """The alarm deadline tau_a, which bounds every kind: a report waits at most
+    one pool period plus one pool, which `validate_deadline` keeps below tau_a."""
 
     tau_a: float
-    tau_d: float
-    tau_p: float
 
     def __post_init__(self):
         # a normal tau_a keeps the delay bin, tau_a / 100, above 0
-        if not (sys.float_info.min <= self.tau_a < self.tau_d <= self.tau_p):
-            raise ValueError("deadlines must satisfy tau_a < tau_d <= tau_p, all "
-                             "positive, tau_a not subnormal")
+        if not sys.float_info.min <= self.tau_a < math.inf:
+            raise ValueError("the alarm deadline must be positive, finite and not subnormal")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ DC_PCT = 50.0
 L1 = 24
 L2 = 16
 TAU_A = 5.0
-TAU_D = 60.0
-TAU_P = 300.0
 P_H1 = 5e-3
 
 
@@ -47,7 +45,7 @@ def ref_params() -> ProtocolParams:
 
 @pytest.fixture(scope="session")
 def ref_deadlines() -> Deadlines:
-    return Deadlines(tau_a=TAU_A, tau_d=TAU_D, tau_p=TAU_P)
+    return Deadlines(tau_a=TAU_A)
 
 
 @pytest.fixture(scope="session")

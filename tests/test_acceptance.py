@@ -20,7 +20,7 @@ from rspool.analysis import _survivor_table
 from rspool.traffic import ActivationCurve
 from tests.chi_square import kc_chi_square
 from tests.conftest import (DC_PCT, L1, L2, LAMBDA_D, N, OMEGA, P_H1, RADIUS,
-                            RS_DURATION, T_R, T_RI, TAU_A, TAU_D, TAU_P,
+                            RS_DURATION, T_R, T_RI, TAU_A,
                             read_trace)
 
 POOLS_AT_OPTIMUM = 10_000
@@ -48,7 +48,7 @@ def traffic_params() -> RegularTrafficParams:
 
 @pytest.fixture(scope="module")
 def deadlines() -> Deadlines:
-    return Deadlines(tau_a=TAU_A, tau_d=TAU_D, tau_p=TAU_P)
+    return Deadlines(tau_a=TAU_A)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -40,7 +41,6 @@ rs_duration_s = 0.0002
 
 [deadlines]
 tau_a_s = 5
-tau_d_s = 60
 
 [priors]
 p_h1 = 0.005
@@ -204,6 +204,23 @@ class TestAnalyzeCommand:
         assert report["p_00"] + report["p_10"] == pytest.approx(1.0)
         assert report["e_c"] >= report["params"]["n"] / report["params"]["omega"]
 
+    def test_undefined_figures_are_null(self, tmp_path):
+        # no traffic and no alarm: no pool collides, so the figures given a
+        # collided slot are undefined and written as null
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(SMALL_CELL)
+        cp.remove_section("alarm.quake")
+        cp["traffic"] = {"t_ri_s": "1e300", "lambda_d_per_s": "0"}
+        cp["priors"]["p_h1"] = "0"
+        cfg = tmp_path / "idle.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        assert run_cli("analyze", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        text = (tmp_path / "analysis.json").read_text()
+        report = json.loads(text, parse_constant=refuse_constant)
+        assert report["e_k_10"] is None and report["e_c_10"] is None
+        assert report["e_c"] == pytest.approx(20.0)
+
     def test_infeasible_config_cites_worst_case(self, tmp_path, capsys):
         # worst-case pool for this cell runs 0.044 s, so 2.52 s cannot cover
         # the 2.5 s period plus the pool
@@ -358,11 +375,11 @@ class TestSimulateCommand:
                        "[traffic]\nt_ri_s = 300\n"
                        "[protocol]\nomega = 1\ndelta_c_slots = 4\nl1 = 1\nl2 = 1\n"
                        "t_r_s = 5e-324\nrs_duration_s = 5e-324\n"
-                       "[deadlines]\ntau_a_s = 1e-322\ntau_d_s = 1\n", encoding="utf-8")
+                       "[deadlines]\ntau_a_s = 1e-322\n", encoding="utf-8")
         out = tmp_path / "new" / "out"
         assert run_cli("simulate", "--config", str(cfg), "--seed", "1",
                        "--replications", "1", "--out", str(out)) == 1
-        assert "tau_a not subnormal" in config_invalid_line(capsys)
+        assert "not subnormal" in config_invalid_line(capsys)
         assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("n", ["0", "-4"])
@@ -723,6 +740,74 @@ def written_files(out: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
+def refuse_constant(token: str):
+    """`parse_constant` for json.loads: a NaN or an infinity is not JSON."""
+    raise ValueError(f"non-JSON constant {token}")
+
+
+class TestJsonWriter:
+    def test_nested_nan_is_null(self, tmp_path):
+        path = tmp_path / "x.json"
+        cli._json_dump(path, {"a": [1.5, {"b": float("nan")}], "c": (float("nan"), 2)})
+        record = json.loads(path.read_text(), parse_constant=refuse_constant)
+        assert record == {"a": [1.5, {"b": None}], "c": [None, 2]}
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinity_raises_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            cli._json_dump(path, {"a": [{"b": value}]})
+        assert not path.exists()
+
+
+COMMANDS_READING_THE_CELL = ["analyze", "simulate", "sweep", "compare-naive"]
+
+
+class TestTrafficSectionErrors:
+    @pytest.mark.parametrize("t_ri,lambda_d", [("300", "inf"), ("1e-308", "1e308")],
+                             ids=["infinite-rate", "sum-overflows"])
+    @pytest.mark.parametrize("command", COMMANDS_READING_THE_CELL)
+    def test_non_finite_total_rate_rejected(self, tmp_path, capsys, t_ri, lambda_d,
+                                            command):
+        # an infinite total rate saturates the cell: every station active in
+        # every pool, p_a0 = 1
+        cfg = write_cell_with(tmp_path, "traffic", "lambda_d_per_s", lambda_d)
+        cfg.write_text(cfg.read_text().replace("t_ri_s = 300", f"t_ri_s = {t_ri}"),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 1
+        assert "[traffic]" in config_invalid_line(capsys)
+        assert not out.exists()
+
+
+class TestDeadlineKeys:
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+    @pytest.mark.parametrize("command", COMMANDS_READING_THE_CELL)
+    def test_alarm_deadline_must_be_positive_and_finite(self, tmp_path, capsys, value,
+                                                        command):
+        cfg = write_cell_with(tmp_path, "deadlines", "tau_a_s", value)
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 1
+        assert "[deadlines]" in config_invalid_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS_READING_THE_CELL)
+    def test_former_deadline_keys_are_not_read(self, config_path, tmp_path, capsys,
+                                               command):
+        # tau_a bounds every report's delay, so the on-demand and periodic
+        # deadlines changed no output; values the former ordering rule
+        # refused run too
+        cfg = write_cell_with(tmp_path / "old", "deadlines", "tau_d_s", "1")
+        cfg.write_text(cfg.read_text().replace("tau_d_s = 1", "tau_d_s = 1\ntau_p_s = nan"),
+                       encoding="utf-8")
+        outs = [tmp_path / "plain", tmp_path / "old" / "out"]
+        for path, out in zip([config_path, cfg], outs):
+            assert run_cli(command, "--config", str(path), "--seed", "1",
+                           "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert written_files(outs[1]) == written_files(outs[0])
+
+
 SIMULATION_ERRORS = [
     ("horizon_s", "0"), ("horizon_s", "-5"), ("horizon_s", "inf"),
     ("alarm_prob_per_pool", "2"), ("alarm_prob_per_pool", "-0.1"),
@@ -892,8 +977,7 @@ VALUES = st.sampled_from([
 
 
 # keys the small cell leaves at their defaults
-OPTIONAL_KEYS = [("protocol", "delta_c_slots"), ("protocol", "l1"),
-                 ("protocol", "l2"), ("deadlines", "tau_p_s"),
+OPTIONAL_KEYS = [("protocol", "delta_c_slots"), ("protocol", "l1"), ("protocol", "l2"),
                  ("alarm.quake", "epicenter_x_m"), ("alarm.quake", "decay_per_m"),
                  ("simulation", "alarm_prob_per_pool")]
 

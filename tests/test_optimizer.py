@@ -28,7 +28,7 @@ def fixed_row(base, omega, pct, l1_frac, l2_frac):
 
 def tight_base(ref_geometry, ref_traffic, tau_a):
     return SweepBase(geometry=ref_geometry, traffic=ref_traffic,
-                     deadlines=Deadlines(tau_a=tau_a, tau_d=60.0, tau_p=300.0),
+                     deadlines=Deadlines(tau_a=tau_a),
                      t_r=T_R, rs_duration=RS_DURATION, p_h1=P_H1)
 
 
@@ -88,7 +88,7 @@ class TestSweep:
     def test_infeasible_rows_flagged_not_skipped(self, ref_geometry, ref_traffic):
         # one-slot groups finish worst-case in 1.6 s, well inside 4.12 s of
         # slack; forty-wide groups need up to 1.64 s and miss it
-        tight = Deadlines(tau_a=4.12, tau_d=60.0, tau_p=300.0)
+        tight = Deadlines(tau_a=4.12)
         base = SweepBase(geometry=ref_geometry, traffic=ref_traffic,
                          deadlines=tight, t_r=T_R, rs_duration=RS_DURATION,
                          p_h1=P_H1)
@@ -99,7 +99,7 @@ class TestSweep:
         assert result.argmin.omega == 1
 
     def test_fully_infeasible_grid_raises(self, ref_geometry, ref_traffic):
-        tight = Deadlines(tau_a=2.51, tau_d=60.0, tau_p=300.0)
+        tight = Deadlines(tau_a=2.51)
         base = SweepBase(geometry=ref_geometry, traffic=ref_traffic,
                          deadlines=tight, t_r=T_R, rs_duration=RS_DURATION,
                          p_h1=P_H1)

@@ -106,22 +106,19 @@ def reference_delays(stats, arrivals, res):
     """The per-kind delay accounting of `ScenarioStats.add`, with the delays
     computed out of place."""
     kind = arrivals.kind
-    deadlines = stats.deadlines
-    by_kind = {"periodic": deadlines.tau_p, "on_demand": deadlines.tau_d,
-               "alarm": deadlines.tau_a}
-    deadline = np.array([by_kind[k] for k in KINDS])
+    tau_a = stats.deadlines.tau_a
     delay = ((arrivals.w0 + arrivals.pool + 1) * stats.params.t_r
              + (res.slot + 1) * stats.params.rs_duration - arrivals.t_gen)
     stats.reports_total += kind.size
     stats.unresolved_active += int((res.slot < 0).sum())
-    stats.dropped_reports += int((delay > deadline[kind]).sum())
+    stats.dropped_reports += int((delay > tau_a).sum())
     for k, name in enumerate(KINDS):
         delays = delay[kind == k]
         if delays.size == 0:
             continue
         stats.reports_by_kind[name] = stats.reports_by_kind.get(name, 0) + delays.size
         prev = stats.delay_counts.get(name, np.zeros(0, dtype=int))
-        counts = np.bincount(np.floor(delays / (deadlines.tau_a / 100)).astype(int),
+        counts = np.bincount(np.floor(delays / (tau_a / 100)).astype(int),
                              minlength=prev.size)
         counts[:prev.size] += prev
         stats.delay_counts[name] = counts
@@ -174,7 +171,7 @@ def test_engine_keeps_the_reference_results(cell):
             cell["alarm_process"], cell["n_pools"])
     rng, ref_rng = (np.random.default_rng(cell["seed"]) for _ in range(2))
     res_rng, ref_res_rng = (np.random.default_rng(cell["seed"] + 1) for _ in range(2))
-    deadlines = Deadlines(tau_a=5.0, tau_d=60.0, tau_p=300.0)
+    deadlines = Deadlines(tau_a=5.0)
     stats, ref_stats = (ScenarioStats(params, cell["traffic"], deadlines)
                         for _ in range(2))
     for got, expected in zip(_arrivals(*args, rng), reference_arrivals(*args, ref_rng),

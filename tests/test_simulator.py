@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Deadlines,
                     InfeasibleConfigError, ProtocolParams,
@@ -169,19 +171,19 @@ class TestFeasibility:
         worst = worst_case_pool_duration(params)
         # 200 dedicated expansions dominate 99 full escalations
         assert worst == pytest.approx((200 + 200 * 40) * RS_DURATION)
-        validate_deadline(params, Deadlines(TAU_A, 60.0, 300.0))
+        validate_deadline(params, Deadlines(TAU_A))
 
     def test_single_station_groups_cannot_collide(self):
         params = ProtocolParams(n=N, omega=1, delta_c=100, l1=1, l2=1,
                                 t_r=T_R, rs_duration=RS_DURATION)
         assert worst_case_pool_duration(params) == pytest.approx(N * RS_DURATION)
-        validate_deadline(params, Deadlines(TAU_A, 60.0, 300.0))
+        validate_deadline(params, Deadlines(TAU_A))
 
     def test_tight_deadline_rejected(self):
         params = ProtocolParams(n=N, omega=OMEGA, delta_c=100, l1=24, l2=16,
                                 t_r=T_R, rs_duration=RS_DURATION)
         with pytest.raises(InfeasibleConfigError, match="worst-case"):
-            validate_deadline(params, Deadlines(4.0, 60.0, 300.0))
+            validate_deadline(params, Deadlines(4.0))
 
     def test_frame_arrays_give_each_pair_its_worst_case(self):
         params = ProtocolParams(n=N, omega=OMEGA, delta_c=150, l1=24, l2=16,
@@ -189,7 +191,7 @@ class TestFeasibility:
         l1 = np.array([1, 24, 39, 39])
         l2 = np.array([1, 16, 1, 39])
         worst = worst_case_pool_duration(params, (l1, l2))
-        deadlines = Deadlines(T_R + worst[1] + 1e-9, 60.0, 300.0)
+        deadlines = Deadlines(T_R + worst[1] + 1e-9)
         for a, b, w in zip(l1.tolist(), l2.tolist(), worst):
             pair = ProtocolParams(n=N, omega=OMEGA, delta_c=150, l1=a, l2=b,
                                   t_r=T_R, rs_duration=RS_DURATION)
@@ -219,7 +221,7 @@ class TestRunScenario:
         kwargs = dict(alarms=[], horizon=50 * T_R, seed=99)
         a = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines, **kwargs)
         b = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines, **kwargs)
-        assert a.to_dict() == b.to_dict()
+        np.testing.assert_equal(a.to_dict(), b.to_dict())  # NaN equal to NaN
         np.testing.assert_array_equal(a.kc_counts, b.kc_counts)
 
     def test_mean_cost_matches_closed_form(self, h0_run, ref_params):
@@ -254,7 +256,7 @@ class TestRunScenario:
         params = dataclasses.replace(ref_params, delta_c=1)
         tau_a = T_R + worst_case_pool_duration(params) + 0.01
         assert tau_a == pytest.approx(4.15)
-        deadlines = Deadlines(tau_a=tau_a, tau_d=60.0, tau_p=300.0)
+        deadlines = Deadlines(tau_a=tau_a)
         quake = AlarmScenario((0.0, 0.0), 4000.0, 0.0, SqrtCapCorrelation(500.0))
         stats = run_scenario(ref_geometry, params, ref_traffic, deadlines, alarms=[],
                              horizon=2000 * T_R, seed=2024,
@@ -263,6 +265,36 @@ class TestRunScenario:
         for kind, counts in stats.delay_counts.items():
             assert 0 < counts.size <= 100, kind
         assert stats.dropped_reports == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_no_report_outlives_the_alarm_deadline(self, data):
+        # a report generated in window w (t_gen >= w t_r) is served in pool
+        # w + 1 at a slot s below that pool's length: its delay is at most
+        # t_r + (s + 1) rs, so at most t_r plus the worst-case pool duration
+        n = data.draw(st.integers(1, 400), label="n")
+        omega = data.draw(st.sampled_from([1, n]) | st.integers(1, n), label="omega")
+        pool = math.ceil(n / omega)
+        delta_c = data.draw(st.sampled_from([1, pool]) | st.integers(1, pool), label="delta_c")
+        l1 = data.draw(st.integers(1, max(omega - 1, 1)), label="l1")
+        l2 = data.draw(st.integers(1, l1), label="l2")
+        params = ProtocolParams(n=n, omega=omega, delta_c=delta_c, l1=l1, l2=l2,
+                                t_r=T_R, rs_duration=RS_DURATION)
+        traffic = RegularTrafficParams(data.draw(st.sampled_from([5.0, 30.0, 300.0])),
+                                       data.draw(st.sampled_from([0.0, 0.01, 0.2])))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        # every station triggered, within 0.25 s: one burst of alarm reports
+        quake = AlarmScenario((0.0, 0.0), 4000.0, data.draw(st.floats(0.0, 40 * T_R)),
+                              UnitCorrelation())
+        process = data.draw(st.none() | st.floats(0.0, 1.0).map(
+            lambda p: AlarmProcess(p, quake)), label="alarm process")
+        tau_a = T_R + worst_case_pool_duration(params) + 1e-9 * T_R
+        stats = run_scenario(place_stations(n, 1000.0, seed=seed), params, traffic,
+                             Deadlines(tau_a), alarms=[] if process else [quake],
+                             horizon=40 * T_R, seed=seed, alarm_process=process)
+        assert stats.dropped_reports == 0
+        assert all(delay < tau_a for delay in stats.max_delay_by_kind.values())
+        assert all(counts.size <= 100 for counts in stats.delay_counts.values())
 
     @pytest.mark.parametrize("delta_c", [8, 12, 16])
     def test_branch_figures_match_closed_form(self, h0_run, ref_params, delta_c):
@@ -372,7 +404,7 @@ class TestRunScenario:
             (0, 0), 4000.0, 0.0, UnitCorrelation()))
         sink = io.StringIO()
         run_scenario(geometry, params, RegularTrafficParams(10.0),
-                     Deadlines(TAU_A, 60.0, 300.0), alarms=[], horizon=300 * T_R,
+                     Deadlines(TAU_A), alarms=[], horizon=300 * T_R,
                      seed=6, alarm_process=process, trace=sink)
         trace = read_trace(sink)
         assert {t["decision"] for t in trace} == (
@@ -391,7 +423,7 @@ class TestRunScenario:
         traffic = RegularTrafficParams(0.01)
         alarm = AlarmScenario((0, 0), 4000.0, t_a=3.0, correlation=UnitCorrelation())
         stats = run_scenario(geometry, params, traffic,
-                             Deadlines(TAU_A, 60.0, 300.0), alarms=[alarm],
+                             Deadlines(TAU_A), alarms=[alarm],
                              horizon=4 * T_R, seed=8)
         assert stats.pools_h1 == 1
         assert stats.unresolved_active == 0
@@ -414,7 +446,7 @@ class TestRunScenario:
                                   correlation=UnitCorrelation())
             sink = io.StringIO()
             stats = run_scenario(geometry, params, ref_traffic,
-                                 Deadlines(TAU_A, 60.0, 300.0), alarms=[alarm],
+                                 Deadlines(TAU_A), alarms=[alarm],
                                  horizon=(CHUNK_POOLS + 2) * T_R,
                                  seed=17, trace=sink)
             trace = read_trace(sink)
@@ -436,7 +468,7 @@ class TestRunScenario:
         sink = io.StringIO()
         stats = run_scenario(geometry, params,
                              RegularTrafficParams(1e9),
-                             Deadlines(TAU_A, 60.0, 300.0), alarms=[],
+                             Deadlines(TAU_A), alarms=[],
                              horizon=(CHUNK_POOLS + 1) * T_R, seed=23,
                              alarm_process=process, trace=sink)
         trace = read_trace(sink)
@@ -473,7 +505,7 @@ class TestRunScenario:
         try:
             stats = run_scenario(ref_geometry, params,
                                  RegularTrafficParams(0.01),
-                                 Deadlines(50.0, 60.0, 300.0), alarms=[],
+                                 Deadlines(50.0), alarms=[],
                                  horizon=40 * T_R, seed=6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -490,7 +522,7 @@ class TestRunScenario:
                        dict(alarms=[], alarm_process=AlarmProcess(1.0, slow))):
             with pytest.raises(AlarmTimeError):
                 run_scenario(geometry, params, ref_traffic,
-                             Deadlines(TAU_A, 60.0, 300.0), horizon=2 * T_R,
+                             Deadlines(TAU_A), horizon=2 * T_R,
                              seed=1, **kwargs)
 
     def test_horizon_counts_whole_periods_despite_rounding(self, ref_traffic):
@@ -498,7 +530,7 @@ class TestRunScenario:
         geometry = place_stations(params.n, 1000.0, seed=3)
         assert 0.3 / 0.1 < 3
         stats = run_scenario(geometry, params, ref_traffic,
-                             Deadlines(TAU_A, 60.0, 300.0), alarms=[],
+                             Deadlines(TAU_A), alarms=[],
                              horizon=0.3, seed=1)
         assert stats.pools_run == 3
 

@@ -1,11 +1,12 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from rspool import (ActivationCurve, AlarmScenario, CellGeometry,
+from rspool import (ActivationCurve, AlarmScenario, CellGeometry, Deadlines,
                     ExpDecayCorrelation,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
                     activation_curve, beta_pdf, fit_beta, place_stations)
@@ -121,6 +122,17 @@ class TestChildSeed:
         first = child_seed(ss, 0).generate_state(4)
         assert ss.n_children_spawned == 0
         np.testing.assert_array_equal(child_seed(ss, 0).generate_state(4), first)
+
+
+class TestDeadlines:
+    @pytest.mark.parametrize("tau_a", [math.inf, math.nan, 5e-324, 0.0, -5.0])
+    def test_alarm_deadline_must_be_positive_finite_and_normal(self, tau_a):
+        with pytest.raises(ValueError, match="positive, finite and not subnormal"):
+            Deadlines(tau_a)
+
+    @pytest.mark.parametrize("tau_a", [sys.float_info.min, 5.0, sys.float_info.max])
+    def test_normal_finite_deadline_accepted(self, tau_a):
+        assert Deadlines(tau_a).tau_a == tau_a
 
 
 class TestCellRadiusCheck:
@@ -266,6 +278,14 @@ class TestSpatialCorrelation:
     def test_on_demand_rate_must_be_non_negative(self, lambda_d):
         with pytest.raises(ValueError, match="on-demand rate"):
             RegularTrafficParams(300.0, lambda_d)
+
+    # an infinite rate, or a finite pair whose sum overflows: every station
+    # would be active in every pool
+    @pytest.mark.parametrize("t_ri,lambda_d", [(300.0, math.inf), (1e-308, 1e308)],
+                             ids=["infinite-rate", "sum-overflows"])
+    def test_total_rate_must_be_finite(self, t_ri, lambda_d):
+        with pytest.raises(ValueError, match="finite total rate"):
+            RegularTrafficParams(t_ri, lambda_d)
 
 
 class TestAlarmScenario:
