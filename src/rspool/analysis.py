@@ -134,15 +134,14 @@ def activity_prob_alarm(scenario: AlarmScenario, geometry: CellGeometry,
                         traffic: RegularTrafficParams, t_r: float) -> float:
     """Population-average per-pool activity while an alarm event is in progress.
 
-    Each station's arrival rate over the pool period covering the event is its
-    regular rate plus the one-off excitation equal to its trigger probability;
-    the activity probabilities are averaged over the cell.
+    A station is active in the event's window if it holds a regular report
+    (p_a0) or the event makes it report (its trigger probability psi), the
+    two independent: 1 - (1 - p_a0)(1 - psi), which is linear in psi, so
+    its cell average is 1 - (1 - p_a0)(1 - mean psi).
     """
-    if t_r <= 0:
-        raise ValueError("pool period must be positive")
-    psi = scenario.trigger_probs(geometry)
-    lam = traffic.total_rate * t_r + psi
-    return float(np.mean(1.0 - np.exp(-lam)))
+    p_a0 = activity_prob_regular(traffic.lambda_p, traffic.lambda_d, t_r)
+    psi = float(np.mean(scenario.trigger_probs(geometry)))
+    return 1.0 - (1.0 - p_a0) * (1.0 - psi)
 
 
 def activity_probs(traffic: RegularTrafficParams, t_r: float,

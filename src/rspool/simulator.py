@@ -295,8 +295,9 @@ class AlarmProcess:
 
 class _AlarmQueue:
     """Alarm reports scheduled for windows not yet simulated, in scheduling
-    order, and the windows the events' fronts pass through (H1 windows).
-    Only windows inside the run [0, n_pools) are kept."""
+    order. Only windows inside the run [0, n_pools) are kept. Every station
+    an event triggers reports, so an H1 window, one in which a front reaches
+    a station it triggers, is exactly a window that holds an alarm report."""
 
     def __init__(self, geometry: CellGeometry, t_r: float, n_pools: int):
         self.geometry = geometry
@@ -305,35 +306,29 @@ class _AlarmQueue:
         self.window = np.empty(0, dtype=np.int64)
         self.station = np.empty(0, dtype=np.int64)
         self.time = np.empty(0)
-        self.h1 = np.empty(0, dtype=np.int64)
 
     def schedule(self, scenario: AlarmScenario, rng) -> None:
-        probs = scenario.trigger_probs(self.geometry)
-        times = scenario.arrival_times(self.geometry)
-        triggered = np.flatnonzero(rng.random(times.size) < probs)
-        emits = rng.poisson(1.0, size=triggered.size) >= 1
+        station, time = scenario.draw_reports(self.geometry, rng)
         with np.errstate(over="ignore"):  # past the float range is past the run
-            window = np.floor(times[triggered] / self.t_r)
-        inside = (window >= 0) & (window < self.n_pools)
-        self.h1 = np.union1d(self.h1, window[inside].astype(np.int64))
-        keep = emits & inside
+            window = np.floor(time / self.t_r)
+        keep = (window >= 0) & (window < self.n_pools)
         self.window = np.append(self.window, window[keep].astype(np.int64))
-        self.station = np.append(self.station, triggered[keep])
-        self.time = np.append(self.time, times[triggered[keep]])
+        self.station = np.append(self.station, station[keep])
+        self.time = np.append(self.time, time[keep])
 
     def pop(self, start: int, end: int) -> tuple[np.ndarray, ...]:
-        """Remove the reports and H1 windows before window `end`; return the
-        reports (window, station, time) from `start` on and the H1 flags of
-        the windows [start, end). An event drawn at the very start of a window
-        can round into the one before, already simulated; those are dropped."""
+        """Remove the reports before window `end`; return the reports
+        (window, station, time) from `start` on and the H1 flags of the
+        windows [start, end), true where one of them falls. An event drawn at
+        the very start of a window can round into the one before, already
+        simulated; those are dropped."""
         due = self.window < end
         now = due & (self.window >= start)
         out = self.window[now], self.station[now], self.time[now]
         self.window, self.station, self.time = (
             self.window[~due], self.station[~due], self.time[~due])
         h1 = np.zeros(end - start, dtype=bool)
-        h1[self.h1[(self.h1 >= start) & (self.h1 < end)] - start] = True
-        self.h1 = self.h1[self.h1 >= end]
+        h1[out[0] - start] = True
         return (*out, h1)
 
 

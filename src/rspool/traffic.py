@@ -166,8 +166,9 @@ class AlarmTimeError(ValueError):
 class AlarmScenario:
     """A physical event at `epicenter` propagating radially with speed v from time t_a.
 
-    A station at distance d is reached at t_a + d/v and is triggered with
-    probability given by the correlation model.
+    A station at distance d is reached at t_a + d/v, and the event makes it
+    report, once and at that instant, with the probability psi that the
+    correlation model gives.
     """
 
     epicenter: tuple[float, float]
@@ -195,6 +196,14 @@ class AlarmScenario:
 
     def trigger_probs(self, geometry: CellGeometry) -> np.ndarray:
         return self.correlation.factor(geometry.distances_to(self.epicenter))
+
+    def draw_reports(self, geometry: CellGeometry, rng) -> tuple[np.ndarray, np.ndarray]:
+        """One realisation of the event: the stations that report, each with
+        probability psi, and the instants the front reaches them."""
+        probs = self.trigger_probs(geometry)
+        times = self.arrival_times(geometry)
+        triggered = np.flatnonzero(rng.random(times.size) < probs)
+        return triggered, times[triggered]
 
 
 @dataclass(frozen=True)
@@ -281,21 +290,17 @@ def activation_curve(geometry: CellGeometry, scenario: AlarmScenario,
                      seed) -> ActivationCurve:
     """Histogram of alarm activations over time for one event realisation.
 
-    Each station is triggered with its spatial correlation probability at the
-    instant the event front passes it. A bin is 1/50 of the time the front
-    takes to cross the cell radius, so an epicentre inside the cell, at most
-    two radii from any station, spans at most 100 bins.
+    The stations and instants are `scenario.draw_reports`, as the simulator
+    draws them. A bin is 1/50 of the time the front takes to cross the cell
+    radius, so an epicentre inside the cell, at most two radii from any
+    station, spans at most 100 bins.
     """
-    probs = scenario.trigger_probs(geometry)
-    times = scenario.arrival_times(geometry)
+    _, t_hit = scenario.draw_reports(geometry, np.random.default_rng(seed))
     bin_width = geometry.radius_m / (50 * scenario.v)
     if not 0 < bin_width < math.inf:
         raise AlarmTimeError(
             f"the activation bin, 1/50 of the front's {geometry.radius_m:g} m / "
             f"{scenario.v:g} m/s crossing time, is not a positive finite width")
-    rng = np.random.default_rng(seed)
-    triggered = rng.random(geometry.n_stations) < probs
-    t_hit = times[triggered]
     if t_hit.size == 0:
         return ActivationCurve(bin_width=bin_width, counts=np.zeros(1, dtype=int),
                                start_s=scenario.t_a)

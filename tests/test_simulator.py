@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Deadlines,
-                    InfeasibleConfigError, ProtocolParams,
+                    ExpDecayCorrelation, InfeasibleConfigError, ProtocolParams,
                     RegularTrafficParams, SqrtCapCorrelation, UnitCorrelation,
-                    activity_prob_regular, collision_prob, expected_costs,
+                    activity_prob_alarm, activity_prob_regular, collision_prob,
+                    expected_costs,
                     place_stations, run_scenario,
                     validate_deadline, worst_case_pool_duration)
 from rspool.analysis import ActivityProbs
-from rspool.simulator import CHUNK_POOLS, _resolve_pools, meets_deadline
+from rspool.simulator import (CHUNK_POOLS, KINDS, _arrivals, _resolve_pools,
+                              meets_deadline)
 from rspool.traffic import AlarmTimeError
 from tests.chi_square import kc_chi_square
 from tests.conftest import (L1, L2, LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A,
@@ -417,7 +419,7 @@ class TestRunScenario:
     def test_one_poll_per_station_and_alarm_supersedes_regular(self):
         # every station holds a regular report in every window (p_active is
         # 1 at a 10 ms reporting interval), and the window [2.5, 5) s also
-        # brings an alarm to about 63% of them
+        # brings an alarm to every one of them
         params = small_params()
         geometry = place_stations(params.n, 1000.0, seed=3)
         traffic = RegularTrafficParams(0.01)
@@ -431,7 +433,7 @@ class TestRunScenario:
         assert stats.reports_total == 4 * params.n
         # each alarm replaced its station's periodic report in that pool
         alarms = stats.reports_by_kind["alarm"]
-        assert 0.5 * params.n < alarms < 0.8 * params.n
+        assert alarms == params.n
         assert stats.reports_by_kind["periodic"] == 4 * params.n - alarms
 
     def test_alarm_in_next_chunk_is_served(self, ref_traffic):
@@ -475,9 +477,8 @@ class TestRunScenario:
         assert [t["hypothesis"] for t in trace] == ["h0"] + ["h1"] * CHUNK_POOLS
         assert trace[CHUNK_POOLS]["decision"] == "alarm"
         assert stats.unresolved_active == stats.dropped_reports == 0
-        # 1 - 1/e of the stations emit per event, one pool per event
-        per_pool = stats.reports_by_kind["alarm"] / CHUNK_POOLS
-        assert abs(per_pool / params.n - (1 - math.exp(-1))) < 0.02
+        # every station reports once per event, one pool per event
+        assert stats.reports_by_kind["alarm"] == CHUNK_POOLS * params.n
 
     def test_memory_does_not_grow_with_horizon(self, ref_geometry, ref_params,
                                                ref_traffic, ref_deadlines):
@@ -551,6 +552,55 @@ class TestRunScenario:
         assert stats.mean_pool_duration == pytest.approx(1.6)
         # single-station groups never collide: the k_c histogram is a point mass
         assert stats.kc_counts[0] == stats.kc_counts.sum() == 20
+
+
+class TestOneAlarmLaw:
+    """psi is the probability that the event makes a station report, once:
+    the simulator's H1 pools must hold the activity the closed form reads."""
+
+    @pytest.mark.parametrize("psi", [0.5, 0.2])
+    @pytest.mark.parametrize("omega", [5, 10])
+    def test_h1_collided_slots_match_the_closed_form(self, ref_traffic, psi, omega):
+        # a 1 m cell 1 km from the epicentre: every station has psi within
+        # 0.2 % of the same value, and a 1e6 m/s front crosses the cell in
+        # 2 us, so an event's reports share one window
+        n, pools = 2000, 2000
+        geometry = place_stations(n, 1.0, seed=41)
+        quake = AlarmScenario((1000.0, 0.0), 1e6, 0.0,
+                              ExpDecayCorrelation(-math.log(psi) / 1000.0))
+        assert np.allclose(quake.trigger_probs(geometry), psi, rtol=2e-3)
+        l1, l2 = (3, 2) if omega == 5 else (6, 4)
+        params = ProtocolParams(n=n, omega=omega, delta_c=n // omega // 2, l1=l1,
+                                l2=l2, t_r=T_R, rs_duration=RS_DURATION)
+        sink = io.StringIO()
+        run_scenario(geometry, params, ref_traffic, Deadlines(TAU_A), alarms=[],
+                     horizon=pools * T_R, seed=19,
+                     alarm_process=AlarmProcess(0.25, quake), trace=sink)
+        k_c = np.array([t["k_c"] for t in read_trace(sink) if t["hypothesis"] == "h1"])
+        assert k_c.size > 400
+        p_a1 = activity_prob_alarm(quake, geometry, ref_traffic, T_R)
+        expected = params.pool_size * collision_prob(p_a1, omega)
+        se = k_c.std(ddof=1) / math.sqrt(k_c.size)
+        assert abs(k_c.mean() - expected) < 3 * se, (k_c.mean(), expected, se)
+
+    def test_h1_windows_are_the_windows_holding_alarm_reports(self, ref_traffic):
+        # the alarm process over three chunks, slow fronts that split events
+        # over two windows, and a static event queued for the second chunk
+        params = small_params()
+        geometry = place_stations(params.n, 1000.0, seed=5)
+        template = AlarmScenario((0, 0), 400.0, 0.0, SqrtCapCorrelation(500.0))
+        static = dataclasses.replace(template, t_a=(CHUNK_POOLS + 7.9) * T_R)
+        n_pools = 2 * CHUNK_POOLS + 40
+        chunks = list(_arrivals(geometry, ref_traffic, T_R, [static],
+                                AlarmProcess(0.1, template), n_pools,
+                                np.random.default_rng(29)))
+        assert len(chunks) == 3
+        for arrivals in chunks:
+            holds_alarm = np.zeros(arrivals.h1.size, dtype=bool)
+            holds_alarm[arrivals.pool[arrivals.kind == KINDS.index("alarm")]] = True
+            np.testing.assert_array_equal(arrivals.h1, holds_alarm)
+            assert arrivals.h1.any()
+        assert chunks[1].h1[7] and chunks[1].h1[8]
 
 
 class TestCommonArrivals:
