@@ -66,9 +66,10 @@ class ProtocolParams:
 
 
 def delta_c_from_pct(pct: float, pool_size: int) -> int:
+    """The least slot count at or above `pct` % of the pool's slots."""
     if not 0 < pct <= 100:
         raise ValueError("threshold percentage must lie in (0, 100]")
-    return math.ceil(pct / 100.0 * pool_size)
+    return math.ceil(pct * pool_size / 100)
 
 
 def frames_for(omega: int, l1_frac: float, l2_frac: float) -> tuple[int, int]:

@@ -174,33 +174,32 @@ def cmd_analyze(args, exp: Experiment, out: Path) -> None:
 
 def cmd_simulate(args, exp: Experiment, out: Path) -> None:
     seed = _require_seed(args)
-    if args.replications is not None and args.replications < 1:
-        raise CommandError(f"--replications must be at least 1, got {args.replications}",
+    n_pools = args.replications
+    if n_pools is not None and not 1 <= n_pools < simulator.MAX_POOLS:
+        raise CommandError(f"--replications must lie in [1, 2**63), got {n_pools}",
                            "invalid-argument")
     cell = exp.cell()
     alarms = [scenario for _, scenario in exp.alarms()]
-    sim = exp.simulation()
+    horizon_s, alarm_prob = exp.simulation()
 
     process = None
-    if sim.alarm_prob_per_pool > 0:
+    if alarm_prob > 0:
         if not alarms:
             raise ConfigError("simulation.alarm_prob_per_pool needs an [alarm.*] "
                               "section to use as the event template")
-        process = AlarmProcess(prob_per_pool=sim.alarm_prob_per_pool,
-                               template=alarms[0])
+        process = AlarmProcess(prob_per_pool=alarm_prob, template=alarms[0])
         alarms = []
 
-    horizon = sim.horizon_s
-    if args.replications is not None:
-        horizon = args.replications * cell.protocol.t_r
-    if simulator.pool_count(horizon, cell.protocol.t_r) < 1:
-        raise ConfigError(f"a horizon of {horizon:g} s (simulation.horizon_s or --replications)"
-                          f" covers no whole pool period of {cell.protocol.t_r:g} s")
+    if n_pools is None:
+        n_pools = simulator.pool_count(horizon_s, cell.protocol.t_r)
+        if not 1 <= n_pools < simulator.MAX_POOLS:
+            raise ConfigError(f"simulation.horizon_s = {horizon_s:g} s must cover 1 to "
+                              f"2**63 - 1 whole pool periods of {cell.protocol.t_r:g} s")
 
     with contextlib.ExitStack() as files:
         trace = _FirstWriteOpens(out / "pool_trace.jsonl", files) if args.trace else None
         stats = simulator.run_scenario(_stations(exp, seed), cell.protocol, cell.traffic,
-                                       cell.deadlines, alarms, horizon,
+                                       cell.deadlines, alarms, n_pools,
                                        child_seed(seed, 1), alarm_process=process,
                                        trace=trace)
     _json_dump(out / "scenario_stats.json", stats.to_dict())
@@ -280,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="64-bit experiment seed (required for stochastic commands)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--replications", type=int, default=None,
-                        help="simulate: run exactly this many pool periods (>= 1) "
-                             "instead of the configured horizon")
+                        help="simulate: run exactly this many pool periods, "
+                             "in [1, 2**63), instead of the configured horizon")
     parser.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="table output format for sweep/compare-naive")
     parser.add_argument("--trace", action="store_true",

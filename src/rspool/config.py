@@ -4,6 +4,7 @@ in the key names, mirrored onto the typed parameter objects."""
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ class ConfigError(Exception):
 
 
 _REQUIRED = object()
+# `traffic` writes files named after each [alarm.<name>]
+_FILE_STEM = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def _list_of(conv):
@@ -39,12 +42,6 @@ class CellConfig:
     traffic: RegularTrafficParams
     protocol: ProtocolParams
     deadlines: Deadlines
-
-
-@dataclass(frozen=True)
-class SimulationOptions:
-    horizon_s: float = 300.0
-    alarm_prob_per_pool: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -158,6 +155,9 @@ class Experiment:
             if not section.startswith("alarm."):
                 continue
             name = section.split(".", 1)[1]
+            if not _FILE_STEM.fullmatch(name):
+                raise ConfigError(f"invalid [{section}] section: an alarm name is a file "
+                                  "stem of letters, digits, '_' and '-'")
             x = self._float(section, "epicenter_x_m", 0.0)
             y = self._float(section, "epicenter_y_m", 0.0)
             v = self._float(section, "speed_m_per_s")
@@ -186,17 +186,15 @@ class Experiment:
             raise ConfigError("priors.p_h1 must lie in [0, 1]")
         return p
 
-    def simulation(self) -> SimulationOptions:
-        default = SimulationOptions()
-        opts = SimulationOptions(
-            horizon_s=self._float("simulation", "horizon_s", default.horizon_s),
-            alarm_prob_per_pool=self._float("simulation", "alarm_prob_per_pool",
-                                            default.alarm_prob_per_pool))
-        if not sys.float_info.min <= opts.horizon_s < math.inf:
+    def simulation(self) -> tuple[float, float]:
+        """The [simulation] section's horizon_s and alarm_prob_per_pool."""
+        horizon_s = self._float("simulation", "horizon_s", 300.0)
+        alarm_prob = self._float("simulation", "alarm_prob_per_pool", 0.0)
+        if not sys.float_info.min <= horizon_s < math.inf:
             raise ConfigError("simulation.horizon_s must be a positive, finite, normal float")
-        if not 0 <= opts.alarm_prob_per_pool <= 1:
+        if not 0 <= alarm_prob <= 1:
             raise ConfigError("simulation.alarm_prob_per_pool must lie in [0, 1]")
-        return opts
+        return horizon_s, alarm_prob
 
     def sweep_options(self) -> SweepGrid:
         self._require("sweep")

@@ -71,8 +71,8 @@ class SweepGrid:
             raise ValueError("l1_frac and l2_frac must be searched together")
         if not search and not (0 < self.l1_frac <= 1 and 0 < self.l2_frac <= 1):
             raise ValueError("l1_frac and l2_frac must lie in (0, 1], or both be search")
-        if self.simulate_pools < 0:
-            raise ValueError("simulate_pools cannot be negative")
+        if not 0 <= self.simulate_pools < simulator.MAX_POOLS:
+            raise ValueError("simulate_pools must lie in [0, 2**63)")
 
 
 @dataclass
@@ -186,7 +186,7 @@ def sweep(grid: SweepGrid, base: SweepBase, seed=None) -> SweepResult:
             stats = simulator.run_scenario(
                 base.geometry, dataclasses.replace(params, l1=row.l1, l2=row.l2),
                 base.traffic, base.deadlines, alarms=[],
-                horizon=grid.simulate_pools * base.t_r, seed=seed,
+                n_pools=grid.simulate_pools, seed=seed,
                 alarm_process=process)
             row.e_c_simulated = stats.mean_rs_per_pool
             row.e_c_simulated_stderr = stats.stderr_rs_per_pool

@@ -422,28 +422,36 @@ def _arrivals(geometry: CellGeometry, traffic: RegularTrafficParams, t_r: float,
                         t_gen=t_gen, h1=h1)
 
 
+# a run is 1 to MAX_POOLS - 1 pools: the pool and window indices of
+# `_arrivals` and `_AlarmQueue` are int64
+MAX_POOLS = 2**63
+
+
 def pool_count(horizon: float, t_r: float) -> int:
-    """Whole pool periods in the horizon. A ratio within float error of an
-    integer counts as that many pools: 0.3 / 0.1 is 2.9999999999999996."""
-    periods = horizon / t_r
-    return math.floor(periods * (1 + 1e-9)) if math.isfinite(periods) else 0
+    """Whole pool periods in a positive horizon, from the exact ratio of the
+    two floats. A ratio within a few ulps (2**-50 relative) of an integer
+    counts as that integer: 0.3 s at 0.1 s is 3 pools, though 0.3 / 0.1 is
+    2.9999999999999996."""
+    (a, b), (c, d) = horizon.as_integer_ratio(), t_r.as_integer_ratio()
+    num, den = a * d, b * c  # horizon / t_r == num / den
+    nearest = (2 * num + den) // (2 * den)
+    return nearest if abs(num - nearest * den) * 2**50 <= nearest * den else num // den
 
 
 def run_scenario(geometry: CellGeometry, params: ProtocolParams,
                  traffic: RegularTrafficParams, deadlines: Deadlines,
-                 alarms: list[AlarmScenario], horizon: float, seed,
+                 alarms: list[AlarmScenario], n_pools: int, seed,
                  alarm_process: AlarmProcess | None = None,
                  trace: TextIO | None = None) -> ScenarioStats:
-    """Simulate pools every t_r over the horizon with gated arrivals.
+    """Simulate `n_pools` pools, one every t_r, with gated arrivals.
 
     `_arrivals` draws each chunk's reports from child 0 of `seed` (an int
     or a SeedSequence), so for one seed every design sees the same
     arrivals, and `_resolve_pools` resolves them from child 1. A `trace`
     sink gets each chunk's per-pool lines as the chunk ends.
     """
-    n_pools = pool_count(horizon, params.t_r)
-    if n_pools < 1:
-        raise ValueError("horizon must cover a finite number (>= 1) of pool periods")
+    if not 1 <= n_pools < MAX_POOLS:
+        raise ValueError(f"n_pools must lie in [1, 2**63), got {n_pools}")
     if geometry.n_stations != params.n:
         raise ValueError("geometry and protocol disagree on the station count")
     validate_deadline(params, deadlines)

@@ -76,7 +76,7 @@ def optimum_mixture_run(optimum_params, traffic_params, deadlines, geometry,
     events occurring independently per pool with the configured prior."""
     process = AlarmProcess(prob_per_pool=P_H1, template=alarm_template)
     return run_scenario(geometry, optimum_params, traffic_params, deadlines,
-                        alarms=[], horizon=POOLS_AT_OPTIMUM * T_R,
+                        alarms=[], n_pools=POOLS_AT_OPTIMUM,
                         seed=271828, alarm_process=process)
 
 
@@ -100,7 +100,7 @@ def detection_runs(optimum_params, traffic_params, deadlines):
                                   correlation=SqrtCapCorrelation(d_max=d_max))
             sink = io.StringIO()
             stats = run_scenario(geom, optimum_params, traffic_params, deadlines,
-                                 alarms=[alarm], horizon=2 * T_R,
+                                 alarms=[alarm], n_pools=2,
                                  seed=r_seed, trace=sink)
             trace = read_trace(sink)
             assert trace[0]["hypothesis"] == "h1"
@@ -145,7 +145,7 @@ class TestCriterion02DegeneratePolling:
         params = ProtocolParams(n=N, omega=1, delta_c=100, l1=1, l2=1,
                                 t_r=T_R, rs_duration=RS_DURATION)
         stats = run_scenario(geometry, params, traffic_params, deadlines,
-                             alarms=[], horizon=20 * T_R, seed=161803)
+                             alarms=[], n_pools=20, seed=161803)
         ok = (stats.mean_rs_per_pool == N
               and stats.std_rs_per_pool == 0.0
               and abs(stats.mean_pool_duration - 1.6) < 1e-12)
@@ -340,7 +340,7 @@ class TestCriterion10IndependentSlotsAssumption:
             g_seed, r_seed = child.spawn(2)
             geom = place_stations(N, RADIUS, g_seed)
             stats = run_scenario(geom, optimum_params, traffic_params, deadlines,
-                                 alarms=[], horizon=POOLS_PER_META_REP * T_R,
+                                 alarms=[], n_pools=POOLS_PER_META_REP,
                                  seed=r_seed)
             _, pvalue, _ = kc_chi_square(stats.kc_counts,
                                          optimum_params.pool_size, p_c)

@@ -645,6 +645,12 @@ class TestProtocolParams:
         assert frames_for(OMEGA, 0.6, 0.4) == (24, 16)
         assert delta_c_from_pct(DC_PCT, math.ceil(N / OMEGA)) == 100
 
+    def test_threshold_is_the_exact_ceiling_of_the_share(self):
+        # 55 % of 100 slots is 55, though 0.55 * 100 is 55.00000000000001
+        assert delta_c_from_pct(55.0, 100) == 55
+        assert all(delta_c_from_pct(float(pct), pool) == -(-pct * pool // 100)
+                   for pct in range(1, 101) for pool in range(1, 2001))
+
     @pytest.mark.parametrize("kwargs", [
         dict(omega=0), dict(omega=9000), dict(delta_c=0), dict(delta_c=300),
         dict(l1=40), dict(l2=30),

@@ -382,11 +382,14 @@ class TestSimulateCommand:
         assert "not subnormal" in config_invalid_line(capsys)
         assert not (tmp_path / "new").exists()
 
-    @pytest.mark.parametrize("n", ["0", "-4"])
+    @pytest.mark.parametrize("n", ["0", "-4", str(2**63), "1" + "0" * 400],
+                             ids=["0", "-4", "2**63", "1e400"])
     def test_replications_below_one_rejected(self, config_path, tmp_path, capsys, n):
+        # a run's pool and window indices are int64: [1, 2**63) pools
         assert run_cli("simulate", "--config", str(config_path), "--seed", "11",
                        "--out", str(tmp_path / "out"), "--replications", n) == 1
         assert error_lines(capsys) == ["error:invalid-argument"]
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -708,6 +711,23 @@ class TestAlarmSectionErrors:
         assert "[alarm.quake]" in config_invalid_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["", "a/b", "../../x"], ids=["empty", "slash", "dotdot"])
+    @pytest.mark.parametrize("command", ["traffic", "analyze"])
+    def test_name_is_a_file_stem(self, tmp_path, capsys, name, command):
+        # traffic writes activation_<name>.csv and two more files named
+        # after each alarm: a path separator would write beside --out or
+        # outside it
+        work = tmp_path / "work"
+        work.mkdir()
+        cfg = work / "cell.ini"
+        cfg.write_text(SMALL_CELL.replace("[alarm.quake]", f"[alarm.{name}]"),
+                       encoding="utf-8")
+        assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(work / "d" / "inner")) == 1
+        assert f"[alarm.{name}]" in config_invalid_line(capsys)
+        assert sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*")) == ["work", "work/cell.ini"]
+
 
 def write_cell_with(tmp_path, section, key, value, drop=None) -> Path:
     """The small cell with one key of one section set to `value`, and the
@@ -866,9 +886,10 @@ class TestSimulationSectionErrors:
         assert "simulation.mode" in line and "delta_c_slots = 1" in line
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("value", ["1.0", "2.4"])
+    @pytest.mark.parametrize("value", ["1.0", "2.4", "1e20"])
     def test_horizon_short_of_one_pool_period(self, tmp_path, capsys, value):
-        # the small cell's pool period is 2.5 s
+        # the small cell's pool period is 2.5 s; 1e20 s is 4e19 periods,
+        # past the int64 pool indices of a run
         cfg = write_cell_with(tmp_path, "simulation", "horizon_s", value)
         assert run_cli("simulate", "--config", str(cfg), "--seed", "1",
                        "--out", str(tmp_path / "o")) == 1
@@ -885,6 +906,8 @@ class TestGridSectionErrors:
         ("sweep", "l2_frac", "0"), ("sweep", "l1_frac", "nan"),
         ("sweep", "l2_frac", "-0.4"), ("sweep", "l1_frac", "search"),
         ("sweep", "simulate_pools", "-1"),
+        # past the int64 pool indices of a run
+        ("sweep", "simulate_pools", "1" + "0" * 400),
         ("compare", "omega_values", "0 -3"), ("compare", "omega_values", ""),
         ("compare", "delta_c_pct", "150"), ("compare", "delta_c_pct", "0"),
         ("compare", "delta_c_pct", "nan"),
@@ -939,9 +962,10 @@ class TestValuesCheckedWhereUsed:
         # finite, but the worst-case pool duration overflows
         ("protocol", "rs_duration_s", "1e308", ["analyze"], "infeasible-config"),
         ("protocol", "rs_duration_s", "1e308", ["sweep"], "infeasible-config"),
-        # two pool periods of 1e308 s overflow the horizon
+        # a run is counted in pools, so no horizon in seconds overflows; a
+        # pool period of 1e308 s cannot meet the alarm deadline
         ("protocol", "t_r_s", "1e308", ["simulate", "--replications", "2"],
-         "config-invalid"),
+         "infeasible-config"),
     ])
     def test_exits_with_one_error_line(self, tmp_path, capsys, section, key, value,
                                        command, category):

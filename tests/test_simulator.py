@@ -17,8 +17,8 @@ from rspool import (AlarmProcess, AlarmScenario, CellGeometry, Deadlines,
                     place_stations, run_scenario,
                     validate_deadline, worst_case_pool_duration)
 from rspool.analysis import ActivityProbs
-from rspool.simulator import (CHUNK_POOLS, KINDS, _arrivals, _resolve_pools,
-                              meets_deadline)
+from rspool.simulator import (CHUNK_POOLS, KINDS, MAX_POOLS, _arrivals,
+                              _resolve_pools, meets_deadline, pool_count)
 from rspool.traffic import AlarmTimeError
 from tests.chi_square import kc_chi_square
 from tests.conftest import (L1, L2, LAMBDA_D, N, OMEGA, RS_DURATION, T_R, TAU_A,
@@ -214,13 +214,13 @@ class TestFeasibility:
 @pytest.fixture(scope="module")
 def h0_run(ref_geometry, ref_params, ref_traffic, ref_deadlines):
     return run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                        alarms=[], horizon=2000 * T_R, seed=424242)
+                        alarms=[], n_pools=2000, seed=424242)
 
 
 class TestRunScenario:
     def test_deterministic_for_seed(self, ref_geometry, ref_params, ref_traffic,
                                     ref_deadlines):
-        kwargs = dict(alarms=[], horizon=50 * T_R, seed=99)
+        kwargs = dict(alarms=[], n_pools=50, seed=99)
         a = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines, **kwargs)
         b = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines, **kwargs)
         np.testing.assert_equal(a.to_dict(), b.to_dict())  # NaN equal to NaN
@@ -261,7 +261,7 @@ class TestRunScenario:
         deadlines = Deadlines(tau_a=tau_a)
         quake = AlarmScenario((0.0, 0.0), 4000.0, 0.0, SqrtCapCorrelation(500.0))
         stats = run_scenario(ref_geometry, params, ref_traffic, deadlines, alarms=[],
-                             horizon=2000 * T_R, seed=2024,
+                             n_pools=2000, seed=2024,
                              alarm_process=AlarmProcess(0.05, quake))
         assert sorted(stats.delay_counts) == ["alarm", "on_demand", "periodic"]
         for kind, counts in stats.delay_counts.items():
@@ -293,7 +293,7 @@ class TestRunScenario:
         tau_a = T_R + worst_case_pool_duration(params) + 1e-9 * T_R
         stats = run_scenario(place_stations(n, 1000.0, seed=seed), params, traffic,
                              Deadlines(tau_a), alarms=[] if process else [quake],
-                             horizon=40 * T_R, seed=seed, alarm_process=process)
+                             n_pools=40, seed=seed, alarm_process=process)
         assert stats.dropped_reports == 0
         assert all(delay < tau_a for delay in stats.max_delay_by_kind.values())
         assert all(counts.size <= 100 for counts in stats.delay_counts.values())
@@ -354,7 +354,7 @@ class TestRunScenario:
         alarm = AlarmScenario((0, 0), 4000.0, t_a=6.0,
                               correlation=SqrtCapCorrelation(500.0))
         stats = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[alarm], horizon=10 * T_R, seed=5150)
+                             alarms=[alarm], n_pools=10, seed=5150)
         assert stats.pools_h1 == 1
         assert stats.p_alarm_given_h1 == 1.0
         assert stats.p_alarm_given_h0 == 0.0
@@ -368,7 +368,7 @@ class TestRunScenario:
                                template=AlarmScenario((0, 0), 4000.0, 0.0,
                                                       SqrtCapCorrelation(500.0)))
         stats = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=100 * T_R, seed=31337, alarm_process=process)
+                             alarms=[], n_pools=100, seed=31337, alarm_process=process)
         # about 20 of 100 windows should carry an event; events drawn close
         # to a window boundary split their reports across two pools, so
         # per-pool detection can fall just short of certainty
@@ -380,16 +380,16 @@ class TestRunScenario:
                                                           ref_deadlines):
         naive = run_scenario(ref_geometry, dataclasses.replace(ref_params, delta_c=1),
                              ref_traffic, ref_deadlines, alarms=[],
-                             horizon=300 * T_R, seed=777)
+                             n_pools=300, seed=777)
         adaptive = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                                alarms=[], horizon=300 * T_R, seed=777)
+                                alarms=[], n_pools=300, seed=777)
         assert naive.mean_rs_per_pool > adaptive.mean_rs_per_pool
 
     def test_trace_records_every_pool(self, ref_geometry, ref_params, ref_traffic,
                                       ref_deadlines):
         sink = io.StringIO()
         stats = run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=20 * T_R, seed=1, trace=sink)
+                             alarms=[], n_pools=20, seed=1, trace=sink)
         trace = read_trace(sink)
         assert len(trace) == stats.pools_run == 20
         assert all(t["total_rs"] >= ref_params.pool_size for t in trace)
@@ -406,7 +406,7 @@ class TestRunScenario:
             (0, 0), 4000.0, 0.0, UnitCorrelation()))
         sink = io.StringIO()
         run_scenario(geometry, params, RegularTrafficParams(10.0),
-                     Deadlines(TAU_A), alarms=[], horizon=300 * T_R,
+                     Deadlines(TAU_A), alarms=[], n_pools=300,
                      seed=6, alarm_process=process, trace=sink)
         trace = read_trace(sink)
         assert {t["decision"] for t in trace} == (
@@ -426,7 +426,7 @@ class TestRunScenario:
         alarm = AlarmScenario((0, 0), 4000.0, t_a=3.0, correlation=UnitCorrelation())
         stats = run_scenario(geometry, params, traffic,
                              Deadlines(TAU_A), alarms=[alarm],
-                             horizon=4 * T_R, seed=8)
+                             n_pools=4, seed=8)
         assert stats.pools_h1 == 1
         assert stats.unresolved_active == 0
         # one poll per station per pool, however many arrivals it drew
@@ -449,7 +449,7 @@ class TestRunScenario:
             sink = io.StringIO()
             stats = run_scenario(geometry, params, ref_traffic,
                                  Deadlines(TAU_A), alarms=[alarm],
-                                 horizon=(CHUNK_POOLS + 2) * T_R,
+                                 n_pools=CHUNK_POOLS + 2,
                                  seed=17, trace=sink)
             trace = read_trace(sink)
             assert stats.pools_h1 == 1
@@ -471,7 +471,7 @@ class TestRunScenario:
         stats = run_scenario(geometry, params,
                              RegularTrafficParams(1e9),
                              Deadlines(TAU_A), alarms=[],
-                             horizon=(CHUNK_POOLS + 1) * T_R, seed=23,
+                             n_pools=CHUNK_POOLS + 1, seed=23,
                              alarm_process=process, trace=sink)
         trace = read_trace(sink)
         assert [t["hypothesis"] for t in trace] == ["h0"] + ["h1"] * CHUNK_POOLS
@@ -491,7 +491,7 @@ class TestRunScenario:
                 tracemalloc.start()
                 try:
                     run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                                 alarms=[], horizon=pools * T_R, seed=5, trace=trace)
+                                 alarms=[], n_pools=pools, seed=5, trace=trace)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -507,7 +507,7 @@ class TestRunScenario:
             stats = run_scenario(ref_geometry, params,
                                  RegularTrafficParams(0.01),
                                  Deadlines(50.0), alarms=[],
-                                 horizon=40 * T_R, seed=6)
+                                 n_pools=40, seed=6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -523,35 +523,58 @@ class TestRunScenario:
                        dict(alarms=[], alarm_process=AlarmProcess(1.0, slow))):
             with pytest.raises(AlarmTimeError):
                 run_scenario(geometry, params, ref_traffic,
-                             Deadlines(TAU_A), horizon=2 * T_R,
+                             Deadlines(TAU_A), n_pools=2,
                              seed=1, **kwargs)
 
-    def test_horizon_counts_whole_periods_despite_rounding(self, ref_traffic):
-        params = small_params(t_r=0.1)
-        geometry = place_stations(params.n, 1000.0, seed=3)
+    def test_horizon_counts_whole_periods_despite_rounding(self):
         assert 0.3 / 0.1 < 3
-        stats = run_scenario(geometry, params, ref_traffic,
-                             Deadlines(TAU_A), alarms=[],
-                             horizon=0.3, seed=1)
-        assert stats.pools_run == 3
+        assert pool_count(0.3, 0.1) == 3
 
     def test_rejects_short_horizon(self, ref_geometry, ref_params, ref_traffic,
                                    ref_deadlines):
         with pytest.raises(ValueError):
             run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
-                         alarms=[], horizon=1.0, seed=1)
+                         alarms=[], n_pools=0, seed=1)
+
+    def test_rejects_run_past_int64_indices(self, ref_geometry, ref_params, ref_traffic,
+                                            ref_deadlines):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            run_scenario(ref_geometry, ref_params, ref_traffic, ref_deadlines,
+                         alarms=[], n_pools=MAX_POOLS, seed=1)
 
     def test_degenerate_polling_cost_is_constant(self, ref_geometry, ref_traffic,
                                                  ref_deadlines):
         params = ProtocolParams(n=N, omega=1, delta_c=100, l1=1, l2=1,
                                 t_r=T_R, rs_duration=RS_DURATION)
         stats = run_scenario(ref_geometry, params, ref_traffic, ref_deadlines,
-                             alarms=[], horizon=20 * T_R, seed=2)
+                             alarms=[], n_pools=20, seed=2)
         assert stats.mean_rs_per_pool == N
         assert stats.std_rs_per_pool == 0.0
         assert stats.mean_pool_duration == pytest.approx(1.6)
         # single-station groups never collide: the k_c histogram is a point mass
         assert stats.kc_counts[0] == stats.kc_counts.sum() == 20
+
+
+class TestPoolCount:
+    """A horizon in seconds counts whole pool periods within float error only."""
+
+    @pytest.mark.parametrize("t_r", [0.1, 0.7, 2.5, 3.3, 1e-3, 1234.5678, 5e-324])
+    def test_whole_multiples_count_exactly(self, t_r):
+        rng = np.random.default_rng(29)
+        counts = [1, 2, 3, 120, 999_999_999, 2**52] + [
+            int(c) for e in range(1, 53) for c in rng.integers(2**(e - 1), 2**e, 20)]
+        assert [pool_count(c * t_r, t_r) for c in counts] == counts
+
+    def test_exact_ratio_is_not_rounded_up(self):
+        # 2.5e9 s is exactly 1e9 periods of 2.5 s, not one more
+        assert pool_count(2.5e9, 2.5) == 1_000_000_000
+
+    def test_horizon_just_short_of_a_period_floors(self):
+        assert pool_count(120 * 2.5 - 1e-8, 2.5) == 119
+        assert pool_count(2.4, 2.5) == 0
+
+    def test_ratio_past_the_float_range_is_counted(self):
+        assert pool_count(1e308, 5e-324) >= MAX_POOLS
 
 
 class TestOneAlarmLaw:
@@ -574,7 +597,7 @@ class TestOneAlarmLaw:
                                 l2=l2, t_r=T_R, rs_duration=RS_DURATION)
         sink = io.StringIO()
         run_scenario(geometry, params, ref_traffic, Deadlines(TAU_A), alarms=[],
-                     horizon=pools * T_R, seed=19,
+                     n_pools=pools, seed=19,
                      alarm_process=AlarmProcess(0.25, quake), trace=sink)
         k_c = np.array([t["k_c"] for t in read_trace(sink) if t["hypothesis"] == "h1"])
         assert k_c.size > 400
@@ -620,7 +643,7 @@ class TestCommonArrivals:
                 # two chunks: the second's arrivals are drawn after the
                 # first chunk's contention
                 stats = run_scenario(ref_geometry, params, ref_traffic, ref_deadlines,
-                                     alarms=[], horizon=(CHUNK_POOLS + 20) * T_R,
+                                     alarms=[], n_pools=CHUNK_POOLS + 20,
                                      seed=seed, alarm_process=process,
                                      trace=sink)
                 trace = read_trace(sink)
